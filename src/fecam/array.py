@@ -1,12 +1,13 @@
 """R x C CAM array: row-wise writes with half-voltage inhibition, precharge
-plus transient match-line discharge, sensing, and column-adapted search time.
+plus match-line discharge, sensing, and column-adapted search time.
 
 The match line of each row is modeled as a lumped capacitance discharged by
-the sum of its cells' currents; the transient is integrated with fixed-step
-RK4 so identical inputs give bit-identical results.  Because both FeFETs of
-a cell share the match-line voltage as their drain voltage, the total row
-current factors into a query-dependent static part times a common
-drain-saturation factor, which the integrator exploits.
+the sum of its cells' currents.  Because both FeFETs of a cell share the
+match-line voltage as their drain voltage, the row current factors into a
+query-dependent static part times a common drain-saturation factor
+min(V / v_dsat, 1).  The discharge then has an exact closed form, a linear
+fall to the saturation knee followed by an exponential decay, so identical
+inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .device import DeviceParams, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
                      InvalidParameterError, OutOfRangeError)
 
-RK4_STEPS = 1000          # fixed step count per search window
+TRACE_POINTS = 1001       # samples of a recorded match-line transient
 SIZE_GUIDELINE = 64       # beyond this, drivers need resizing; warn only
 DISTURB_LIMIT = 2.0       # V, max tolerable unselected gate-source magnitude
 
@@ -67,7 +68,8 @@ def discharge_time(p: MatchLineParams, n_cols: int) -> float:
 
 
 def sense(v_ml_at_t: float, p: MatchLineParams) -> bool:
-    """Threshold-comparator sense amplifier; boundary equality is a mismatch."""
+    """Threshold-comparator sense amplifier; boundary equality is a mismatch.
+    Applies elementwise to an array of voltages."""
     return v_ml_at_t > p.vdd - p.delta_v_ml
 
 
@@ -198,40 +200,44 @@ def _static_row_currents(arr_rows, cfg: CellConfig, params: DeviceParams,
     return i.sum(axis=2)
 
 
-def _integrate_ml(params: DeviceParams, p: MatchLineParams, n_cols: int,
-                  static_currents: np.ndarray, t_sense: float,
-                  record: bool = False):
-    """Fixed-step RK4 for C_ML dV/dt = -I_static * sat(V); V(0) = vdd."""
-    c_ml = ml_capacitance(p, n_cols)
-    h = t_sense / RK4_STEPS
-    scale = static_currents / c_ml
-
-    def slope(v):
-        return -scale * np.clip(v / params.v_dsat, 0.0, 1.0)
-
-    v = np.full(static_currents.shape, p.vdd, dtype=float)
-    trace = [v.copy()] if record else None
-    for _ in range(RK4_STEPS):
-        k1 = slope(v)
-        k2 = slope(v + 0.5 * h * k1)
-        k3 = slope(v + 0.5 * h * k2)
-        k4 = slope(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record:
-            trace.append(v.copy())
-    times = np.linspace(0.0, t_sense, RK4_STEPS + 1)
-    return v, times, (np.array(trace) if record else None)
+def _ml_voltage(p: MatchLineParams, v_dsat: float, n_cols: int,
+                static_currents: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact V_ML(times) for C_ML dV/dt = -I_static min(V/v_dsat, 1), V(0) = vdd,
+    shaped times.shape + static_currents.shape.  Nothing divides by the
+    current, so a row whose current underflows to 0 stays at vdd."""
+    drop = np.multiply.outer(times, static_currents / ml_capacitance(p, n_cols))
+    knee = min(p.vdd, v_dsat)
+    linear = p.vdd - knee     # drop at which the line reaches the knee
+    decayed = knee * np.exp(-np.maximum(drop - linear, 0.0) / v_dsat)
+    return np.where(drop <= linear, p.vdd - drop, decayed)
 
 
-def _check_query(arr: FecamArray, query) -> np.ndarray:
-    q = np.asarray(query, dtype=float)
-    if q.ndim != 1 or q.size != arr.cols:
+def _checked(arr: FecamArray, queries, t_sense):
+    """Validated (n_queries, cols) voltages and sense time; t_sense None
+    selects the column-adapted auto time."""
+    q = np.asarray(queries, dtype=float)
+    if q.ndim != 2 or q.shape[1] != arr.cols:
         raise DimensionMismatchError(
-            f"query length {q.size} does not match {arr.cols} columns")
-    if q.min() < 0.0 or q.max() > arr.cfg.vdd:
-        raise OutOfRangeError(
-            f"query voltages must lie in [0, {arr.cfg.vdd}] V")
-    return q
+            f"queries of shape {q.shape} do not match {arr.cols} columns")
+    if not ((q >= 0.0) & (q <= arr.cfg.vdd)).all():  # NaN fails as well
+        raise OutOfRangeError(f"query voltages must lie in [0, {arr.cfg.vdd}] V")
+    t = arr.auto_sense_time() if t_sense is None else float(t_sense)
+    if not 0.0 < t < np.inf:
+        raise InvalidParameterError(f"t_sense must be positive and finite, got {t}")
+    return q, t
+
+
+def _search_rows(arr: FecamArray, queries, t_sense, cells=None, trace=False):
+    """The one search path: validate, solve each row's match line (only those
+    in cells, if given) up to t_sense and sense it there.  Returns the flags
+    (S, R), t_sense, the times and V_ML (T, S, R); the times are TRACE_POINTS
+    samples from 0 when trace is set, else t_sense alone."""
+    q, t = _checked(arr, queries, t_sense)
+    static = _static_row_currents(arr.cells if cells is None else cells,
+                                  arr.cfg, arr.params, q)
+    times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
+    v = _ml_voltage(arr.ml_params, arr.params.v_dsat, arr.cols, static, times)
+    return sense(v[-1], arr.ml_params), t, times, v
 
 
 def search(arr: FecamArray, query, t_sense: float | None = None) -> SearchResult:
@@ -240,16 +246,9 @@ def search(arr: FecamArray, query, t_sense: float | None = None) -> SearchResult
     t_sense None selects the column-adapted auto time.  A row matches when
     its match line is still above the sense boundary at t_sense.
     """
-    q = _check_query(arr, query)
-    t = arr.auto_sense_time() if t_sense is None else float(t_sense)
-    if t <= 0:
-        raise InvalidParameterError("t_sense must be positive")
-    static = _static_row_currents(arr.cells, arr.cfg, arr.params, q[None, :])[0]
-    final, times, trace = _integrate_ml(arr.params, arr.ml_params, arr.cols,
-                                        static, t, record=True)
-    matches = tuple(bool(sense(v, arr.ml_params)) for v in final)
-    return SearchResult(matches=matches, sense_time=t, times=times,
-                        ml_voltages=trace)
+    matches, t, times, v = _search_rows(arr, [query], t_sense, trace=True)
+    return SearchResult(matches=tuple(matches[0].tolist()), sense_time=t,
+                        times=times, ml_voltages=v[:, 0])
 
 
 def batch_search(arr: FecamArray, queries, t_sense: float | None = None):
@@ -257,16 +256,7 @@ def batch_search(arr: FecamArray, queries, t_sense: float | None = None):
 
     Same numerics as search() without trace recording.
     """
-    q = np.asarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[1] != arr.cols:
-        raise DimensionMismatchError(
-            f"queries shape {q.shape} does not match {arr.cols} columns")
-    if q.size and (q.min() < 0.0 or q.max() > arr.cfg.vdd):
-        raise OutOfRangeError(f"query voltages must lie in [0, {arr.cfg.vdd}] V")
-    t = arr.auto_sense_time() if t_sense is None else float(t_sense)
-    static = _static_row_currents(arr.cells, arr.cfg, arr.params, q)
-    final, _, _ = _integrate_ml(arr.params, arr.ml_params, arr.cols, static, t)
-    return final > arr.ml_params.vdd - arr.ml_params.delta_v_ml
+    return _search_rows(arr, queries, t_sense)[0]
 
 
 def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
@@ -279,13 +269,10 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     if not 0 <= row < arr.rows:
         raise OutOfRangeError(f"row {row} outside [0, {arr.rows - 1}]")
     vdd = arr.cfg.vdd
-    grid = np.arange(0.0, vdd + resolution / 2, resolution)
+    # arange can overshoot vdd by an ulp
+    grid = np.minimum(np.arange(0.0, vdd + resolution / 2, resolution), vdd)
     queries = np.repeat(grid[:, None], arr.cols, axis=1)
-    t = arr.auto_sense_time() if t_sense is None else float(t_sense)
-    static = _static_row_currents([arr.cells[row]], arr.cfg, arr.params, queries)
-    final, _, _ = _integrate_ml(arr.params, arr.ml_params, arr.cols,
-                                static[:, 0], t)
-    matching = final > arr.ml_params.vdd - arr.ml_params.delta_v_ml
+    matching = _search_rows(arr, queries, t_sense, cells=[arr.cells[row]])[0][:, 0]
     if not matching.any():
         return None
     # longest contiguous run of matches

@@ -22,19 +22,11 @@ from . import array as array_mod
 from . import costmodel, encoder, fileio
 from .cell import program_analog
 from .config import GlobalConfig, default_config, load_config
-from .costmodel import CamKind
+from .costmodel import CamKind, _fmt
 from .device import WritePulse, vth_from_pulse, saturated_current, vds_factor
 from .errors import FecamError, InvalidParameterError
 
 CONFIG_ENV_VAR = "FECAM_CONFIG"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".10g")
 
 
 def _write_out(path, text: str) -> None:
@@ -127,7 +119,8 @@ def cmd_sweep(args) -> int:
                 if values else np.arange(0.0, config.cell.vdd + 5e-4, 1e-3))
         queries = np.repeat(grid[:, None], arr.cols, axis=1)
         matches = array_mod.batch_search(arr, queries)
-        return _write_out(args.out, fileio.bounds_sweep_csv(grid, matches)) or 0
+        _write_out(args.out, fileio.bounds_sweep_csv(grid, matches))
+        return 0
     _write_out(args.out, "\n".join(lines) + "\n")
     return 0
 

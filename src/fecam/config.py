@@ -30,10 +30,6 @@ def default_config() -> GlobalConfig:
     return GlobalConfig()
 
 
-def _float_fields(cls) -> dict:
-    return {f.name: float for f in fields(cls) if f.type in ("float", float)}
-
-
 _COST_SCALARS = {"area_per_bit_ratio_analog_vs_cmos", "cmos_cell_area",
                  "reference_routing_area_ratio"}
 

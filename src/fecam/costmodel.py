@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .array import MatchLineParams, ml_capacitance
 from .encoder import RoutingTable, TableMode
 from .errors import InconsistentInputError, InvalidParameterError
@@ -168,11 +170,12 @@ class ComparisonReport:
 
 
 def _fmt(value) -> str:
+    """Number formatting shared by every text output of the package."""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".10g")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".10g")
 
 
 def routing_report(p: CostParams, ternary: RoutingTable,

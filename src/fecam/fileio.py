@@ -14,12 +14,9 @@ from . import cell as cell_mod
 from .array import FecamArray, SearchResult
 from .cell import TernaryBit, program_analog, program_digital
 from .config import GlobalConfig
+from .costmodel import _fmt
 from .encoder import RangeRule
 from .errors import FecamError, ParseError
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".10g")
 
 
 def _content_lines(text: str):
@@ -127,10 +124,11 @@ def parse_rules_file(text: str):
 def trace_csv(result: SearchResult) -> str:
     """Per-row match-line transient: row,t_seconds,v_ml_volts."""
     lines = ["row,t_seconds,v_ml_volts"]
+    times = [_fmt(t) for t in result.times]
     n_rows = result.ml_voltages.shape[1]
     for row in range(n_rows):
-        for t, v in zip(result.times, result.ml_voltages[:, row]):
-            lines.append(f"{row},{_fmt(t)},{_fmt(v)}")
+        for t, v in zip(times, result.ml_voltages[:, row]):
+            lines.append(f"{row},{t},{_fmt(v)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,18 @@ class TestSearch:
             search(arr, [0.5])
         with pytest.raises(OutOfRangeError):
             search(arr, [0.5, 1.5])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(OutOfRangeError):
+                search(arr, [0.5, bad])
+            with pytest.raises(OutOfRangeError):
+                batch_search(arr, [[0.5, 0.5], [0.5, bad]])
+        for t in (0.0, -1e-9, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                search(arr, [0.5, 0.5], t)
+            with pytest.raises(InvalidParameterError):
+                batch_search(arr, [[0.9, 0.9]], t)
+            with pytest.raises(InvalidParameterError):
+                measure_bounds(arr, 0, t)
 
     def test_digital_truth_table_at_array_level(self, mlp, cfg, params):
         # stored x query with digital voltages reproduces the TCAM table
@@ -155,6 +169,12 @@ class TestMeasureBounds:
     def test_single_cell_bounds(self, demo_cell, mlp, cfg, params):
         arr = filled(1, 1, demo_cell, mlp, cfg, params)
         lo, hi = measure_bounds(arr, 0)
+        assert lo == pytest.approx(0.4, abs=0.02)
+        assert hi == pytest.approx(0.6, abs=0.02)
+        # a supply whose 1 mV sweep grid overshoots it by an ulp
+        cfg_113, mlp_113 = replace(cfg, vdd=1.13), replace(mlp, vdd=1.13)
+        cell = program_analog(0.4, 0.6, cfg_113, params)
+        lo, hi = measure_bounds(filled(1, 1, cell, mlp_113, cfg_113, params), 0)
         assert lo == pytest.approx(0.4, abs=0.02)
         assert hi == pytest.approx(0.6, abs=0.02)
 
