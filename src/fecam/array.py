@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -188,12 +189,18 @@ class FecamArray:
     def auto_sense_time(self) -> float:
         return discharge_time(self.ml_params, self.cols)
 
+    @cached_property
+    def _thresholds(self):
+        """(upper, lower) FeFET thresholds, each (rows, cols), gathered once:
+        the array is frozen and writes build a new one, so it cannot go stale."""
+        up = np.array([[c.upper_fet.vth for c in row] for row in self.cells])
+        lo = np.array([[c.lower_fet.vth for c in row] for row in self.cells])
+        return up, lo
 
-def _static_row_currents(arr_rows, cfg: CellConfig, params: DeviceParams,
-                         queries: np.ndarray) -> np.ndarray:
+
+def _static_row_currents(up: np.ndarray, lo: np.ndarray, cfg: CellConfig,
+                         params: DeviceParams, queries: np.ndarray) -> np.ndarray:
     """Summed full-drive cell currents per (query, row); shape (S, R)."""
-    up = np.array([[c.upper_fet.vth for c in row] for row in arr_rows])
-    lo = np.array([[c.lower_fet.vth for c in row] for row in arr_rows])
     q = queries[:, None, :]
     i = (device.saturated_current(params, q, up[None, :, :])
          + device.saturated_current(params, inverter(q, cfg), lo[None, :, :]))
@@ -227,14 +234,14 @@ def _checked(arr: FecamArray, queries, t_sense):
     return q, t
 
 
-def _search_rows(arr: FecamArray, queries, t_sense, cells=None, trace=False):
-    """The one search path: validate, solve each row's match line (only those
-    in cells, if given) up to t_sense and sense it there.  Returns the flags
-    (S, R), t_sense, the times and V_ML (T, S, R); the times are TRACE_POINTS
-    samples from 0 when trace is set, else t_sense alone."""
+def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=False):
+    """The one search path: validate, solve the match lines of the rows that
+    rows selects (all by default) up to t_sense and sense them there.  Returns
+    the flags (S, R), t_sense, the times and V_ML (T, S, R); the times are
+    TRACE_POINTS samples from 0 when trace is set, else t_sense alone."""
     q, t = _checked(arr, queries, t_sense)
-    static = _static_row_currents(arr.cells if cells is None else cells,
-                                  arr.cfg, arr.params, q)
+    up, lo = arr._thresholds
+    static = _static_row_currents(up[rows], lo[rows], arr.cfg, arr.params, q)
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
     v = _ml_voltage(arr.ml_params, arr.params.v_dsat, arr.cols, static, times)
     return sense(v[-1], arr.ml_params), t, times, v
@@ -268,11 +275,13 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     """
     if not 0 <= row < arr.rows:
         raise OutOfRangeError(f"row {row} outside [0, {arr.rows - 1}]")
+    if not 0.0 < resolution < np.inf:
+        raise InvalidParameterError(f"resolution must be positive, got {resolution}")
     vdd = arr.cfg.vdd
     # arange can overshoot vdd by an ulp
     grid = np.minimum(np.arange(0.0, vdd + resolution / 2, resolution), vdd)
     queries = np.repeat(grid[:, None], arr.cols, axis=1)
-    matching = _search_rows(arr, queries, t_sense, cells=[arr.cells[row]])[0][:, 0]
+    matching = _search_rows(arr, queries, t_sense, rows=[row])[0][:, 0]
     if not matching.any():
         return None
     # longest contiguous run of matches
@@ -308,19 +317,12 @@ def single_mismatch_sense_time(p: MatchLineParams, params: DeviceParams,
     return ml_capacitance(p, n_cols) * p.delta_v_ml / i_sense
 
 
-def _disturb_report(plan: WritePlan, rows: int) -> DisturbReport:
-    n_cols = len(plan.sl_pulses)
-    magnitudes = np.full((rows, n_cols), np.nan)
-    for r in range(rows):
-        if r == plan.target_row:
-            continue
-        bias = plan.source_bias[r]
-        for c in range(n_cols):
-            worst = 0.0
-            for pulse in (plan.sl_pulses[c], plan.isl_pulses[c]):
-                gate = pulse.amplitude if pulse is not None else 0.0
-                worst = max(worst, abs(gate - bias))
-            magnitudes[r, c] = worst
+def _disturb_report(plan: WritePlan) -> DisturbReport:
+    gates = np.array([[0.0 if p is None else p.amplitude for p in pulses]
+                      for pulses in (plan.sl_pulses, plan.isl_pulses)])  # (2, C)
+    bias = np.array(plan.source_bias)[:, None]                           # (R, 1)
+    magnitudes = np.abs(gates[:, None, :] - bias).max(axis=0)
+    magnitudes[plan.target_row] = np.nan
     return DisturbReport(target_row=plan.target_row, magnitudes=magnitudes)
 
 
@@ -339,7 +341,7 @@ def write_row(arr: FecamArray, plan: WritePlan):
     if len(plan.source_bias) != arr.rows:
         raise DimensionMismatchError(
             f"{len(plan.source_bias)} bias rows vs {arr.rows} array rows")
-    report = _disturb_report(plan, arr.rows)
+    report = _disturb_report(plan)
     if not report.ok:
         raise DisturbViolationError(
             f"unselected gate-source magnitude {report.max_unselected:.3g} V "

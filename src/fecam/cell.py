@@ -169,6 +169,8 @@ def match_window(cell: FecamCell, cfg: CellConfig, params: DeviceParams,
     Returns (lower, upper) in volts, or None when no search voltage matches
     (a valid outcome for degenerate programming).
     """
+    if not 0.0 < resolution < np.inf:
+        raise InvalidParameterError(f"resolution must be positive, got {resolution}")
     grid = np.arange(0.0, cfg.vdd + resolution / 2, 2e-3)
     currents = cell_current(cell, grid, cfg.vdd, cfg, params)
     matching = np.flatnonzero(currents < params.i_threshold)

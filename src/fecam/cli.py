@@ -115,8 +115,9 @@ def cmd_sweep(args) -> int:
     elif args.axis == "v_sl":
         arr = _uniform_array(config, args.rows, args.cols, window)
         values = _parse_floats(args.values)
+        vdd = config.cell.vdd  # arange can overshoot vdd by an ulp
         grid = (np.asarray(sorted(values))
-                if values else np.arange(0.0, config.cell.vdd + 5e-4, 1e-3))
+                if values else np.minimum(np.arange(0.0, vdd + 5e-4, 1e-3), vdd))
         queries = np.repeat(grid[:, None], arr.cols, axis=1)
         matches = array_mod.batch_search(arr, queries)
         _write_out(args.out, fileio.bounds_sweep_csv(grid, matches))

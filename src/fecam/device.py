@@ -10,8 +10,8 @@ a linear drain-voltage saturation factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -19,12 +19,6 @@ from .errors import InvalidParameterError, InvalidPulseError, OutOfRangeError
 
 DEFAULT_PULSE_WIDTH = 100e-9  # s, accepted but not modeled (amplitude-only map)
 VTH_SOLVE_TOLERANCE = 1e-3    # V, contract of pulse_for_vth
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,8 @@ def polarization_after_pulse(params: DeviceParams, pulse: WritePulse) -> float:
     _check_pulse(params, pulse)
     if pulse.amplitude < 0:
         return 0.0
-    return _norm_cdf((pulse.amplitude - params.coercive_mu) / params.coercive_sigma)
+    z = (pulse.amplitude - params.coercive_mu) / params.coercive_sigma
+    return NormalDist().cdf(z)
 
 
 def vth_from_polarization(params: DeviceParams, fraction: float) -> float:
@@ -150,24 +145,21 @@ def pulse_for_vth(params: DeviceParams, target_vth: float,
                   width: float = DEFAULT_PULSE_WIDTH) -> WritePulse:
     """Pulse that programs the device to target_vth within 1 mV.
 
-    Found by bisection over the programming amplitude range; the erased
-    threshold itself is reached with the erase pulse.  Targets inside
-    [vth_low, vth_high] but beyond what the amplitude range can reach within
-    the 1 mV tolerance raise an out-of-range error.
+    The amplitude is the inverse normal CDF of the target's switched fraction,
+    clipped to the programming range; the erased threshold itself is reached
+    with the erase pulse.  Targets inside [vth_low, vth_high] but beyond what
+    the amplitude range can reach within the 1 mV tolerance raise an
+    out-of-range error.
     """
     if not params.vth_low <= target_vth <= params.vth_high:
         raise OutOfRangeError(
             f"target vth {target_vth} V outside [{params.vth_low}, {params.vth_high}] V")
     if abs(target_vth - params.vth_high) <= VTH_SOLVE_TOLERANCE:
         return WritePulse(params.v_erase, width)
-    lo, hi = params.v_prog_min, params.v_prog_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if vth_from_pulse(params, WritePulse(mid, width)) > target_vth:
-            lo = mid
-        else:
-            hi = mid
-    pulse = WritePulse(0.5 * (lo + hi), width)
+    fraction = polarization_for_vth(params, target_vth)  # in (0, 1] here
+    amplitude = (params.v_prog_max if fraction >= 1.0 else params.coercive_mu
+                 + params.coercive_sigma * NormalDist().inv_cdf(fraction))
+    pulse = WritePulse(min(max(amplitude, params.v_prog_min), params.v_prog_max), width)
     if abs(vth_from_pulse(params, pulse) - target_vth) > VTH_SOLVE_TOLERANCE:
         raise OutOfRangeError(
             f"target vth {target_vth} V not reachable within 1 mV by amplitudes "

@@ -171,6 +171,9 @@ class TestMeasureBounds:
         lo, hi = measure_bounds(arr, 0)
         assert lo == pytest.approx(0.4, abs=0.02)
         assert hi == pytest.approx(0.6, abs=0.02)
+        for bad in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                measure_bounds(arr, 0, resolution=bad)
         # a supply whose 1 mV sweep grid overshoots it by an ulp
         cfg_113, mlp_113 = replace(cfg, vdd=1.13), replace(mlp, vdd=1.13)
         cell = program_analog(0.4, 0.6, cfg_113, params)
@@ -248,10 +251,26 @@ class TestWrite:
     def test_inhibition_plans_are_disturb_free(self, mlp, cfg, params):
         wild = program_digital(TernaryBit.DONT_CARE, cfg, params)
         arr = filled(5, 4, wild, mlp, cfg, params)
-        targets = [program_analog(0.3, 0.5, cfg, params)] * 4
-        for plan in inhibition_plans(arr, 2, targets):
+        # an analog window, then cells that leave one or both FETs erased
+        # (no program pulse: the gate stays at 0 V against the +2 V source)
+        targets = [program_analog(0.3, 0.5, cfg, params)] + [
+            program_digital(bit, cfg, params)
+            for bit in (TernaryBit.ONE, TernaryBit.ZERO, TernaryBit.DONT_CARE)]
+        # the analog cell's program pulses: vth 0.5 V needs 60% of the domains
+        # switched, 3 + 0.4 * 0.2533471 V; vth 0.7 V needs 40%, 3 - 0.4 * 0.2533471 V
+        analog_worst = 3.0 + 0.4 * 0.2533471031357997 - DISTURB_LIMIT
+        erase_row = [4.0 - DISTURB_LIMIT] * 4    # |-4 V - (-2 V)| everywhere
+        program_row = [analog_worst, DISTURB_LIMIT, DISTURB_LIMIT, DISTURB_LIMIT]
+        plans = inhibition_plans(arr, 2, targets)
+        assert plans[1].sl_pulses[1] is None and plans[1].isl_pulses[2] is None
+        assert plans[1].sl_pulses[3] is None and plans[1].isl_pulses[3] is None
+        for plan, row in zip(plans, (erase_row, program_row)):
             _, report = write_row(arr, plan)
             assert report.max_unselected <= DISTURB_LIMIT + 1e-12
+            want = np.array([row] * 5)
+            want[2] = np.nan
+            assert report.target_row == 2
+            np.testing.assert_allclose(report.magnitudes, want, rtol=0, atol=1e-9)
 
     def test_plan_validation(self, demo_cell, mlp, cfg, params):
         with pytest.raises(InvalidParameterError):

@@ -123,6 +123,9 @@ class TestMatchWindow:
         lo, hi = match_window(cell, cfg, params)
         assert lo == pytest.approx(0.4, abs=0.02)
         assert hi == pytest.approx(0.6, abs=0.02)
+        for bad in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                match_window(cell, cfg, params, bad)
 
     def test_full_range(self, cfg, params):
         cell = program_analog(0.0, cfg.vdd, cfg, params)

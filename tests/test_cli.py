@@ -130,6 +130,16 @@ class TestSweep:
         assert lines[0] == "v_sl_volts,match_0"
         assert [line.split(",")[1] for line in lines[1:]] == ["0", "1", "0"]
 
+    def test_vsl_axis_default_grid_ends_at_supply(self, capsys, tmp_path):
+        # the 1 mV grid overshoots a 1.13 V supply by an ulp unless clipped
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cell]\nvdd = 1.13\n[matchline]\nvdd = 1.13\n")
+        code, out, err = run(capsys, "--config", str(ini), "sweep", "--axis", "v_sl")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 1 + 1131
+        assert lines[-1].split(",") == ["1.13", "0"]
+
     def test_unknown_axis_lists_choices(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--axis", "diagonal"])

@@ -2,17 +2,54 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fecam import (DeviceParams, InvalidParameterError, InvalidPulseError,
                    OutOfRangeError, WritePulse, apply_variation, drain_current,
                    polarization_after_pulse, pulse_for_vth, resolvable_levels,
                    state_for_vth, vth_from_pulse)
-from fecam.device import saturated_current, vds_factor
+from fecam.device import VTH_SOLVE_TOLERANCE, saturated_current, vds_factor
+
+BISECTION_STEPS = 60
 
 
 def norm_cdf(x):
     # independent oracle for the switching fraction
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def bisect_pulse_for_vth(params, target):
+    """Independent reference for pulse_for_vth: bisection of the monotone
+    pulse-to-threshold curve over the programming amplitude range."""
+    if not params.vth_low <= target <= params.vth_high:
+        raise OutOfRangeError(f"target {target} V outside the threshold range")
+    if abs(target - params.vth_high) <= VTH_SOLVE_TOLERANCE:
+        return WritePulse(params.v_erase)
+    lo, hi = params.v_prog_min, params.v_prog_max
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if vth_from_pulse(params, WritePulse(mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    pulse = WritePulse(0.5 * (lo + hi))
+    if abs(vth_from_pulse(params, pulse) - target) > VTH_SOLVE_TOLERANCE:
+        raise OutOfRangeError(f"target {target} V not reachable within 1 mV")
+    return pulse
+
+
+def solve_targets(params):
+    """Targets over the threshold range, weighted toward the two fringes that
+    no programming amplitude reaches within 1 mV, and their exact edges."""
+    v_min = vth_from_pulse(params, WritePulse(params.v_prog_max))
+    v_max = vth_from_pulse(params, WritePulse(params.v_prog_min))
+    tol = VTH_SOLVE_TOLERANCE
+    edges = [params.vth_low, params.vth_high, params.vth_high - tol, v_min, v_max,
+             v_min - tol, v_max + tol, v_min - 2 * tol, v_max + 2 * tol]
+    return st.one_of(st.floats(params.vth_low, params.vth_high),
+                     st.floats(params.vth_low, v_min + 2 * tol),
+                     st.floats(v_max - 2 * tol, params.vth_high),
+                     st.sampled_from(edges))
 
 
 def amplitude_grid():
@@ -102,6 +139,22 @@ class TestPulseForVth:
         assert fringe < params.vth_high - 1e-3
         with pytest.raises(OutOfRangeError):
             pulse_for_vth(params, fringe)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_bisection(self, data, params):
+        # same outcome (a pulse or OutOfRangeError) as the reference, the same
+        # amplitude, and a threshold within the 1 mV contract
+        target = data.draw(solve_targets(params))
+        try:
+            want = bisect_pulse_for_vth(params, target)
+        except OutOfRangeError:
+            with pytest.raises(OutOfRangeError):
+                pulse_for_vth(params, target)
+            return
+        got = pulse_for_vth(params, target)
+        assert abs(got.amplitude - want.amplitude) <= 1e-9
+        assert abs(vth_from_pulse(params, got) - target) <= VTH_SOLVE_TOLERANCE
 
 
 class TestDrainCurrent:
