@@ -10,7 +10,7 @@ transient model's capacitances for comparison, without gating anything.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -134,19 +134,7 @@ class ComparisonReport:
     reference_area_gap_percent: float
 
     def as_dict(self) -> dict:
-        return {
-            "ternary_entries": self.ternary_entries,
-            "analog_entries": self.analog_entries,
-            "ternary_cells": self.ternary_cells,
-            "analog_cells": self.analog_cells,
-            "cell_reduction_ratio": self.cell_reduction_ratio,
-            "area_ratio": self.area_ratio,
-            "energy_ratio": self.energy_ratio,
-            "ternary_energy_joules": self.ternary_energy_joules,
-            "analog_energy_joules": self.analog_energy_joules,
-            "reference_area_ratio": self.reference_area_ratio,
-            "reference_area_gap_percent": self.reference_area_gap_percent,
-        }
+        return asdict(self)
 
     def kv_lines(self) -> str:
         lines = [f"{key} = {_fmt(value)}" for key, value in self.as_dict().items()]
@@ -157,16 +145,11 @@ class ComparisonReport:
 
     @staticmethod
     def csv_header() -> str:
-        return ("ternary_entries,analog_entries,ternary_cells,analog_cells,"
-                "cell_reduction_ratio,area_ratio,energy_ratio,"
-                "ternary_energy_joules,analog_energy_joules")
+        # the CSV holds the first nine fields: no reference calibration
+        return ",".join(f.name for f in fields(ComparisonReport)[:9])
 
     def csv_row(self) -> str:
-        values = [self.ternary_entries, self.analog_entries, self.ternary_cells,
-                  self.analog_cells, self.cell_reduction_ratio, self.area_ratio,
-                  self.energy_ratio, self.ternary_energy_joules,
-                  self.analog_energy_joules]
-        return ",".join(_fmt(v) for v in values)
+        return ",".join(_fmt(v) for v in list(self.as_dict().values())[:9])
 
 
 def _fmt(value) -> str:

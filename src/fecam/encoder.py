@@ -4,12 +4,16 @@ Two covers are produced for a range [lo, hi]: a minimal prefix cover for
 ternary (0/1/X) entries, and a greedy base-2^b digit-range cover for
 multi-bit analog entries where each cell stores an interval of quantized
 levels.  Both are exact: an address matches the cover iff it lies in the
-range.
+range.  Every cover entry is one address interval, so table lookup is one
+`searchsorted` into an interval index (segment starts, each labelled with
+its first rule), keyed on Python ints from 63 bits up: any width works.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +41,19 @@ class TernaryEntry:
 
     @property
     def is_prefix_form(self) -> bool:
-        stripped = self.bits.rstrip("X")
-        return "X" not in stripped
+        return "X" not in self.bits.rstrip("X")
 
     def value_and_mask(self):
         """Integer compare form: addr matches iff (addr & mask) == value."""
-        value = mask = 0
-        for ch in self.bits:
-            value <<= 1
-            mask <<= 1
-            if ch != "X":
-                mask |= 1
-                value |= ch == "1"
-        return value, mask
+        mask = self.bits.replace("0", "1").replace("X", "0")
+        return int(self.bits.replace("X", "0"), 2), int(mask, 2)
 
-    def matches(self, addr: int) -> bool:
-        value, mask = self.value_and_mask()
-        return (addr & mask) == value
+    @property
+    def interval(self):
+        """(lo, hi) of the addresses the entry matches; prefix form only."""
+        if not self.is_prefix_form:
+            raise InvalidParameterError(f"entry {self} is not one address interval")
+        return int(self.bits.replace("X", "0"), 2), int(self.bits.replace("X", "1"), 2)
 
     def __str__(self):
         return self.bits
@@ -80,13 +80,16 @@ class AnalogEntry:
     def width(self) -> int:
         return len(self.digits) * self.bits_per_cell
 
-    def matches(self, addr: int) -> bool:
-        base = 1 << self.bits_per_cell
-        for pos, (d_lo, d_hi) in enumerate(reversed(self.digits)):
-            digit = (addr >> (pos * self.bits_per_cell)) % base
-            if not d_lo <= digit <= d_hi:
-                return False
-        return True
+    @property
+    def interval(self):
+        """(lo, hi) of the addresses the entry matches."""
+        lo, hi, size = 0, 0, 1  # size: how many addresses the entry matches
+        for d_lo, d_hi in self.digits:
+            lo, hi = lo << self.bits_per_cell | d_lo, hi << self.bits_per_cell | d_hi
+            size *= d_hi - d_lo + 1
+        if hi - lo + 1 != size:
+            raise InvalidParameterError(f"entry {self} is not one address interval")
+        return lo, hi
 
     def __str__(self):
         return "".join(f"[{a}-{b}]" for a, b in self.digits)
@@ -171,18 +174,42 @@ def range_to_analog_entries(lo: int, hi: int, width: int,
     return entries
 
 
+def _addresses(addrs, width: int) -> np.ndarray:
+    """Address array checked against the width: int64 below 63 bits, Python
+    ints from 63 bits up.  Width 0 (a table without rules) bounds nothing."""
+    try:
+        a = np.asarray(addrs, dtype=np.int64 if 0 < width < 63 else object)
+    except OverflowError:  # too wide for int64, so outside a narrow width too
+        a = None
+    if a is None or width and a.size and (a.min() < 0 or a.max() >= 1 << width):
+        raise OutOfRangeError(f"addresses outside width {width}")
+    return a
+
+
+def _interval_index(intervals, width: int):
+    """First-match index of ordered (lo, hi) intervals: sorted segment starts
+    (as `_addresses`), and per segment its first interval's position or -1."""
+    points = sorted({0, *(lo for lo, _ in intervals),
+                     *(hi + 1 for _, hi in intervals)} - {1 << width})
+    waiting = sorted(range(len(intervals)), key=lambda i: -intervals[i][0])
+    active, first = [], []
+    for point in points:
+        while waiting and intervals[waiting[-1]][0] <= point:
+            heapq.heappush(active, waiting.pop())
+        while active and intervals[active[0]][1] < point:
+            heapq.heappop(active)  # ended intervals never hold a later point
+        first.append(active[0] if active else -1)
+    return _addresses(points, width), np.array(first, dtype=np.int64)
+
+
 def entries_match(entries, addr: int, width: int) -> bool:
     """True when any entry matches the address (membership oracle)."""
-    if not 0 <= addr < (1 << width):
-        raise OutOfRangeError(f"address {addr} outside width {width}")
-    return any(e.matches(addr) for e in entries)
+    return bool(entries_match_many(entries, [addr], width)[0])
 
 
 def entries_match_many(entries, addrs, width: int) -> np.ndarray:
     """Vectorized entries_match over an integer address array."""
-    a = np.asarray(addrs, dtype=np.int64)
-    if a.size and (a.min() < 0 or a.max() >= (1 << width)):
-        raise OutOfRangeError(f"addresses outside width {width}")
+    a = _addresses(addrs, width)
     out = np.zeros(a.shape, dtype=bool)
     for e in entries:
         if isinstance(e, TernaryEntry):
@@ -190,9 +217,8 @@ def entries_match_many(entries, addrs, width: int) -> np.ndarray:
             out |= (a & mask) == value
         else:
             hit = np.ones(a.shape, dtype=bool)
-            base_bits = e.bits_per_cell
             for pos, (d_lo, d_hi) in enumerate(reversed(e.digits)):
-                digit = (a >> (pos * base_bits)) & ((1 << base_bits) - 1)
+                digit = (a >> (pos * e.bits_per_cell)) & ((1 << e.bits_per_cell) - 1)
                 hit &= (digit >= d_lo) & (digit <= d_hi)
             out |= hit
     return out
@@ -256,13 +282,19 @@ class RoutingTable:
 
     @property
     def cells_per_entry(self) -> int:
-        if self.mode is TableMode.TERNARY:
-            return self.width
-        return self.width // 3
+        return self.width if self.mode is TableMode.TERNARY else self.width // 3
 
     @property
     def n_cells(self) -> int:
         return self.n_entries * self.cells_per_entry
+
+    @functools.cached_property
+    def _index(self):
+        """Entry interval index labelled with rule indices; built lazily."""
+        starts, first = _interval_index(
+            [tagged.entry.interval for tagged in self.entries], self.width)
+        rule = np.array([tagged.rule_index for tagged in self.entries] + [-1])
+        return starts, rule[first]
 
 
 def compile_table(rules, mode: TableMode) -> RoutingTable:
@@ -272,12 +304,9 @@ def compile_table(rules, mode: TableMode) -> RoutingTable:
     resolved by rule order at lookup time.
     """
     rules = tuple(rules)
-    if rules:
-        width = rules[0].width
-        if any(r.width != width for r in rules):
-            raise InvalidParameterError("rules mix different widths")
-    else:
-        width = 0
+    width = rules[0].width if rules else 0
+    if any(r.width != width for r in rules):
+        raise InvalidParameterError("rules mix different widths")
     entries = []
     for index, rule in enumerate(rules):
         if mode is TableMode.TERNARY:
@@ -292,27 +321,18 @@ def compile_table(rules, mode: TableMode) -> RoutingTable:
 
 
 def lookup(table: RoutingTable, addr: int):
-    """Action of the first matching entry, or None when nothing matches."""
-    if table.width and not 0 <= addr < (1 << table.width):
-        raise OutOfRangeError(f"address {addr} outside width {table.width}")
-    for tagged in table.entries:
-        if tagged.entry.matches(addr):
-            return tagged.action
-    return None
+    """Action of the first matching entry, or None when nothing matches:
+    `lookup_many` of one address, so it works at any address width."""
+    index = lookup_many(table, [addr])[0]
+    return table.rules[index].action if index >= 0 else None
 
 
 def lookup_many(table: RoutingTable, addrs) -> np.ndarray:
-    """Vectorized lookup returning rule indices, -1 where nothing matches."""
-    a = np.asarray(addrs, dtype=np.int64)
-    result = np.full(a.shape, -1, dtype=np.int64)
-    undecided = np.ones(a.shape, dtype=bool)
-    for tagged in table.entries:
-        if not undecided.any():
-            break
-        hit = entries_match_many([tagged.entry], a, table.width) & undecided
-        result[hit] = tagged.rule_index
-        undecided &= ~hit
-    return result
+    """Rule index of the first matching entry per address (-1 for none): one
+    `searchsorted` into the table's interval index, at any address width."""
+    starts, rule = table._index
+    found = np.searchsorted(starts, _addresses(addrs, table.width), side="right")
+    return rule[found - 1]
 
 
 def table_text(table: RoutingTable) -> str:

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from fecam import encoder
 from fecam.cli import main
 
 DEMO_ARRAY = """\
@@ -181,6 +184,49 @@ class TestRoute:
         assert code == 0
         assert "ternary_entries = 0" in out
         assert "ternary_cells = 0" in out
+
+    def test_verify_wide_rules(self, capsys, tmp_path):
+        rules = tmp_path / "wide.txt"
+        rules.write_text(f"{1 << 100} {(1 << 128) + 12345} 129 far\n"
+                         f"5 {1 << 110} 129 near\n0 {(1 << 129) - 1} 129 rest\n")
+        code, out, err = run(capsys, "route", "--rules", str(rules),
+                             "--mode", "both", "--verify", "--samples", "2000")
+        assert (code, err) == (0, "")
+        assert "verify_ternary = pass" in out
+        assert "verify_analog = pass" in out
+
+    def test_verify_empty_rules(self, capsys, tmp_path):
+        rules = tmp_path / "empty.txt"
+        rules.write_text("# nothing here\n")
+        code, out, _ = run(capsys, "route", "--rules", str(rules),
+                           "--mode", "both", "--verify", "--samples", "100")
+        assert code == 0
+        assert "verify_ternary = pass" in out
+        assert "verify_analog = pass" in out
+
+    def test_negative_samples_rejected(self, capsys, demo_files):
+        _, _, _, rules = demo_files
+        code, _, err = run(capsys, "route", "--rules", str(rules),
+                           "--verify", "--samples", "-1")
+        assert code == 2
+        assert err.startswith("error: invalid-parameter:")
+
+    def test_verify_catches_a_dropped_entry(self, capsys, tmp_path, monkeypatch):
+        # the oracle is built from the rules, so a table that lost an entry fails
+        compile_table = encoder.compile_table
+
+        def drop_first_entry(rules, mode):
+            table = compile_table(rules, mode)
+            return replace(table, entries=table.entries[1:])
+
+        monkeypatch.setattr(encoder, "compile_table", drop_first_entry)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("0 2047 12 low\n1024 4095 12 high\n")
+        code, out, _ = run(capsys, "route", "--rules", str(rules),
+                           "--mode", "both", "--verify", "--samples", "1000")
+        assert code == 0
+        assert "verify_ternary = fail" in out
+        assert "verify_analog = fail" in out
 
     def test_malformed_rule_names_line(self, capsys, tmp_path):
         rules = tmp_path / "bad.txt"

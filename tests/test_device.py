@@ -140,7 +140,7 @@ class TestPulseForVth:
         with pytest.raises(OutOfRangeError):
             pulse_for_vth(params, fringe)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_agrees_with_bisection(self, data, params):
         # same outcome (a pulse or OutOfRangeError) as the reference, the same

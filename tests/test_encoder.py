@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fecam import (AnalogEntry, FecamArray, InvalidParameterError,
                    OutOfRangeError, RangeRule, TableMode, TernaryEntry,
@@ -238,3 +239,84 @@ class TestRoutingTable:
         assert lines[0] == "001\thop"
         analog = compile_table([RangeRule(1, 62, 6, "hop")], TableMode.ANALOG3B)
         assert table_text(analog).splitlines()[0] == "[0-0][1-7]\thop"
+
+
+def first_match_scan(table, addr):
+    """Reference: rule index of the first entry, in table order, that
+    entries_match accepts; -1 when none does."""
+    for tagged in table.entries:
+        if entries_match([tagged.entry], addr, table.width):
+            return tagged.rule_index
+    return -1
+
+
+@st.composite
+def overlapping_tables(draw):
+    width = draw(st.integers(1, 130))
+    mode = draw(st.sampled_from([TableMode.TERNARY, TableMode.ANALOG3B]
+                                if width % 3 == 0 else [TableMode.TERNARY]))
+    address = st.integers(0, (1 << width) - 1)
+    pairs = draw(st.lists(st.tuples(address, address), max_size=4))
+    rules = [RangeRule(min(p), max(p), width, f"hop{i}")
+             for i, p in enumerate(pairs)]
+    return width, rules, compile_table(rules, mode), draw(st.lists(address, max_size=4))
+
+
+class TestIntervalIndex:
+    @settings(max_examples=150)
+    @given(overlapping_tables())
+    def test_lookup_agrees_with_entry_scan(self, drawn):
+        width, rules, table, extra = drawn
+        top = (1 << width) - 1
+        addrs = sorted({0, top, *extra,
+                        *(a for r in rules for a in (r.lo - 1, r.lo, r.hi, r.hi + 1)
+                          if 0 <= a <= top)})
+        want = [first_match_scan(table, a) for a in addrs]
+        # the entries' scan itself agrees with plain containment in the rules
+        assert want == [next((i for i, r in enumerate(rules) if r.lo <= a <= r.hi), -1)
+                        for a in addrs]
+        assert lookup_many(table, addrs).tolist() == want
+        assert [lookup(table, a) for a in addrs] == [
+            rules[i].action if i >= 0 else None for i in want]
+        assert entries_match_many([t.entry for t in table.entries], addrs,
+                                  width).tolist() == [i >= 0 for i in want]
+        if rules:  # an empty table has width 0 and bounds no address
+            for bad in (-1, top + 1):
+                with pytest.raises(OutOfRangeError):
+                    lookup(table, bad)
+                with pytest.raises(OutOfRangeError):
+                    lookup_many(table, [0, bad])
+
+    def test_empty_table_matches_nothing(self):
+        table = compile_table([], TableMode.TERNARY)
+        assert lookup(table, 0) is None
+        assert lookup(table, (1 << 130) - 1) is None
+        assert lookup_many(table, [0, (1 << 24) - 1]).tolist() == [-1, -1]
+
+    @settings(max_examples=200)
+    @given(st.text("01X", min_size=1, max_size=10))
+    def test_ternary_interval_is_exact_or_refused(self, bits):
+        self.check_interval(TernaryEntry(bits))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                    min_size=1, max_size=3))
+    def test_analog_interval_is_exact_or_refused(self, digits):
+        self.check_interval(AnalogEntry(tuple(sorted(d) for d in digits), 3))
+
+    @staticmethod
+    def check_interval(entry):
+        # oracle: exhaustive membership over every address of the width
+        members = np.flatnonzero(entries_match_many(
+            [entry], np.arange(1 << entry.width), entry.width))
+        if members[-1] - members[0] + 1 == members.size:
+            assert entry.interval == (members[0], members[-1])
+        else:
+            with pytest.raises(InvalidParameterError):
+                entry.interval
+
+    @pytest.mark.parametrize("entry", [TernaryEntry("0X1"),
+                                       AnalogEntry(((0, 1), (0, 1)))])
+    def test_hand_built_non_interval_refused(self, entry):
+        with pytest.raises(InvalidParameterError):
+            entry.interval

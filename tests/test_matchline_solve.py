@@ -40,7 +40,7 @@ def sense_time(kind, mlp, params, cfg, cols):
     return single_mismatch_sense_time(mlp, params, cfg, cols)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(data=st.data())
 def test_closed_form_agrees_with_rk4(data, mlp, params, cfg):
     cols, kind = data.draw(st.sampled_from(CASES))
