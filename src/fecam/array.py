@@ -8,6 +8,15 @@ query-dependent static part times a common drain-saturation factor
 min(V / v_dsat, 1).  The discharge then has an exact closed form, a linear
 fall to the saturation knee followed by an exponential decay, so identical
 inputs give bit-identical results.
+
+The static part is factored: a subthreshold term i_th 10^((v - vth)/S) is
+(i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array keeps its threshold
+factors e^(-k vth) and each query takes one factor per search line, leaving
+one product per FeFET.  Queries go through in blocks of about BLOCK_CELLS
+FeFET currents in one reused buffer, so a batch search needs memory that
+grows with queries x (rows + cols), not queries x rows x cols.  Where a
+factor could overflow exp (slopes of a few mV/decade), the same blocks take
+the direct form e^(k (v - vth)).
 """
 
 from __future__ import annotations
@@ -22,9 +31,11 @@ from . import device
 from .cell import CellConfig, CellMode, FecamCell, inverter
 from .device import DeviceParams, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
-                     InvalidParameterError, OutOfRangeError)
+                     InvalidParameterError, OutOfRangeError, require_finite)
 
 TRACE_POINTS = 1001       # samples of a recorded match-line transient
+BLOCK_CELLS = 1 << 14     # FeFET currents per block of a batch search (128 KB)
+EXP_LIMIT = 700.0         # largest exponent the factored kernel may form
 SIZE_GUIDELINE = 64       # beyond this, drivers need resizing; warn only
 DISTURB_LIMIT = 2.0       # V, max tolerable unselected gate-source magnitude
 
@@ -45,6 +56,7 @@ class MatchLineParams:
     vdd: float = 1.0               # V, precharge level
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.c_pmos, self.c_drain, self.c_parasitic) <= 0:
             raise InvalidParameterError("capacitances must be positive")
         if not 0 < self.delta_v_ml < self.vdd:
@@ -191,32 +203,79 @@ class FecamArray:
 
     @cached_property
     def _thresholds(self):
-        """(upper, lower) FeFET thresholds, each (rows, cols), gathered once:
-        the array is frozen and writes build a new one, so it cannot go stale."""
-        up = np.array([[c.upper_fet.vth for c in row] for row in self.cells])
-        lo = np.array([[c.lower_fet.vth for c in row] for row in self.cells])
-        return up, lo
+        """Current-kernel operands, gathered once (the array is frozen and
+        writes build a new one, so they cannot go stale): the thresholds,
+        (rows, 2 cols), each row's upper FeFETs then its lower ones, and
+        their factors from `_threshold_factors`."""
+        vth = np.array([[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row]
+                        for row in self.cells])
+        return vth, _threshold_factors(vth, self.params, self.cfg.vdd)
 
 
-def _static_row_currents(up: np.ndarray, lo: np.ndarray, cfg: CellConfig,
+def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
+    """e^(-k vth) with k = ln10 / subthreshold slope, or None when a factor
+    or the product of one with a query factor e^(k v), 0 <= v <= vdd, could
+    overflow exp; the kernel then takes the direct form."""
+    k = np.log(10.0) / params.subthreshold_slope
+    if not k * (vdd + np.abs(vth).max()) < EXP_LIMIT:
+        return None
+    return np.exp(-k * vth)
+
+
+def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
                          params: DeviceParams, queries: np.ndarray) -> np.ndarray:
-    """Summed full-drive cell currents per (query, row); shape (S, R)."""
-    q = queries[:, None, :]
-    i = (device.saturated_current(params, q, up[None, :, :])
-         + device.saturated_current(params, inverter(q, cfg), lo[None, :, :]))
-    return i.sum(axis=2)
+    """Summed full-drive cell currents per (query, row); shape (S, R).
+
+    vth and factors are as in `FecamArray._thresholds`.  Each FeFET adds
+    i_off + min(i_th e^(k (v - vth)), i_on - i_off), which is
+    `device.saturated_current`; the queries go through in blocks of about
+    BLOCK_CELLS FeFET currents, at least one query each.
+    """
+    k = np.log(10.0) / params.subthreshold_slope
+    cap = params.i_on - params.i_off
+    rows, fets = vth.shape
+    block = max(1, BLOCK_CELLS // (rows * fets))
+    buf = np.empty((min(block, len(queries)), rows, fets))
+    out = np.empty((len(queries), rows))
+    ones = np.ones(fets)
+    for start in range(0, len(queries), block):
+        q = queries[start:start + block]
+        v = np.concatenate((q, inverter(q, cfg)), axis=1)[:, None, :]
+        cells = buf[:len(q)]
+        if factors is not None:
+            np.multiply(params.i_threshold * np.exp(k * v), factors, out=cells)
+        else:  # exponent clamped at the on-current, so exp cannot overflow
+            np.subtract(v, vth, out=cells)
+            cells *= k
+            np.minimum(cells, np.log(cap / params.i_threshold), out=cells)
+            np.exp(cells, out=cells)
+            cells *= params.i_threshold
+        np.minimum(cells, cap, out=cells)
+        np.matmul(cells, ones, out=out[start:start + len(q)])
+    out += fets * params.i_off
+    return out
 
 
 def _ml_voltage(p: MatchLineParams, v_dsat: float, n_cols: int,
                 static_currents: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Exact V_ML(times) for C_ML dV/dt = -I_static min(V/v_dsat, 1), V(0) = vdd,
     shaped times.shape + static_currents.shape.  Nothing divides by the
-    current, so a row whose current underflows to 0 stays at vdd."""
-    drop = np.multiply.outer(times, static_currents / ml_capacitance(p, n_cols))
+    current, so a row whose current underflows to 0 stays at vdd.
+
+    With lin = vdd - I t / C the linear fall, the line past the knee is
+    knee e^((lin - knee)/v_dsat).  Before the knee (lin >= knee) that term,
+    exponent capped at 0, is knee <= lin; past it, e^x >= 1 + x and
+    knee <= v_dsat keep it at or above lin.  So the larger of the two is the
+    solution on both branches."""
+    lin = np.multiply.outer(times, static_currents / ml_capacitance(p, n_cols))
+    np.subtract(p.vdd, lin, out=lin)
     knee = min(p.vdd, v_dsat)
-    linear = p.vdd - knee     # drop at which the line reaches the knee
-    decayed = knee * np.exp(-np.maximum(drop - linear, 0.0) / v_dsat)
-    return np.where(drop <= linear, p.vdd - drop, decayed)
+    decayed = lin - knee
+    np.minimum(decayed, 0.0, out=decayed)
+    decayed /= v_dsat
+    np.exp(decayed, out=decayed)
+    decayed *= knee
+    return np.maximum(lin, decayed, out=lin)
 
 
 def _checked(arr: FecamArray, queries, t_sense):
@@ -240,8 +299,9 @@ def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=Fals
     the flags (S, R), t_sense, the times and V_ML (T, S, R); the times are
     TRACE_POINTS samples from 0 when trace is set, else t_sense alone."""
     q, t = _checked(arr, queries, t_sense)
-    up, lo = arr._thresholds
-    static = _static_row_currents(up[rows], lo[rows], arr.cfg, arr.params, q)
+    vth, factors = arr._thresholds
+    static = _static_row_currents(vth[rows], None if factors is None else factors[rows],
+                                  arr.cfg, arr.params, q)
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
     v = _ml_voltage(arr.ml_params, arr.params.v_dsat, arr.cols, static, times)
     return sense(v[-1], arr.ml_params), t, times, v

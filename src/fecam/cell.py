@@ -15,7 +15,8 @@ import numpy as np
 
 from . import device
 from .device import DeviceParams, FeFetState
-from .errors import EmptyWindowError, InvalidParameterError, OutOfRangeError
+from .errors import (EmptyWindowError, InvalidParameterError, OutOfRangeError,
+                     require_finite)
 
 
 class CellMode(enum.Enum):
@@ -58,10 +59,11 @@ class CellConfig:
     inverter_gain: float | None = None
 
     def __post_init__(self):
-        if self.vdd <= 0:
-            raise InvalidParameterError("vdd must be positive")
         bounds = tuple(float(b) for b in self.level_bounds)
         object.__setattr__(self, "level_bounds", bounds)
+        require_finite(self)
+        if self.vdd <= 0:
+            raise InvalidParameterError("vdd must be positive")
         if len(bounds) != self.level_count + 1:
             raise InvalidParameterError(
                 f"need {self.level_count + 1} level bounds, got {len(bounds)}")

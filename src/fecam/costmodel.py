@@ -16,7 +16,7 @@ import numpy as np
 
 from .array import MatchLineParams, ml_capacitance
 from .encoder import RoutingTable, TableMode
-from .errors import InconsistentInputError, InvalidParameterError
+from .errors import InconsistentInputError, InvalidParameterError, require_finite
 
 
 class CamKind(enum.Enum):
@@ -62,6 +62,7 @@ class CostParams:
     reference_routing_area_ratio: float = 60.5
 
     def __post_init__(self):
+        require_finite(self)
         for kind in CamKind:
             if self.energy_per_bit.get(kind, 0) <= 0:
                 raise InvalidParameterError(f"energy_per_bit missing for {kind}")

@@ -15,7 +15,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidPulseError, OutOfRangeError
+from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError,
+                     require_finite)
 
 DEFAULT_PULSE_WIDTH = 100e-9  # s, accepted but not modeled (amplitude-only map)
 VTH_SOLVE_TOLERANCE = 1e-3    # V, contract of pulse_for_vth
@@ -66,6 +67,7 @@ class DeviceParams:
     v_erase: float = -4.0             # V, erase amplitude
 
     def __post_init__(self):
+        require_finite(self)
         if not self.vth_low < self.vth_high:
             raise InvalidParameterError("vth_low must be below vth_high")
         if self.coercive_sigma <= 0:

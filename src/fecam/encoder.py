@@ -175,15 +175,21 @@ def range_to_analog_entries(lo: int, hi: int, width: int,
 
 
 def _addresses(addrs, width: int) -> np.ndarray:
-    """Address array checked against the width: int64 below 63 bits, Python
-    ints from 63 bits up.  Width 0 (a table without rules) bounds nothing."""
-    try:
-        a = np.asarray(addrs, dtype=np.int64 if 0 < width < 63 else object)
-    except OverflowError:  # too wide for int64, so outside a narrow width too
-        a = None
-    if a is None or width and a.size and (a.min() < 0 or a.max() >= 1 << width):
+    """Integer address array checked against the width: int64 below 63 bits,
+    Python ints from 63 bits up.  Width 0 (a table without rules) bounds
+    nothing.  A non-integer address raises at any width."""
+    narrow = 0 < width < 63
+    a = np.asarray(addrs) if narrow else np.asarray(addrs, dtype=object)
+    kind = a.dtype.kind
+    if kind == "O":  # wide, or ints too wide for int64
+        integral = all(isinstance(x, (int, np.integer)) for x in a.flat)
+    else:
+        integral = kind in "biu" or not a.size
+    if not integral:
+        raise InvalidParameterError("addresses must be integers")
+    if width and a.size and (a.min() < 0 or a.max() >= 1 << width):
         raise OutOfRangeError(f"addresses outside width {width}")
-    return a
+    return a.astype(np.int64, copy=False) if narrow else a
 
 
 def _interval_index(intervals, width: int):

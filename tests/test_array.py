@@ -1,16 +1,21 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fecam import (DimensionMismatchError, DisturbViolationError, FecamArray,
-                   InvalidParameterError, OutOfRangeError, TernaryBit,
-                   WritePlan, WritePulse, batch_search, cell_current,
-                   digital_query_voltage, discharge_time, inhibition_plans,
-                   match_window, measure_bounds, ml_capacitance,
-                   program_analog, program_digital, search, sense,
-                   single_mismatch_sense_time, write_cells, write_row)
-from fecam.array import DISTURB_LIMIT
+from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
+                   DisturbViolationError, FecamArray, InvalidParameterError,
+                   OutOfRangeError, TernaryBit, WritePlan, WritePulse,
+                   batch_search, cell_current, digital_query_voltage,
+                   discharge_time, inhibition_plans, inverter, match_window,
+                   measure_bounds, ml_capacitance, program_analog,
+                   program_digital, search, sense, single_mismatch_sense_time,
+                   write_cells, write_row)
+from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, _static_row_currents,
+                         _threshold_factors)
+from fecam.device import saturated_current
 
 
 @pytest.fixture(scope="module")
@@ -329,3 +334,61 @@ class TestConstruction:
         assert t8 > 0
         with pytest.raises(InvalidParameterError):
             single_mismatch_sense_time(mlp, params, cfg, 16)
+
+
+def reference_row_currents(up, lo, cfg, params, queries):
+    """The per-cell sum of `saturated_current` that the factored kernel
+    replaced; (queries, rows)."""
+    q = queries[:, None, :]
+    return (saturated_current(params, q, up)
+            + saturated_current(params, inverter(q, cfg), lo)).sum(axis=2)
+
+
+class TestCurrentKernel:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_agrees_with_per_cell_sum(self, data):
+        rows = data.draw(st.integers(1, 70), label="rows")
+        cols = data.draw(st.integers(1, 70), label="cols")
+        block = max(1, BLOCK_CELLS // (rows * 2 * cols))  # queries per block
+        n = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1,
+                                       2 * block + 1]), label="queries")
+        direct = data.draw(st.booleans(), label="direct form")
+        slope = 0.002 if direct else data.draw(st.floats(0.02, 0.15), label="slope")
+        gain = data.draw(st.none() | st.floats(0.5, 10.0), label="inverter_gain")
+        params = DeviceParams(subthreshold_slope=slope)
+        cfg = CellConfig(inverter_gain=gain)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # at 2 mV/decade keep |v - vth| < 0.6 V, where the reference's
+        # 10 ** x stays finite
+        lo_vth, hi_vth = (0.41, 0.59) if direct else (params.vth_low, params.vth_high)
+        up, lo = rng.uniform(lo_vth, hi_vth, (2, rows, cols))
+        queries = rng.uniform(0.0, cfg.vdd, (n, cols))
+        vth = np.concatenate((up, lo), axis=1)
+        factors = _threshold_factors(vth, params, cfg.vdd)
+        assert (factors is None) == direct
+        got = _static_row_currents(vth, factors, cfg, params, queries)
+        want = reference_row_currents(up, lo, cfg, params, queries)
+        assert got.shape == want.shape == (n, rows)
+        assert (np.abs(got - want) <= 1e-12 * want).all()
+
+    def test_direct_form_saturates_without_overflow(self, cfg):
+        # 10 ** (0.9 V / 2 mV) overflows; the kernel clamps at i_on instead
+        params = DeviceParams(subthreshold_slope=0.002)
+        vth = np.array([[0.1, 0.1]])
+        assert _threshold_factors(vth, params, cfg.vdd) is None
+        got = _static_row_currents(vth, None, cfg, params, np.array([[1.0]]))
+        want = params.i_on + params.i_off + params.i_threshold * 10.0 ** -50
+        assert got[0, 0] == pytest.approx(want, rel=1e-12)
+
+    def test_batch_search_memory_is_bounded(self, demo_cell, mlp, cfg, params):
+        # (queries, rows, cols) float temporaries would trace ~250 MB here
+        arr = filled(64, 64, demo_cell, mlp, cfg, params)
+        queries = np.random.default_rng(5).uniform(0.0, cfg.vdd, (2000, 64))
+        tracemalloc.start()
+        try:
+            batch_search(arr, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

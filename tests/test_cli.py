@@ -53,6 +53,26 @@ class TestTransfer:
         assert code == 2
         assert err.startswith("error: invalid-pulse:")
 
+    def test_non_finite_config_rejected(self, capsys, tmp_path):
+        # NaN passes a `<= 0` check; only a finiteness check stops it
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[device]\ncoercive_sigma = nan\n")
+        code, out, err = run(capsys, "--config", str(ini), "transfer",
+                             "--amplitudes", "3")
+        assert code == 2
+        assert out == ""
+        # the config loader files every rejected value under parse-error
+        assert err.startswith("error: parse-error:")
+        assert "coercive_sigma must be finite" in err
+
+    def test_out_of_memory_exits_two(self, capsys):
+        # 10^18 grid points: numpy refuses the 6.9 EiB request at once
+        code, out, err = run(capsys, "transfer", "--amplitudes", "3",
+                             "--vgs-range", "0", "1e9", "1e-9")
+        assert code == 2
+        assert err.startswith("error: out-of-memory:")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
 
 class TestSearch:
     def test_demo_scenario(self, capsys, demo_files):

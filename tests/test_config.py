@@ -1,7 +1,37 @@
+import math
+from dataclasses import fields
+
 import pytest
 
-from fecam import CamKind, ParseError, default_config, load_config
+from fecam import (CamKind, CellConfig, CostParams, DeviceParams,
+                   InvalidParameterError, MatchLineParams, ParseError,
+                   default_config, load_config)
 from fecam.config import config_text
+
+
+def float_slots():
+    """(id, class, field, maker of that field's value around one bad float):
+    every float that the four parameter classes hold."""
+    slots = []
+    for cls in (DeviceParams, MatchLineParams, CellConfig, CostParams):
+        default = cls()
+        for f in fields(cls):
+            if isinstance(getattr(default, f.name), float) or f.name == "inverter_gain":
+                slots.append((f"{cls.__name__}.{f.name}", cls, f.name,
+                              lambda bad: bad))
+    bounds = CellConfig().level_bounds
+    for i in (0, 4, len(bounds) - 1):
+        slots.append((f"CellConfig.level_bounds[{i}]", CellConfig, "level_bounds",
+                      lambda bad, i=i: bounds[:i] + (bad,) + bounds[i + 1:]))
+    for kind in CamKind:
+        slots.append((f"CostParams.energy_per_bit[{kind.value}]", CostParams,
+                      "energy_per_bit",
+                      lambda bad, kind=kind: {**CostParams().energy_per_bit,
+                                              kind: bad}))
+    return slots
+
+
+SLOTS = float_slots()
 
 
 class TestDefaults:
@@ -67,3 +97,12 @@ class TestLoadConfig:
         assert config.cost.energy_per_bit[CamKind.FECAM_ANALOG] == 1e-16
         assert config.cost.word_cells[CamKind.FECAM_ANALOG] == 11
         assert config.cost.energy_per_bit[CamKind.CMOS_TCAM] == 0.590e-15
+
+
+class TestFiniteParameters:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, name, make", [s[1:] for s in SLOTS],
+                             ids=[s[0] for s in SLOTS])
+    def test_non_finite_rejected(self, cls, name, make, bad):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+            cls(**{name: make(bad)})

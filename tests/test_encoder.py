@@ -223,6 +223,26 @@ class TestRoutingTable:
         assert lookup(table, 150) == "wide"
         assert lookup(table, 300) is None
 
+    @pytest.mark.parametrize("width", [8, 62, 63, 130])
+    def test_non_integer_addresses_rejected(self, width):
+        # a cast to int64 would read 5.5 as address 5
+        table = compile_table([RangeRule(0, 10, width, "a")], TableMode.TERNARY)
+        entries = [e.entry for e in table.entries]
+        for bad in ([5.5, 2.9], [5.0], np.array([5.0]), [np.float64(5)], ["5"]):
+            with pytest.raises(InvalidParameterError, match="integers"):
+                lookup_many(table, bad)
+            with pytest.raises(InvalidParameterError, match="integers"):
+                entries_match_many(entries, bad, width)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            lookup(table, 5.5)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            entries_match(entries, 5.5, width)
+        for good in ([5, 2], np.array([5, 2], dtype=np.uint8), [np.int64(5), 2]):
+            assert lookup_many(table, good).tolist() == [0, 0]
+        assert lookup_many(table, []).size == 0
+        with pytest.raises(OutOfRangeError):
+            lookup_many(table, [5, 1 << width])
+
     def test_mixed_widths_rejected(self):
         with pytest.raises(InvalidParameterError):
             compile_table([RangeRule(0, 1, 12, "a"), RangeRule(0, 1, 24, "b")],
