@@ -73,6 +73,9 @@ class CellConfig:
             raise InvalidParameterError("level bounds must lie within [0, vdd]")
         if not 0 < self.digital_margin < self.vdd / 2:
             raise InvalidParameterError("digital_margin must be in (0, vdd/2)")
+        if self.inverter_gain is not None and not self.inverter_gain > 0:
+            raise InvalidParameterError(
+                f"inverter_gain must be positive, got {self.inverter_gain}")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .device import WritePulse, vth_from_pulse, saturated_current, vds_factor
 from .errors import FecamError, InvalidParameterError
 
 CONFIG_ENV_VAR = "FECAM_CONFIG"
+VERIFY_CHUNK = 1 << 16  # route --verify samples drawn and checked at once
 
 
 def _write_out(path, text: str) -> None:
@@ -44,7 +45,10 @@ def _load(args) -> GlobalConfig:
 
 
 def _parse_floats(raw: str):
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    try:
+        return [float(tok) for tok in raw.replace(",", " ").split()]
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad number list {raw!r}: {exc}") from None
 
 
 def cmd_transfer(args) -> int:
@@ -96,9 +100,11 @@ def cmd_sweep(args) -> int:
     window = tuple(args.window)
     lines = []
     if args.axis in ("rows", "cols"):
-        values = sorted(int(v) for v in _parse_floats(args.values))
-        if not values or min(values) < 1:
-            raise InvalidParameterError("axis values must be positive integers")
+        values = _parse_floats(args.values)
+        if not values or not all(v.is_integer() and v >= 1 for v in values):
+            raise InvalidParameterError(
+                f"axis values must be positive integers, got {args.values!r}")
+        values = sorted(int(v) for v in values)
         header = (f"{args.axis},lower_bound_volts,upper_bound_volts,"
                   "sense_time_seconds")
         lines.append(header)
@@ -153,22 +159,28 @@ def cmd_route(args) -> int:
 
 
 def _verify_tables(config, rules, tables, samples: int) -> str:
-    """Sampled first-match check of every table against the rules' own index."""
+    """Sampled first-match check of every table against the rules' own index,
+    in chunks of VERIFY_CHUNK samples so memory does not grow with samples."""
     if samples < 0:
         raise InvalidParameterError("--samples must be >= 0")
     rng = np.random.default_rng(config.rng_seed)
     width = rules[0].width if rules else 0
     starts, first = encoder._interval_index([(r.lo, r.hi) for r in rules], width)
-    verdicts = []
-    for name, table in tables.items():
+
+    def agrees(table, n: int) -> bool:
         if width < 63:
-            addrs = rng.integers(0, 1 << width, size=samples)
+            addrs = rng.integers(0, 1 << width, size=n)
         else:  # wider than int64: join 32-bit words into Python ints
-            words = rng.integers(0, 1 << 32, size=((width + 31) // 32, samples))
+            words = rng.integers(0, 1 << 32, size=((width + 31) // 32, n))
             addrs = sum(w.astype(object) << 32 * k for k, w in enumerate(words))
             addrs %= 1 << width
         expected = first[np.searchsorted(starts, addrs, side="right") - 1]
-        same = np.array_equal(encoder.lookup_many(table, addrs), expected)
+        return np.array_equal(encoder.lookup_many(table, addrs), expected)
+
+    verdicts = []
+    for name, table in tables.items():
+        same = all(agrees(table, min(VERIFY_CHUNK, samples - done))
+                   for done in range(0, samples, VERIFY_CHUNK))
         verdicts.append(f"verify_{name} = {'pass' if same else 'fail'}")
     return "\n".join(verdicts)
 

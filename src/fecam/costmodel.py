@@ -153,13 +153,21 @@ class ComparisonReport:
         return ",".join(_fmt(v) for v in list(self.as_dict().values())[:9])
 
 
+NUMBER_SPEC = ".10g"  # every real number the package writes: 10 significant digits
+
+
 def _fmt(value) -> str:
-    """Number formatting shared by every text output of the package."""
+    """Number formatting shared by every text output of the package.
+
+    Booleans print as true/false and integers exactly; every other number
+    goes through NUMBER_SPEC, the one spec that the CSV templates of
+    `fileio` also build their "%" fields from.
+    """
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".10g")
+    return format(float(value), NUMBER_SPEC)
 
 
 def routing_report(p: CostParams, ternary: RoutingTable,

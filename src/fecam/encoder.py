@@ -105,6 +105,9 @@ class RangeRule:
     action: str
 
     def __post_init__(self):
+        if not (type(self.width) is int and self.width > 0):
+            raise InvalidParameterError(
+                f"rule width must be a positive int, got {self.width!r}")
         if not 0 <= self.lo <= self.hi < (1 << self.width):
             raise InvalidParameterError(
                 f"range [{self.lo}, {self.hi}] invalid for width {self.width}")

@@ -1,7 +1,12 @@
 """Text formats: array descriptions, query lists, rule files, CSV exports.
 
 All CSV exports start with a header row whose column names carry units, use
-the decimal point, and may use scientific notation.
+the decimal point, and may use scientific notation.  Each export builds one
+"%" template for the whole file, with the columns it already knows (rows,
+times) filled in, and applies it once to the flat list of its numbers; the
+template fields come from costmodel.NUMBER_SPEC, the spec of `_fmt`.  An
+array description programs each distinct cell spec once and shares the
+resulting frozen cell between every position that names it.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ from . import cell as cell_mod
 from .array import FecamArray, SearchResult
 from .cell import TernaryBit, program_analog, program_digital
 from .config import GlobalConfig
-from .costmodel import _fmt
+from .costmodel import NUMBER_SPEC, _fmt
 from .encoder import RangeRule
-from .errors import FecamError, ParseError
+from .errors import FecamError, InconsistentInputError, ParseError
+
+NUMBER = "%" + NUMBER_SPEC  # template field of one real number
 
 
 def _content_lines(text: str):
@@ -71,27 +78,31 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
     cfg, params = config.cell, config.device
     wildcard = program_digital(TernaryBit.DONT_CARE, cfg, params)
     grid = [[wildcard for _ in range(cols)] for _ in range(rows)]
+    programmed = {}  # (spec, *args) -> cell; cells are frozen, so shared
     for number, r, c, spec, args in cell_specs:
         if not (0 <= r < rows and 0 <= c < cols):
             raise ParseError(f"cell ({r}, {c}) outside {rows}x{cols} array",
                              line=number)
-        try:
-            if spec == "analog":
-                grid[r][c] = program_analog(float(args[0]), float(args[1]),
-                                            cfg, params)
-            elif spec == "level":
-                k = int(args[0])
-                grid[r][c] = cell_mod.program_level_window(k, k, cfg, params)
-            elif spec == "digital":
-                grid[r][c] = program_digital(TernaryBit.from_char(args[0]),
-                                             cfg, params)
-            else:
-                raise ParseError(f"unknown cell spec {spec!r}", line=number)
-        except ParseError:
-            raise
-        except (IndexError, ValueError, FecamError) as exc:
-            raise ParseError(f"bad cell spec: {exc}", line=number)
+        key = (spec, *args)
+        cell = programmed.get(key)
+        if cell is None:
+            cell = programmed[key] = _program_cell(spec, args, cfg, params, number)
+        grid[r][c] = cell
     return FecamArray(cells=grid, ml_params=ml_params, cfg=cfg, params=params)
+
+
+def _program_cell(spec: str, args, cfg, params, number: int):
+    try:
+        if spec == "analog":
+            return program_analog(float(args[0]), float(args[1]), cfg, params)
+        if spec == "level":
+            k = int(args[0])
+            return cell_mod.program_level_window(k, k, cfg, params)
+        if spec == "digital":
+            return program_digital(TernaryBit.from_char(args[0]), cfg, params)
+    except (IndexError, ValueError, FecamError) as exc:
+        raise ParseError(f"bad cell spec: {exc}", line=number)
+    raise ParseError(f"unknown cell spec {spec!r}", line=number)
 
 
 def parse_query_file(text: str):
@@ -123,30 +134,32 @@ def parse_rules_file(text: str):
 
 def trace_csv(result: SearchResult) -> str:
     """Per-row match-line transient: row,t_seconds,v_ml_volts."""
-    lines = ["row,t_seconds,v_ml_volts"]
-    times = [_fmt(t) for t in result.times]
-    n_rows = result.ml_voltages.shape[1]
-    for row in range(n_rows):
-        for t, v in zip(times, result.ml_voltages[:, row]):
-            lines.append(f"{row},{t},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{_fmt(t)},{NUMBER}" for t in result.times]
+    blocks = (f"\n{row},".join(["", *lines])
+              for row in range(result.ml_voltages.shape[1]))
+    # header and last newline inside: the "%" result is the only copy of the text
+    template = "".join(["row,t_seconds,v_ml_volts", *blocks, "\n"])
+    return template % tuple(result.ml_voltages.T.ravel().tolist())
 
 
 def bounds_sweep_csv(v_sl_grid, matches) -> str:
     """Match flags per row along a search-voltage sweep:
     v_sl_volts,match_0,...,match_{R-1}."""
     matches = np.asarray(matches)
-    n_rows = matches.shape[1]
+    n_points, n_rows = matches.shape
+    grid = np.asarray(v_sl_grid, dtype=float)
+    if grid.shape != (n_points,):
+        raise InconsistentInputError(
+            f"{grid.size} sweep voltages for {n_points} rows of match flags")
     header = "v_sl_volts," + ",".join(f"match_{r}" for r in range(n_rows))
-    lines = [header]
-    for v, row in zip(v_sl_grid, matches):
-        lines.append(_fmt(v) + "," + ",".join(str(int(m)) for m in row))
-    return "\n".join(lines) + "\n"
+    line = f"\n{NUMBER}," + ",".join(["%d"] * n_rows)
+    values = np.column_stack((grid, matches.astype(object)))
+    return (header + line * n_points + "\n") % tuple(values.ravel().tolist())
 
 
 def transfer_csv(rows) -> str:
     """Transfer-curve families: amplitude_volts,v_gs_volts,i_d_amps."""
-    lines = ["amplitude_volts,v_gs_volts,i_d_amps"]
-    for amplitude, v_gs, i_d in rows:
-        lines.append(f"{_fmt(amplitude)},{_fmt(v_gs)},{_fmt(i_d)}")
-    return "\n".join(lines) + "\n"
+    values = np.asarray(rows, dtype=float).ravel().tolist()
+    line = f"\n{NUMBER},{NUMBER},{NUMBER}"
+    return ("amplitude_volts,v_gs_volts,i_d_amps" + line * (len(values) // 3)
+            + "\n") % tuple(values)

@@ -219,3 +219,13 @@ class TestCellConfigValidation:
     def test_bounds_inside_supply(self):
         with pytest.raises(InvalidParameterError):
             CellConfig(level_bounds=tuple(0.3 + 0.1 * k for k in range(9)))
+
+    @pytest.mark.parametrize("gain", [0.0, -0.0, -6.0, -1e-300])
+    def test_inverter_gain_must_be_positive(self, gain):
+        # a zero gain makes the smooth inverter tanh(0)/tanh(0): NaN everywhere
+        with pytest.raises(InvalidParameterError, match="inverter_gain must be positive"):
+            CellConfig(inverter_gain=gain)
+
+    def test_smallest_positive_inverter_gain_accepted(self):
+        assert CellConfig(inverter_gain=1e-3).inverter_gain == 1e-3
+        assert CellConfig(inverter_gain=None).inverter_gain is None

@@ -1,8 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from fecam import encoder
+from fecam import cli, encoder
 from fecam.cli import main
 
 DEMO_ARRAY = """\
@@ -163,6 +164,20 @@ class TestSweep:
         assert len(lines) == 1 + 1131
         assert lines[-1].split(",") == ["1.13", "0"]
 
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    @pytest.mark.parametrize("values", ["1.5", "2,3.25", "inf", "nan", "0", "-2", "abc", ""])
+    def test_size_axis_needs_positive_integers(self, capsys, axis, values):
+        # 1.5 used to run one row and exit 0; inf, nan and abc used to end in a traceback
+        code, out, err = run(capsys, "sweep", "--axis", axis, "--values", values)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter:")
+        assert len(err.splitlines()) == 1
+
+    def test_size_axis_accepts_integral_floats(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--axis", "rows", "--values", "2.0,1")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2"]
+
     def test_unknown_axis_lists_choices(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--axis", "diagonal"])
@@ -248,6 +263,41 @@ class TestRoute:
         assert "verify_ternary = fail" in out
         assert "verify_analog = fail" in out
 
+    def test_wide_verify_memory_is_bounded(self, capsys, tmp_path):
+        # 200,000 samples of two 129-bit rules go through in chunks of
+        # VERIFY_CHUNK (peak about 15 MB); drawn at once they peaked at 44 MB
+        rules = tmp_path / "wide.txt"
+        rules.write_text(f"{1 << 100} {(1 << 128) + 12345} 129 far\n"
+                         f"5 {1 << 110} 129 near\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "route", "--rules", str(rules), "--mode",
+                               "ternary", "--verify", "--samples", "200000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "verify_ternary = pass" in out
+        assert peak < 30e6
+
+    def test_verify_chunks_cover_every_sample(self, capsys, tmp_path, monkeypatch):
+        # every sample is checked, in full chunks and one short last chunk
+        seen = []
+        lookup_many = encoder.lookup_many
+
+        def counting(table, addrs):
+            seen.append(len(addrs))
+            return lookup_many(table, addrs)
+
+        monkeypatch.setattr(encoder, "lookup_many", counting)
+        monkeypatch.setattr(cli, "VERIFY_CHUNK", 1000)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("0 2047 12 low\n1024 4095 12 high\n")
+        code, out, _ = run(capsys, "route", "--rules", str(rules), "--mode",
+                           "ternary", "--verify", "--samples", "2500")
+        assert code == 0 and "verify_ternary = pass" in out
+        assert seen == [1000, 1000, 500]
+
     def test_malformed_rule_names_line(self, capsys, tmp_path):
         rules = tmp_path / "bad.txt"
         rules.write_text("98305 14712838 24 portA\n1 2 3\n")
@@ -280,6 +330,17 @@ class TestBenchAndConfig:
         code, out, _ = run(capsys, "bench")
         assert code == 0
         assert "energy_per_bit_cmos_tcam_joules = 1.38e-15" in out
+
+    def test_zero_inverter_gain_rejected(self, capsys, tmp_path, demo_files):
+        # a zero gain turned every inverted search line into NaN
+        _, array, queries, _ = demo_files
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cell]\ninverter_gain = 0\n")
+        code, out, err = run(capsys, "--config", str(ini), "search",
+                             "--array", str(array), "--queries", str(queries))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse-error:")
+        assert "inverter_gain must be positive" in err
 
     def test_broken_config_reports_category(self, capsys, tmp_path):
         ini = tmp_path / "fecam.ini"

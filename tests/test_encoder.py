@@ -243,6 +243,18 @@ class TestRoutingTable:
         with pytest.raises(OutOfRangeError):
             lookup_many(table, [5, 1 << width])
 
+    @pytest.mark.parametrize("width", [0, -1, -64, 3.0, True, "8", None])
+    def test_width_must_be_a_positive_int(self, width):
+        # width 0 used to fail later on empty ternary bits, -1 on a shift count
+        with pytest.raises(InvalidParameterError, match="width must be a positive int"):
+            RangeRule(0, 0, width, "a")
+        with pytest.raises(InvalidParameterError, match="width must be a positive int"):
+            range_to_prefixes(0, 0, width)
+
+    def test_width_one_is_the_smallest(self):
+        table = compile_table([RangeRule(1, 1, 1, "a")], TableMode.TERNARY)
+        assert [lookup(table, a) for a in (0, 1)] == [None, "a"]
+
     def test_mixed_widths_rejected(self):
         with pytest.raises(InvalidParameterError):
             compile_table([RangeRule(0, 1, 12, "a"), RangeRule(0, 1, 24, "b")],
