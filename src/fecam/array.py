@@ -37,6 +37,7 @@ TRACE_POINTS = 1001       # samples of a recorded match-line transient
 BLOCK_CELLS = 1 << 14     # FeFET currents per block of a batch search (128 KB)
 EXP_LIMIT = 700.0         # largest exponent the factored kernel may form
 SIZE_GUIDELINE = 64       # beyond this, drivers need resizing; warn only
+MAX_CELLS = 1 << 20       # largest array built, checked before the grid exists
 DISTURB_LIMIT = 2.0       # V, max tolerable unselected gate-source magnitude
 
 
@@ -154,6 +155,14 @@ class WritePlan:
                     f"got {bias} V")
 
 
+def _check_size(rows: int, cols: int) -> None:
+    """Reject an array without cells or with more than MAX_CELLS of them."""
+    if rows < 1 or cols < 1 or rows * cols > MAX_CELLS:
+        raise InvalidParameterError(
+            f"a {rows}x{cols} array needs at least 1 row and 1 column and at "
+            f"most {MAX_CELLS} cells")
+
+
 @dataclass(frozen=True)
 class FecamArray:
     """Grid of cells plus the electrical context shared by every row."""
@@ -166,8 +175,7 @@ class FecamArray:
     def __post_init__(self):
         grid = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", grid)
-        if len(grid) < 1 or len(grid[0]) < 1:
-            raise InvalidParameterError("array needs at least 1 row and 1 column")
+        _check_size(len(grid), len(grid[0]) if grid else 0)
         if any(len(row) != len(grid[0]) for row in grid):
             raise InvalidParameterError("ragged cell grid")
         if abs(self.cfg.vdd - self.ml_params.vdd) > 1e-12:
@@ -195,6 +203,7 @@ class FecamArray:
     def filled(cls, rows: int, cols: int, cell: FecamCell,
                ml_params: MatchLineParams, cfg: CellConfig,
                params: DeviceParams) -> "FecamArray":
+        _check_size(rows, cols)
         grid = tuple(tuple(cell for _ in range(cols)) for _ in range(rows))
         return cls(cells=grid, ml_params=ml_params, cfg=cfg, params=params)
 

@@ -157,14 +157,6 @@ def cell_current(cell: FecamCell, v_sl, v_ml, cfg: CellConfig,
                                    cell.lower_fet.vth))
 
 
-def window_lower(cell: FecamCell, cfg: CellConfig) -> float:
-    return cfg.vdd - cell.lower_fet.vth
-
-
-def window_upper(cell: FecamCell) -> float:
-    return cell.upper_fet.vth
-
-
 def match_window(cell: FecamCell, cfg: CellConfig, params: DeviceParams,
                  resolution: float = 1e-3):
     """Measured matching interval: v_sl where the cell current stays below

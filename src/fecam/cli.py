@@ -132,13 +132,18 @@ def cmd_sweep(args) -> int:
 def cmd_route(args) -> int:
     config = _load(args)
     rules = fileio.parse_rules_file(Path(args.rules).read_text())
+    levels = config.cell.level_count
+    bits_per_cell = levels.bit_length() - 1  # analog cells store log2(levels) bits
+    if levels < 2 or levels != 1 << bits_per_cell:
+        raise InvalidParameterError(
+            f"route needs a power-of-two [cell] level_count, got {levels}")
     want = (["ternary", "analog"] if args.mode == "both" else [args.mode])
     tables = {}
     out_lines = []
     for name in want:
         mode = (encoder.TableMode.TERNARY if name == "ternary"
                 else encoder.TableMode.ANALOG3B)
-        table = encoder.compile_table(rules, mode)
+        table = encoder.compile_table(rules, mode, bits_per_cell)
         tables[name] = table
         if len(want) == 1:  # "both" reports counts through the comparison
             out_lines.append(f"{name}_entries = {table.n_entries}")

@@ -19,6 +19,9 @@ from .encoder import RoutingTable, TableMode
 from .errors import InconsistentInputError, InvalidParameterError, require_finite
 
 
+WORD_BITS = 64  # word size of the word-level figures
+
+
 class CamKind(enum.Enum):
     CMOS_TCAM = "cmos_tcam"
     FECAM_DIGITAL = "fecam_digital"
@@ -37,12 +40,6 @@ def _default_bits() -> dict:
             CamKind.FECAM_ANALOG: 3}
 
 
-def _default_word_cells() -> dict:
-    return {CamKind.CMOS_TCAM: 64,
-            CamKind.FECAM_DIGITAL: 64,
-            CamKind.FECAM_ANALOG: 22}
-
-
 @dataclass(frozen=True)
 class CostParams:
     """Calibration constants for the three CAM technologies.
@@ -51,12 +48,13 @@ class CostParams:
     figures are ratios and do not depend on it.  reference_routing_area_ratio
     is the headline figure the routing case study is calibrated against,
     kept for the cross-check note in reports (it exceeds the value derivable
-    from the per-bit ratio by about 1%).
+    from the per-bit ratio by about 1%).  bits_per_cell is the calibrated
+    design point that turns per-bit constants into per-cell cost and word
+    sizes; the configured cell's levels are CellConfig.level_count.
     """
 
     energy_per_bit: dict = field(default_factory=_default_energy)       # J
     bits_per_cell: dict = field(default_factory=_default_bits)
-    word_cells: dict = field(default_factory=_default_word_cells)
     area_per_bit_ratio_analog_vs_cmos: float = 0.045
     cmos_cell_area: float = 1.0
     reference_routing_area_ratio: float = 60.5
@@ -71,11 +69,17 @@ class CostParams:
         if self.area_per_bit_ratio_analog_vs_cmos <= 0 or self.cmos_cell_area <= 0:
             raise InvalidParameterError("area constants must be positive")
 
+    @property
+    def word_cells(self) -> dict:
+        """Cells per kind that hold one WORD_BITS-bit word."""
+        return {kind: (WORD_BITS + bits - 1) // bits
+                for kind, bits in self.bits_per_cell.items()}
+
     def cell_area(self, kind: CamKind) -> float:
         """Cell area in cmos_cell_area units.
 
-        The analog cell packs 3 bits at the calibrated per-bit ratio; the
-        digital cell is the same 2-FeFET structure storing a single bit.
+        The analog cell packs its bits_per_cell bits at the calibrated per-bit
+        ratio; the digital cell is the same 2-FeFET structure storing one bit.
         """
         if kind is CamKind.CMOS_TCAM:
             return self.cmos_cell_area
@@ -108,7 +112,7 @@ def energy_ratio_vs_cmos(p: CostParams, kind: CamKind) -> float:
 
 
 def word_search_energy(p: CostParams, kind: CamKind) -> float:
-    """Search energy of one word at the calibrated word size."""
+    """Search energy of one WORD_BITS-bit word."""
     return search_energy(p, kind, p.word_cells[kind])
 
 

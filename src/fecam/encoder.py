@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ class AnalogEntry:
 
 @dataclass(frozen=True)
 class RangeRule:
-    """One routing rule: match addresses in [lo, hi] and return the action."""
+    """One routing rule: match addresses in [lo, hi] and return the action.
+    The ends are stored as Python ints."""
 
     lo: int
     hi: int
@@ -105,6 +107,12 @@ class RangeRule:
     action: str
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "lo", operator.index(self.lo))
+            object.__setattr__(self, "hi", operator.index(self.hi))
+        except TypeError:
+            raise InvalidParameterError(
+                f"range ends must be integers, got {self.lo!r}, {self.hi!r}") from None
         if not (type(self.width) is int and self.width > 0):
             raise InvalidParameterError(
                 f"rule width must be a positive int, got {self.width!r}")
@@ -119,9 +127,9 @@ def range_to_prefixes(lo: int, hi: int, width: int):
     Greedy: at each cursor emit the largest power-of-two aligned block that
     starts there and fits in the remaining range.
     """
-    RangeRule(lo, hi, width, "")  # reuse the invariant check
+    rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
     entries = []
-    cursor = lo
+    cursor, hi = rule.lo, rule.hi
     while cursor <= hi:
         size = cursor & -cursor if cursor else 1 << width
         while cursor + size - 1 > hi:
@@ -149,11 +157,11 @@ def range_to_analog_entries(lo: int, hi: int, width: int,
     if width % bits_per_cell != 0:
         raise InvalidParameterError(
             f"width {width} not divisible by {bits_per_cell} bits per cell")
-    RangeRule(lo, hi, width, "")
+    rule = RangeRule(lo, hi, width, "")
     base = 1 << bits_per_cell
     n_digits = width // bits_per_cell
     entries = []
-    cursor = lo
+    cursor, hi = rule.lo, rule.hi
     while cursor <= hi:
         k = 0
         while (k + 1 < n_digits and cursor % base ** (k + 1) == 0
@@ -284,6 +292,7 @@ class RoutingTable:
     width: int
     entries: tuple
     rules: tuple
+    bits_per_cell: int        # address bits per cell; 1 for ternary tables
 
     @property
     def n_entries(self) -> int:
@@ -291,7 +300,7 @@ class RoutingTable:
 
     @property
     def cells_per_entry(self) -> int:
-        return self.width if self.mode is TableMode.TERNARY else self.width // 3
+        return self.width // self.bits_per_cell
 
     @property
     def n_cells(self) -> int:
@@ -306,27 +315,31 @@ class RoutingTable:
         return starts, rule[first]
 
 
-def compile_table(rules, mode: TableMode) -> RoutingTable:
+def compile_table(rules, mode: TableMode, bits_per_cell: int = 3) -> RoutingTable:
     """Concatenate per-rule covers into one table, first-match priority.
 
     All rules must share one search width; overlaps between rules are
-    resolved by rule order at lookup time.
+    resolved by rule order at lookup time.  bits_per_cell sets the digit
+    size of analog covers; ternary tables store one bit per cell.
     """
     rules = tuple(rules)
     width = rules[0].width if rules else 0
     if any(r.width != width for r in rules):
         raise InvalidParameterError("rules mix different widths")
+    if mode is TableMode.TERNARY:
+        cover, bits_per_cell = range_to_prefixes, 1
+    elif mode is TableMode.ANALOG3B and bits_per_cell >= 1:
+        cover = functools.partial(range_to_analog_entries,
+                                  bits_per_cell=bits_per_cell)
+    else:
+        raise InvalidParameterError(
+            f"no {mode} table with {bits_per_cell} bits per cell")
     entries = []
     for index, rule in enumerate(rules):
-        if mode is TableMode.TERNARY:
-            cover = range_to_prefixes(rule.lo, rule.hi, rule.width)
-        elif mode is TableMode.ANALOG3B:
-            cover = range_to_analog_entries(rule.lo, rule.hi, rule.width, 3)
-        else:
-            raise InvalidParameterError(f"unknown table mode: {mode}")
-        entries.extend(TableEntry(e, rule.action, index) for e in cover)
+        entries.extend(TableEntry(e, rule.action, index)
+                       for e in cover(rule.lo, rule.hi, rule.width))
     return RoutingTable(mode=mode, width=width, entries=tuple(entries),
-                        rules=rules)
+                        rules=rules, bits_per_cell=bits_per_cell)
 
 
 def lookup(table: RoutingTable, addr: int):

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import cell as cell_mod
-from .array import FecamArray, SearchResult
+from .array import FecamArray, SearchResult, _check_size
 from .cell import TernaryBit, program_analog, program_digital
 from .config import GlobalConfig
 from .costmodel import NUMBER_SPEC, _fmt
@@ -75,6 +75,7 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
     except (TypeError, FecamError) as exc:
         raise ParseError(f"bad matchline override: {exc}")
 
+    _check_size(rows, cols)
     cfg, params = config.cell, config.device
     wildcard = program_digital(TernaryBit.DONT_CARE, cfg, params)
     grid = [[wildcard for _ in range(cols)] for _ in range(rows)]

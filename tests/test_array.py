@@ -13,7 +13,7 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    measure_bounds, ml_capacitance, program_analog,
                    program_digital, search, sense, single_mismatch_sense_time,
                    write_cells, write_row)
-from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, _static_row_currents,
+from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, MAX_CELLS, _static_row_currents,
                          _threshold_factors)
 from fecam.device import saturated_current
 
@@ -320,6 +320,20 @@ class TestConstruction:
             filled(65, 1, demo_cell, mlp, cfg, params)
         with pytest.warns(RuntimeWarning):
             filled(1, 65, demo_cell, mlp, cfg, params)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0), (-2, 3),
+                                            (1025, 1024), (1, MAX_CELLS + 1),
+                                            (10 ** 30, 10 ** 30)])
+    def test_size_checked_before_the_grid(self, demo_cell, mlp, cfg, params,
+                                          rows, cols):
+        with pytest.raises(InvalidParameterError, match="at most"):
+            filled(rows, cols, demo_cell, mlp, cfg, params)
+
+    def test_empty_grid_rejected(self, mlp, cfg, params):
+        with pytest.raises(InvalidParameterError, match="at least 1 row"):
+            FecamArray(cells=[], ml_params=mlp, cfg=cfg, params=params)
+        with pytest.raises(InvalidParameterError, match="at least 1 row"):
+            FecamArray(cells=[[]], ml_params=mlp, cfg=cfg, params=params)
 
     def test_supply_mismatch_rejected(self, demo_cell, mlp, params):
         from fecam import CellConfig

@@ -1,9 +1,11 @@
+import re
+import time
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from fecam import cli, encoder
+from fecam import AnalogEntry, cli, encoder, entry_to_cells, load_config
 from fecam.cli import main
 
 DEMO_ARRAY = """\
@@ -124,6 +126,22 @@ class TestSearch:
         assert err.startswith("error: parse-error:")
         assert "line 3" in err
 
+    @pytest.mark.parametrize("size", ["rows 100000000\ncols 1",
+                                      "rows 1\ncols 100000000",
+                                      "rows 2048\ncols 1024",
+                                      "rows 0\ncols 4"])
+    def test_array_size_capped_before_the_grid(self, capsys, demo_files, size):
+        # 10^8 cells used to be built, at about 80 ns each, before any check
+        tmp_path, _, queries, _ = demo_files
+        huge = tmp_path / "huge.txt"
+        huge.write_text(size + "\ncell 0 0 analog 0.4 0.6\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search", "--array", str(huge),
+                             "--queries", str(queries))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter:")
+
 
 class TestSweep:
     def test_rows_axis_constant_bounds(self, capsys):
@@ -172,6 +190,14 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid-parameter:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    def test_size_axis_capped_before_the_grid(self, capsys, axis):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--axis", axis, "--values", "1e30")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter:")
 
     def test_size_axis_accepts_integral_floats(self, capsys):
         code, out, _ = run(capsys, "sweep", "--axis", "rows", "--values", "2.0,1")
@@ -250,8 +276,8 @@ class TestRoute:
         # the oracle is built from the rules, so a table that lost an entry fails
         compile_table = encoder.compile_table
 
-        def drop_first_entry(rules, mode):
-            table = compile_table(rules, mode)
+        def drop_first_entry(rules, mode, bits_per_cell=3):
+            table = compile_table(rules, mode, bits_per_cell)
             return replace(table, entries=table.entries[1:])
 
         monkeypatch.setattr(encoder, "compile_table", drop_first_entry)
@@ -305,6 +331,41 @@ class TestRoute:
         assert code == 2
         assert err.startswith("error: parse-error:")
         assert "line 2" in err
+
+
+    def test_four_level_cells_compile_two_bit_entries(self, capsys, tmp_path):
+        # 4 levels used to compile 3-bit entries that entry_to_cells refused
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cell]\nlevel_count = 4\nlevel_bounds = 0.1 0.3 0.5 0.7 0.9\n")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("98305 14712838 24 portA\n5 70000 24 low\n")
+        listing = tmp_path / "table.txt"
+        code, out, err = run(capsys, "--config", str(ini), "route", "--rules",
+                             str(rules), "--mode", "analog", "--out", str(listing),
+                             "--verify", "--samples", "20000")
+        assert (code, err) == (0, "")
+        counts = dict(line.split(" = ") for line in out.splitlines())
+        assert counts["verify_analog"] == "pass"
+        entries = listing.read_text().splitlines()
+        assert int(counts["analog_entries"]) == len(entries)
+        assert int(counts["analog_cells"]) == len(entries) * 24 // 2
+        cfg = load_config(ini).cell
+        for line in entries:
+            digits = re.findall(r"\[(\d+)-(\d+)\]", line.split("\t")[0])
+            assert len(digits) == 12
+            windows = entry_to_cells(AnalogEntry(tuple(digits), 2), cfg)
+            assert len(windows) == 12
+
+    def test_level_count_must_be_a_power_of_two(self, capsys, tmp_path, demo_files):
+        _, _, _, rules = demo_files
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cell]\nlevel_count = 5\n"
+                       "level_bounds = 0.1 0.2 0.3 0.5 0.7 0.9\n")
+        code, out, err = run(capsys, "--config", str(ini), "route",
+                             "--rules", str(rules))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter:")
+        assert "level_count" in err
 
 
 class TestBenchAndConfig:

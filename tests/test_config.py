@@ -1,12 +1,17 @@
+import configparser
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fecam import (CamKind, CellConfig, CostParams, DeviceParams,
                    InvalidParameterError, MatchLineParams, ParseError,
                    default_config, load_config)
 from fecam.config import config_text
+
+PARAM_SECTIONS = {"device": DeviceParams, "cell": CellConfig,
+                  "matchline": MatchLineParams, "cost": CostParams}
 
 
 def float_slots():
@@ -92,10 +97,10 @@ class TestLoadConfig:
     def test_cost_overrides(self, tmp_path):
         path = tmp_path / "fecam.ini"
         path.write_text("[cost]\nenergy_per_bit_fecam_analog = 1e-16\n"
-                        "word_cells_fecam_analog = 11\n")
+                        "bits_per_cell_fecam_analog = 2\n")
         config = load_config(path)
         assert config.cost.energy_per_bit[CamKind.FECAM_ANALOG] == 1e-16
-        assert config.cost.word_cells[CamKind.FECAM_ANALOG] == 11
+        assert config.cost.word_cells[CamKind.FECAM_ANALOG] == 32
         assert config.cost.energy_per_bit[CamKind.CMOS_TCAM] == 0.590e-15
 
 
@@ -106,3 +111,68 @@ class TestFiniteParameters:
     def test_non_finite_rejected(self, cls, name, make, bad):
         with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
             cls(**{name: make(bad)})
+
+
+@st.composite
+def configs(draw):
+    """Valid configs away from the defaults: cell level counts 2, 4 and 8
+    with matching bounds, inverter gain set or not, per-kind cost entries."""
+    levels = draw(st.sampled_from([2, 4, 8]))
+    bounds = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=levels + 1,
+                                  max_size=levels + 1, unique=True)))
+    cell = CellConfig(level_count=levels, level_bounds=tuple(bounds),
+                      digital_margin=draw(st.floats(0.01, 0.49)),
+                      inverter_gain=draw(st.none() | st.floats(0.1, 50.0)))
+    kinds = list(CamKind)
+    energies = draw(st.lists(st.floats(1e-18, 1e-12), min_size=3, max_size=3))
+    bits = draw(st.lists(st.integers(1, 8), min_size=3, max_size=3))
+    cost = CostParams(energy_per_bit=dict(zip(kinds, energies)),
+                      bits_per_cell=dict(zip(kinds, bits)),
+                      cmos_cell_area=draw(st.floats(0.1, 10.0)))
+    device = DeviceParams(coercive_mu=draw(st.floats(2.0, 4.0)))
+    matchline = MatchLineParams(delta_v_ml=draw(st.floats(0.05, 0.95)))
+    return replace(default_config(), device=device, cell=cell,
+                   matchline=matchline, cost=cost,
+                   rng_seed=draw(st.integers(0, 2**63)))
+
+
+class TestFormatFromFields:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=configs())
+    def test_round_trip(self, tmp_path, config):
+        path = tmp_path / "fecam.ini"
+        path.write_text(config_text(config))
+        assert load_config(path) == config
+
+    def test_every_field_is_a_key(self):
+        config = default_config()
+        gain = replace(config, cell=replace(config.cell, inverter_gain=4.0))
+        expected = {"general": {"rng_seed"}}
+        for section, cls in PARAM_SECTIONS.items():
+            expected[section] = set()
+            for f in fields(cls):
+                if isinstance(getattr(cls(), f.name), dict):
+                    expected[section] |= {f"{f.name}_{k.value}" for k in CamKind}
+                else:
+                    expected[section].add(f.name)
+        parser = configparser.ConfigParser()
+        parser.read_string(config_text(gain))
+        assert {s: set(parser[s]) for s in parser.sections()} == expected
+        # unset, the optional gain is left out rather than written as None
+        parser = configparser.ConfigParser()
+        parser.read_string(config_text(config))
+        assert set(parser["cell"]) == expected["cell"] - {"inverter_gain"}
+
+    def test_word_sizes_are_not_keys(self, tmp_path):
+        path = tmp_path / "fecam.ini"
+        path.write_text("[cost]\nword_cells_fecam_analog = 11\n")
+        with pytest.raises(ParseError,
+                           match=r"unknown field \[cost\] word_cells_fecam_analog"):
+            load_config(path)
+
+    def test_unknown_section_named(self, tmp_path):
+        path = tmp_path / "fecam.ini"
+        path.write_text("[matchlines]\nc_pmos = 1e-16\n")
+        with pytest.raises(ParseError, match=r"unknown section \[matchlines\]"):
+            load_config(path)

@@ -78,6 +78,14 @@ class TestPerBitRatios:
         assert energy_ratio_vs_cmos(cost, CamKind.FECAM_DIGITAL) == pytest.approx(
             3.24, abs=0.05)
 
+    def test_word_sizes_follow_bits_per_cell(self, cost):
+        assert cost.word_cells == {CamKind.CMOS_TCAM: 64,
+                                   CamKind.FECAM_DIGITAL: 64,
+                                   CamKind.FECAM_ANALOG: 22}
+        two_bit = CostParams(bits_per_cell={**cost.bits_per_cell,
+                                            CamKind.FECAM_ANALOG: 2})
+        assert two_bit.word_cells[CamKind.FECAM_ANALOG] == 32
+
     def test_word_energies_use_calibrated_word_sizes(self, cost):
         assert word_search_energy(cost, CamKind.CMOS_TCAM) == pytest.approx(
             64 * 0.590e-15, rel=1e-12)

@@ -251,6 +251,42 @@ class TestRoutingTable:
         with pytest.raises(InvalidParameterError, match="width must be a positive int"):
             range_to_prefixes(0, 0, width)
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 3.0), (0, "3"), (None, 3)])
+    def test_ends_must_be_integers(self, lo, hi):
+        # a float end used to raise a bare TypeError inside compile_table
+        with pytest.raises(InvalidParameterError, match="ends must be integers"):
+            RangeRule(lo, hi, 4, "a")
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_numpy_int_ends_compile_like_python_ints(self, mode):
+        # np.int64 ends used to pass the check and fail on int.bit_length
+        plain = [RangeRule(1, 5, 6, "a"), RangeRule(3, 41, 6, "b")]
+        numpy = [RangeRule(np.int64(1), np.uint8(5), 6, "a"),
+                 RangeRule(np.int32(3), np.int64(41), 6, "b")]
+        assert all(type(r.lo) is int and type(r.hi) is int for r in numpy)
+        assert compile_table(numpy, mode) == compile_table(plain, mode)
+        assert range_to_prefixes(np.int64(1), np.int64(5), 6) == \
+            range_to_prefixes(1, 5, 6)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_table_carries_bits_per_cell(self, bits):
+        rules = [self.rule()]
+        analog = compile_table(rules, TableMode.ANALOG3B, bits)
+        ternary = compile_table(rules, TableMode.TERNARY, bits)
+        assert (analog.bits_per_cell, ternary.bits_per_cell) == (bits, 1)
+        assert all(e.entry.bits_per_cell == bits for e in analog.entries)
+        assert analog.n_cells == analog.n_entries * CASE_WIDTH // bits
+        assert ternary.n_cells == ternary.n_entries * CASE_WIDTH
+        assert lookup(analog, CASE_LO) == "portA"
+        assert lookup(analog, CASE_LO - 1) is None
+
+    def test_bad_bits_per_cell_rejected(self):
+        for bits in (0, -3):
+            with pytest.raises(InvalidParameterError, match="bits per cell"):
+                compile_table([], TableMode.ANALOG3B, bits)
+        with pytest.raises(InvalidParameterError, match="not divisible"):
+            compile_table([self.rule()], TableMode.ANALOG3B, 5)
+
     def test_width_one_is_the_smallest(self):
         table = compile_table([RangeRule(1, 1, 1, "a")], TableMode.TERNARY)
         assert [lookup(table, a) for a in (0, 1)] == [None, "a"]
