@@ -7,7 +7,7 @@ from .array import (DisturbReport, FecamArray, MatchLineParams, SearchResult,
                     WritePlan, batch_search, discharge_time, inhibition_plans,
                     measure_bounds, ml_capacitance, search, sense,
                     single_mismatch_sense_time, write_cells, write_row)
-from .cell import (CellConfig, CellMode, FecamCell, TernaryBit, cell_current,
+from .cell import (CellConfig, FecamCell, TernaryBit, cell_current,
                    digital_query_voltage, inverter, level_center, match_window,
                    program_analog, program_digital, program_level_window,
                    quantized_levels)
@@ -17,8 +17,7 @@ from .costmodel import (CamKind, ComparisonReport, CostParams, area,
                         routing_report, search_energy, word_search_energy)
 from .device import (DeviceParams, FeFetState, WritePulse, apply_variation,
                      drain_current, polarization_after_pulse, pulse_for_vth,
-                     resolvable_levels, state_for_vth, state_from_pulse,
-                     vth_from_pulse)
+                     resolvable_levels, state_for_vth, vth_from_pulse)
 from .encoder import (AnalogEntry, RangeRule, RoutingTable, TableMode,
                       TernaryEntry, address_query_voltages, compile_table,
                       entries_match, entries_match_many, entry_to_cells,

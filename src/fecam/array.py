@@ -1,5 +1,6 @@
-"""R x C CAM array: row-wise writes with half-voltage inhibition, precharge
-plus match-line discharge, sensing, and column-adapted search time.
+"""R x C CAM array held as one (R, 2C) array of FeFET thresholds: row-wise
+writes that replace a row, with half-voltage inhibition, precharge plus
+match-line discharge, sensing, and column-adapted search time.
 
 The match line of each row is modeled as a lumped capacitance discharged by
 the sum of its cells' currents.  Because both FeFETs of a cell share the
@@ -22,14 +23,14 @@ the direct form e^(k (v - vth)).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import device
-from .cell import CellConfig, CellMode, FecamCell, inverter
-from .device import DeviceParams, WritePulse
+from .cell import CellConfig, FecamCell, inverter
+from .device import DeviceParams, FeFetState, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
                      InvalidParameterError, OutOfRangeError, require_finite)
 
@@ -141,10 +142,6 @@ class WritePlan:
             raise DimensionMismatchError(
                 f"{len(self.sl_pulses)} SL pulses vs {len(self.isl_pulses)} "
                 "inverted-SL pulses")
-        for pulse in (*self.sl_pulses, *self.isl_pulses):
-            if pulse is not None and abs(pulse.amplitude) > 4.0 + 1e-12:
-                raise InvalidParameterError(
-                    f"write pulse amplitude {pulse.amplitude} V exceeds 4 V")
         for row, bias in enumerate(self.source_bias):
             if row == self.target_row:
                 if bias != 0.0:
@@ -163,62 +160,73 @@ def _check_size(rows: int, cols: int) -> None:
             f"most {MAX_CELLS} cells")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FecamArray:
-    """Grid of cells plus the electrical context shared by every row."""
+    """R x C cells as one state, `vth`, plus the electrical context shared by
+    every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
+    thresholds, then its lower ones, the current kernel's layout, kept with
+    their `_threshold_factors`.  `FecamArray(cells=...)` gathers a grid of
+    FecamCell into it and `.cells` is a view of it; writes return a new array."""
 
-    cells: tuple              # rows x cols of FecamCell
+    vth: np.ndarray           # (rows, 2 cols) V, read-only
     ml_params: MatchLineParams
     cfg: CellConfig
     params: DeviceParams
 
-    def __post_init__(self):
-        grid = tuple(tuple(row) for row in self.cells)
-        object.__setattr__(self, "cells", grid)
-        _check_size(len(grid), len(grid[0]) if grid else 0)
-        if any(len(row) != len(grid[0]) for row in grid):
+    def __init__(self, cells, ml_params, cfg, params):
+        grid = [tuple(row) for row in cells]
+        rows, cols = len(grid), len(grid[0]) if grid else 0
+        _check_size(rows, cols)
+        if any(len(row) != cols for row in grid):
             raise InvalidParameterError("ragged cell grid")
-        if abs(self.cfg.vdd - self.ml_params.vdd) > 1e-12:
+        if abs(cfg.vdd - ml_params.vdd) > 1e-12:
             raise InvalidParameterError(
                 "cell and match-line supplies differ "
-                f"({self.cfg.vdd} V vs {self.ml_params.vdd} V)")
-        if len(grid) > SIZE_GUIDELINE:
+                f"({cfg.vdd} V vs {ml_params.vdd} V)")
+        if rows > SIZE_GUIDELINE:
             warnings.warn(
-                f"{len(grid)} rows exceeds {SIZE_GUIDELINE}; search-line "
+                f"{rows} rows exceeds {SIZE_GUIDELINE}; search-line "
                 "parasitics would demand stronger drivers", RuntimeWarning)
-        if len(grid[0]) > SIZE_GUIDELINE:
+        if cols > SIZE_GUIDELINE:
             warnings.warn(
-                f"{len(grid[0])} columns exceeds {SIZE_GUIDELINE}; precharging "
+                f"{cols} columns exceeds {SIZE_GUIDELINE}; precharging "
                 "the match line would demand a stronger driver", RuntimeWarning)
+        self._hold(np.array([[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row]
+                             for row in grid], dtype=float), ml_params, cfg, params)
+
+    def _hold(self, vth: np.ndarray, ml_params, cfg, params) -> "FecamArray":
+        """Take vth, made read-only, and its factors as the state; returns self."""
+        vth.flags.writeable = False
+        self.__dict__.update(vth=vth, ml_params=ml_params, cfg=cfg, params=params,
+                             _factors=_threshold_factors(vth, params, cfg.vdd))
+        return self
 
     @property
     def rows(self) -> int:
-        return len(self.cells)
+        return self.vth.shape[0]
 
     @property
     def cols(self) -> int:
-        return len(self.cells[0])
+        return self.vth.shape[1] // 2
+
+    @cached_property
+    def cells(self) -> tuple:
+        """rows x cols of FecamCell, each FeFET FeFetState(v, its polarization);
+        built once per distinct threshold pair, so equal cells are one object."""
+        rows = [list(zip(row[:self.cols], row[self.cols:])) for row in self.vth.tolist()]
+        made = {pair: FecamCell(*(FeFetState(v, device.polarization_for_vth(self.params, v))
+                                  for v in pair)) for pair in set().union(*rows)}
+        return tuple(tuple(map(made.__getitem__, row)) for row in rows)
 
     @classmethod
     def filled(cls, rows: int, cols: int, cell: FecamCell,
                ml_params: MatchLineParams, cfg: CellConfig,
                params: DeviceParams) -> "FecamArray":
         _check_size(rows, cols)
-        grid = tuple(tuple(cell for _ in range(cols)) for _ in range(rows))
-        return cls(cells=grid, ml_params=ml_params, cfg=cfg, params=params)
+        return cls([[cell] * cols] * rows, ml_params, cfg, params)
 
     def auto_sense_time(self) -> float:
         return discharge_time(self.ml_params, self.cols)
-
-    @cached_property
-    def _thresholds(self):
-        """Current-kernel operands, gathered once (the array is frozen and
-        writes build a new one, so they cannot go stale): the thresholds,
-        (rows, 2 cols), each row's upper FeFETs then its lower ones, and
-        their factors from `_threshold_factors`."""
-        vth = np.array([[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row]
-                        for row in self.cells])
-        return vth, _threshold_factors(vth, self.params, self.cfg.vdd)
 
 
 def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
@@ -235,7 +243,7 @@ def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
                          params: DeviceParams, queries: np.ndarray) -> np.ndarray:
     """Summed full-drive cell currents per (query, row); shape (S, R).
 
-    vth and factors are as in `FecamArray._thresholds`.  Each FeFET adds
+    vth and factors are as held by `FecamArray`.  Each FeFET adds
     i_off + min(i_th e^(k (v - vth)), i_on - i_off), which is
     `device.saturated_current`; the queries go through in blocks of about
     BLOCK_CELLS FeFET currents, at least one query each.
@@ -308,8 +316,8 @@ def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=Fals
     the flags (S, R), t_sense, the times and V_ML (T, S, R); the times are
     TRACE_POINTS samples from 0 when trace is set, else t_sense alone."""
     q, t = _checked(arr, queries, t_sense)
-    vth, factors = arr._thresholds
-    static = _static_row_currents(vth[rows], None if factors is None else factors[rows],
+    factors = arr._factors
+    static = _static_row_currents(arr.vth[rows], None if factors is None else factors[rows],
                                   arr.cfg, arr.params, q)
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
     v = _ml_voltage(arr.ml_params, arr.params.v_dsat, arr.cols, static, times)
@@ -396,9 +404,9 @@ def _disturb_report(plan: WritePlan) -> DisturbReport:
 
 
 def write_row(arr: FecamArray, plan: WritePlan):
-    """Apply one write phase to the selected row.
+    """Apply one write phase to the selected row of a copy of `arr.vth`.
 
-    Returns the updated array and the disturb report for the unselected
+    Returns the new array and the disturb report for the unselected
     cells; rejects the write when any unselected device would see more than
     half the maximum write voltage between gate and source.
     """
@@ -410,26 +418,16 @@ def write_row(arr: FecamArray, plan: WritePlan):
     if len(plan.source_bias) != arr.rows:
         raise DimensionMismatchError(
             f"{len(plan.source_bias)} bias rows vs {arr.rows} array rows")
+    vth = arr.vth.copy()
+    for col, pulse in enumerate(plan.sl_pulses + plan.isl_pulses):
+        if pulse is not None:
+            vth[plan.target_row, col] = device.vth_from_pulse(arr.params, pulse)
     report = _disturb_report(plan)
     if not report.ok:
         raise DisturbViolationError(
             f"unselected gate-source magnitude {report.max_unselected:.3g} V "
             f"exceeds {DISTURB_LIMIT} V; write rejected", report=report)
-
-    new_row = []
-    for c, old in enumerate(arr.cells[plan.target_row]):
-        upper = (device.state_from_pulse(arr.params, plan.sl_pulses[c])
-                 if plan.sl_pulses[c] is not None else old.upper_fet)
-        lower = (device.state_from_pulse(arr.params, plan.isl_pulses[c])
-                 if plan.isl_pulses[c] is not None else old.lower_fet)
-        if plan.sl_pulses[c] is None and plan.isl_pulses[c] is None:
-            new_row.append(old)
-        else:
-            new_row.append(FecamCell(upper_fet=upper, lower_fet=lower,
-                                     mode=CellMode.ANALOG))
-    grid = tuple(tuple(new_row) if r == plan.target_row else arr.cells[r]
-                 for r in range(arr.rows))
-    return replace(arr, cells=grid), report
+    return object.__new__(FecamArray)._hold(vth, arr.ml_params, arr.cfg, arr.params), report
 
 
 def inhibition_plans(arr: FecamArray, target_row: int, cells) -> list:

@@ -19,11 +19,6 @@ from .errors import (EmptyWindowError, InvalidParameterError, OutOfRangeError,
                      require_finite)
 
 
-class CellMode(enum.Enum):
-    ANALOG = "analog"
-    DIGITAL = "digital"
-
-
 class TernaryBit(enum.Enum):
     ZERO = "0"
     ONE = "1"
@@ -64,6 +59,8 @@ class CellConfig:
         require_finite(self)
         if self.vdd <= 0:
             raise InvalidParameterError("vdd must be positive")
+        if self.level_count < 1:
+            raise InvalidParameterError("level_count must be >= 1")
         if len(bounds) != self.level_count + 1:
             raise InvalidParameterError(
                 f"need {self.level_count + 1} level bounds, got {len(bounds)}")
@@ -80,11 +77,10 @@ class CellConfig:
 
 @dataclass(frozen=True)
 class FecamCell:
-    """A pair of FeFET states plus the operating mode they encode."""
+    """A pair of FeFET states; analog and digital cells differ only in them."""
 
     upper_fet: FeFetState  # gate on SL, threshold = window upper bound
     lower_fet: FeFetState  # gate on inverted SL, threshold = vdd - lower bound
-    mode: CellMode = CellMode.ANALOG
 
 
 def inverter(v_sl, cfg: CellConfig):
@@ -118,7 +114,7 @@ def program_analog(lower: float, upper: float, cfg: CellConfig,
         lower_fet = device.state_for_vth(params, cfg.vdd - lower)
     except OutOfRangeError as exc:
         raise OutOfRangeError(f"window [{lower}, {upper}] V not programmable: {exc}")
-    return FecamCell(upper_fet=upper_fet, lower_fet=lower_fet, mode=CellMode.ANALOG)
+    return FecamCell(upper_fet=upper_fet, lower_fet=lower_fet)
 
 
 def program_digital(bit: TernaryBit, cfg: CellConfig,
@@ -137,7 +133,7 @@ def program_digital(bit: TernaryBit, cfg: CellConfig,
         upper_fet, lower_fet = boundary, erased   # window (open, margin]
     else:
         upper_fet = lower_fet = erased            # matches the full query range
-    return FecamCell(upper_fet=upper_fet, lower_fet=lower_fet, mode=CellMode.DIGITAL)
+    return FecamCell(upper_fet=upper_fet, lower_fet=lower_fet)
 
 
 def digital_query_voltage(bit: TernaryBit, cfg: CellConfig) -> float:

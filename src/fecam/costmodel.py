@@ -178,12 +178,16 @@ def routing_report(p: CostParams, ternary: RoutingTable,
                    analog: RoutingTable) -> ComparisonReport:
     """Compare a ternary table (on CMOS TCAM) against its analog equivalent.
 
-    Both tables must be compiled from the same rules.
+    Both tables must be compiled from the same rules, at the calibrated bits per cell.
     """
     if ternary.mode is not TableMode.TERNARY or analog.mode is not TableMode.ANALOG3B:
         raise InconsistentInputError("expected one ternary and one analog table")
     if ternary.rules != analog.rules:
         raise InconsistentInputError("tables compiled from different rule sets")
+    if analog.bits_per_cell != p.bits_per_cell[CamKind.FECAM_ANALOG]:
+        raise InconsistentInputError(
+            f"analog table stores {analog.bits_per_cell} bits per cell, the cost "
+            f"calibration prices {p.bits_per_cell[CamKind.FECAM_ANALOG]}")
     t_cells, a_cells = ternary.n_cells, analog.n_cells
     t_energy = search_energy(p, CamKind.CMOS_TCAM, t_cells)
     a_energy = search_energy(p, CamKind.FECAM_ANALOG, a_cells)

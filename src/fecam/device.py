@@ -137,12 +137,6 @@ def vth_from_pulse(params: DeviceParams, pulse: WritePulse) -> float:
     return vth_from_polarization(params, polarization_after_pulse(params, pulse))
 
 
-def state_from_pulse(params: DeviceParams, pulse: WritePulse) -> FeFetState:
-    fraction = polarization_after_pulse(params, pulse)
-    return FeFetState(vth=vth_from_polarization(params, fraction),
-                      polarization_fraction=fraction)
-
-
 def pulse_for_vth(params: DeviceParams, target_vth: float,
                   width: float = DEFAULT_PULSE_WIDTH) -> WritePulse:
     """Pulse that programs the device to target_vth within 1 mV.

@@ -5,8 +5,7 @@ the decimal point, and may use scientific notation.  Each export builds one
 "%" template for the whole file, with the columns it already knows (rows,
 times) filled in, and applies it once to the flat list of its numbers; the
 template fields come from costmodel.NUMBER_SPEC, the spec of `_fmt`.  An
-array description programs each distinct cell spec once and shares the
-resulting frozen cell between every position that names it.
+array description programs each distinct cell spec once.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
     cfg, params = config.cell, config.device
     wildcard = program_digital(TernaryBit.DONT_CARE, cfg, params)
     grid = [[wildcard for _ in range(cols)] for _ in range(rows)]
-    programmed = {}  # (spec, *args) -> cell; cells are frozen, so shared
+    programmed = {}  # (spec, *args) -> programmed cell
     for number, r, c, spec, args in cell_specs:
         if not (0 <= r < rows and 0 <= c < cols):
             raise ParseError(f"cell ({r}, {c}) outside {rows}x{cols} array",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    DisturbViolationError, FecamArray, InvalidParameterError,
-                   OutOfRangeError, TernaryBit, WritePlan, WritePulse,
+                   InvalidPulseError, OutOfRangeError, TernaryBit, WritePlan, WritePulse,
                    batch_search, cell_current, digital_query_voltage,
                    discharge_time, inhibition_plans, inverter, match_window,
                    measure_bounds, ml_capacitance, program_analog,
@@ -15,7 +15,7 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    write_cells, write_row)
 from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, MAX_CELLS, _static_row_currents,
                          _threshold_factors)
-from fecam.device import saturated_current
+from fecam.device import saturated_current, vth_from_pulse
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +234,12 @@ class TestWrite:
 
     def test_unselected_rows_untouched(self, demo_cell, mlp, cfg, params):
         arr = filled(8, 8, demo_cell, mlp, cfg, params)
+        before = arr.vth.copy()
+        with pytest.raises(ValueError):
+            arr.vth[3, 0] = 0.2  # the state is read-only
         target = [program_analog(0.2, 0.3, cfg, params) for _ in range(8)]
         new_arr, _ = write_cells(arr, 3, target)
+        assert np.array_equal(arr.vth, before)  # the input array is unchanged
         for r in range(8):
             if r == 3:
                 continue
@@ -252,6 +256,14 @@ class TestWrite:
         for written, target in zip(new_arr.cells[0], targets):
             assert abs(written.upper_fet.vth - target.upper_fet.vth) <= 1e-3
             assert abs(written.lower_fet.vth - target.lower_fet.vth) <= 1e-3
+        # the cells view rebuilds the same state, factors included
+        rebuilt = FecamArray(cells=new_arr.cells, ml_params=mlp, cfg=cfg, params=params)
+        assert np.array_equal(rebuilt.vth, new_arr.vth)
+        queries = np.random.default_rng(7).uniform(0.0, cfg.vdd, (500, 3))
+        t = single_mismatch_sense_time(mlp, params, cfg, 3)
+        for sense_time in (None, t):
+            assert np.array_equal(batch_search(new_arr, queries, sense_time),
+                                  batch_search(rebuilt, queries, sense_time))
 
     def test_inhibition_plans_are_disturb_free(self, mlp, cfg, params):
         wild = program_digital(TernaryBit.DONT_CARE, cfg, params)
@@ -281,14 +293,30 @@ class TestWrite:
         with pytest.raises(InvalidParameterError):
             WritePlan(target_row=0, sl_pulses=(WritePulse(4.0),),
                       isl_pulses=(WritePulse(4.0),), source_bias=(1.0,))
-        with pytest.raises(InvalidParameterError):
-            WritePlan(target_row=0, sl_pulses=(WritePulse(-4.5, width=1e-9),),
-                      isl_pulses=(None,), source_bias=(0.0,))
+        # the pulse is checked against the array's DeviceParams when applied,
+        # before the disturb report (which this plan also fails)
+        plan = WritePlan(target_row=0, sl_pulses=(WritePulse(-4.5, width=1e-9),),
+                         isl_pulses=(None,), source_bias=(0.0, -DISTURB_LIMIT))
+        with pytest.raises(InvalidPulseError):
+            write_row(filled(2, 1, demo_cell, mlp, cfg, params), plan)
         arr = filled(2, 2, demo_cell, mlp, cfg, params)
         plan = WritePlan(target_row=0, sl_pulses=(WritePulse(3.0),),
                          isl_pulses=(None,), source_bias=(0.0, 2.0))
         with pytest.raises(DimensionMismatchError):
             write_row(arr, plan)
+
+    def test_programming_range_comes_from_device_params(self, mlp, cfg):
+        # a fixed 4 V cap once refused this pulse whatever the device allowed
+        params = DeviceParams(v_prog_max=4.5)
+        wild = program_digital(TernaryBit.DONT_CARE, cfg, params)
+        arr = filled(1, 2, wild, mlp, cfg, params)
+        plan = WritePlan(target_row=0, sl_pulses=(WritePulse(4.5), None),
+                         isl_pulses=(None, None), source_bias=(0.0,))
+        new_arr, report = write_row(arr, plan)
+        assert report.ok
+        want = arr.vth.copy()
+        want[0, 0] = vth_from_pulse(params, WritePulse(4.5))
+        assert np.array_equal(new_arr.vth, want)
 
 
 class TestSuperposition:

@@ -6,7 +6,7 @@ from fecam import (EmptyWindowError, FecamCell, InvalidParameterError,
                    digital_query_voltage, inverter, level_center, match_window,
                    program_analog, program_digital, program_level_window,
                    quantized_levels, state_for_vth)
-from fecam.cell import CellConfig, CellMode
+from fecam.cell import CellConfig
 
 
 class TestInverter:
@@ -35,7 +35,6 @@ class TestProgramAnalog:
         cell = program_analog(0.4, 0.6, cfg, params)
         assert cell.upper_fet.vth == pytest.approx(0.6)
         assert cell.lower_fet.vth == pytest.approx(0.6)
-        assert cell.mode is CellMode.ANALOG
 
     def test_full_range_wildcard(self, cfg, params):
         cell = program_analog(0.0, cfg.vdd, cfg, params)
@@ -69,7 +68,6 @@ class TestDigital:
         levels = {params.vth_high, cfg.digital_margin}
         for bit in TernaryBit:
             cell = program_digital(bit, cfg, params)
-            assert cell.mode is CellMode.DIGITAL
             assert {round(cell.upper_fet.vth, 9),
                     round(cell.lower_fet.vth, 9)} <= {round(v, 9) for v in levels}
 
@@ -215,6 +213,12 @@ class TestCellConfigValidation:
     def test_bounds_count_matches_levels(self):
         with pytest.raises(InvalidParameterError):
             CellConfig(level_count=4)
+
+    @pytest.mark.parametrize("levels, bounds", [(0, (0.5,)), (-1, ())])
+    def test_level_count_must_be_positive(self, levels, bounds):
+        # -1 levels with no bounds used to raise a bare IndexError
+        with pytest.raises(InvalidParameterError, match="level_count must be >= 1"):
+            CellConfig(level_count=levels, level_bounds=bounds)
 
     def test_bounds_inside_supply(self):
         with pytest.raises(InvalidParameterError):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from fecam import AnalogEntry, cli, encoder, entry_to_cells, load_config
+from fecam import AnalogEntry, CamKind, cli, encoder, entry_to_cells, load_config
 from fecam.cli import main
 
 DEMO_ARRAY = """\
@@ -355,6 +355,25 @@ class TestRoute:
             assert len(digits) == 12
             windows = entry_to_cells(AnalogEntry(tuple(digits), 2), cfg)
             assert len(windows) == 12
+
+    def test_report_prices_the_table_bits_per_cell(self, capsys, tmp_path):
+        # 2-bit cells were priced as 3-bit ones; now the calibration must match
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cell]\nlevel_count = 4\nlevel_bounds = 0.1 0.3 0.5 0.7 0.9\n")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("98305 14712838 24 portA\n5 70000 24 low\n")
+        argv = ("--config", str(ini), "route", "--rules", str(rules), "--mode", "both")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: inconsistent-input:")
+        assert "2 bits per cell" in err and "prices 3" in err
+        ini.write_text(ini.read_text() + "[cost]\nbits_per_cell_fecam_analog = 2\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = dict(line.split(" = ") for line in out.splitlines())
+        per_bit = load_config(ini).cost.energy_per_bit[CamKind.FECAM_ANALOG]
+        assert float(report["analog_energy_joules"]) == pytest.approx(
+            int(report["analog_cells"]) * 2 * per_bit, rel=1e-9)
 
     def test_level_count_must_be_a_power_of_two(self, capsys, tmp_path, demo_files):
         _, _, _, rules = demo_files

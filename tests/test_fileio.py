@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fecam import (InconsistentInputError, ParseError, SearchResult, TernaryBit, match_window,
-                   program_digital, search)
+from fecam import (InconsistentInputError, ParseError, SearchResult, TernaryBit, fileio,
+                   match_window, program_digital, search)
 from fecam.cell import program_analog, program_level_window
 from fecam.costmodel import _fmt
 from fecam.fileio import (bounds_sweep_csv, parse_array_file, parse_query_file,
@@ -97,8 +97,12 @@ class TestArrayFile:
         with pytest.raises(ParseError):
             parse_array_file("rows 1\ncols 1\nvoodoo 1\n", config)
 
-    def test_repeated_specs_match_separate_programming(self, config):
+    def test_repeated_specs_match_separate_programming(self, config, monkeypatch):
         cfg, params = config.cell, config.device
+        calls = []
+        program_cell = fileio._program_cell
+        monkeypatch.setattr(fileio, "_program_cell",
+                            lambda *args: calls.append(args) or program_cell(*args))
         specs = ["level 3", "analog 0.25 0.75", "digital 1", "level 3",
                  "digital X", "analog 0.25 0.75", "level 0", "digital 1"]
         arr = parse_array_file("rows 2\ncols 4\n" + "".join(
@@ -113,7 +117,7 @@ class TestArrayFile:
             else:
                 want = program_digital(TernaryBit.from_char(arg), cfg, params)
             assert arr.cells[i // 4][i % 4] == want
-        assert arr.cells[0][0] is arr.cells[0][3]  # programmed once, shared
+        assert len(calls) == 5  # each distinct spec programmed once
 
     def test_seen_spec_outside_grid_names_its_own_line(self, config):
         text = "rows 1\ncols 2\ncell 0 0 level 3\ncell 0 1 level 3\ncell 1 0 level 3\n"
