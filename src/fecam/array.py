@@ -138,6 +138,8 @@ class WritePlan:
         object.__setattr__(self, "sl_pulses", tuple(self.sl_pulses))
         object.__setattr__(self, "isl_pulses", tuple(self.isl_pulses))
         object.__setattr__(self, "source_bias", tuple(float(b) for b in self.source_bias))
+        if not isinstance(self.target_row, (int, np.integer)):
+            raise InvalidParameterError(f"target row must be an integer, got {self.target_row!r}")
         if len(self.sl_pulses) != len(self.isl_pulses):
             raise DimensionMismatchError(
                 f"{len(self.sl_pulses)} SL pulses vs {len(self.isl_pulses)} "
@@ -191,8 +193,12 @@ class FecamArray:
             warnings.warn(
                 f"{cols} columns exceeds {SIZE_GUIDELINE}; precharging "
                 "the match line would demand a stronger driver", RuntimeWarning)
-        self._hold(np.array([[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row]
-                             for row in grid], dtype=float), ml_params, cfg, params)
+        vth = np.array([[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row]
+                        for row in grid], dtype=float)
+        if not ((vth >= params.vth_low) & (vth <= params.vth_high)).all():  # NaN fails too
+            raise OutOfRangeError(
+                f"cell thresholds must lie in [{params.vth_low}, {params.vth_high}] V")
+        self._hold(vth, ml_params, cfg, params)
 
     def _hold(self, vth: np.ndarray, ml_params, cfg, params) -> "FecamArray":
         """Take vth, made read-only, and its factors as the state; returns self."""
@@ -350,6 +356,8 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     Sweeps v_sl applied to every column and returns the edges of the maximal
     contiguous matching run, or None when nothing matches.
     """
+    if not isinstance(row, (int, np.integer)):
+        raise InvalidParameterError(f"row must be an integer, got {row!r}")
     if not 0 <= row < arr.rows:
         raise OutOfRangeError(f"row {row} outside [0, {arr.rows - 1}]")
     if not 0.0 < resolution < np.inf:

@@ -21,7 +21,7 @@ import numpy as np
 from . import array as array_mod
 from . import costmodel, encoder, fileio
 from .cell import program_analog
-from .config import GlobalConfig, default_config, load_config
+from .config import GlobalConfig, default_config, load_config, parse_floats
 from .costmodel import CamKind, _fmt
 from .device import WritePulse, vth_from_pulse, saturated_current, vds_factor
 from .errors import FecamError, InvalidParameterError
@@ -46,7 +46,7 @@ def _load(args) -> GlobalConfig:
 
 def _parse_floats(raw: str):
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        return parse_floats(raw)
     except ValueError as exc:
         raise InvalidParameterError(f"bad number list {raw!r}: {exc}") from None
 
@@ -56,8 +56,12 @@ def cmd_transfer(args) -> int:
     params = config.device
     amplitudes = _parse_floats(args.amplitudes)
     lo, hi, step = args.vgs_range
-    if step <= 0 or hi < lo:
-        raise InvalidParameterError("v_gs range needs lo <= hi and step > 0")
+    # NaN fails every comparison; a quotient past 2^63 fails arange outright
+    if not (0 < step < np.inf and lo <= hi < np.inf and (hi - lo) / step < 2 ** 63):
+        raise InvalidParameterError(
+            "v_gs range needs finite lo <= hi, step > 0 and under 2^63 points")
+    if not np.isfinite(args.vds):
+        raise InvalidParameterError(f"v_ds must be finite, got {args.vds}")
     v_gs = np.arange(lo, hi + step / 2, step)
     rows = []
     for amplitude in amplitudes:
@@ -72,7 +76,11 @@ def cmd_search(args) -> int:
     config = _load(args)
     arr = fileio.parse_array_file(Path(args.array).read_text(), config)
     queries = fileio.parse_query_file(Path(args.queries).read_text())
-    t_sense = None if args.sense_time == "auto" else float(args.sense_time)
+    try:
+        t_sense = None if args.sense_time == "auto" else float(args.sense_time)
+    except ValueError:
+        raise InvalidParameterError(
+            f"sense time must be a number or 'auto', got {args.sense_time!r}") from None
     summary = []
     for index, query in enumerate(queries):
         result = array_mod.search(arr, query, t_sense)

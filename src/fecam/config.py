@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import configparser
 import functools
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .array import MatchLineParams
 from .cell import CellConfig
 from .costmodel import CostParams
 from .device import DeviceParams
-from .errors import ParseError
+from .errors import InvalidParameterError, ParseError
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,11 @@ class GlobalConfig:
     matchline: MatchLineParams = field(default_factory=MatchLineParams)
     cost: CostParams = field(default_factory=CostParams)
     rng_seed: int = 0
+
+    def __post_init__(self):
+        if not (isinstance(self.rng_seed, numbers.Integral) and self.rng_seed >= 0):
+            raise InvalidParameterError(
+                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 def default_config() -> GlobalConfig:
@@ -39,7 +45,9 @@ def _sections(config: GlobalConfig):
             if is_dataclass(getattr(config, f.name))] + [("general", config)]
 
 
-def _parse_floats(raw: str) -> tuple:
+def parse_floats(raw: str) -> tuple:
+    """Numbers separated by commas and/or whitespace; a bad one raises
+    ValueError, which each caller reports as its own error."""
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
@@ -55,7 +63,7 @@ def _keys(cls) -> dict:
             for kind, item in value.items():
                 keys[f"{f.name}_{kind.value}"] = (f.name, kind, type(item))
         elif isinstance(value, tuple):
-            keys[f.name] = (f.name, None, _parse_floats)
+            keys[f.name] = (f.name, None, parse_floats)
         elif not is_dataclass(value):
             keys[f.name] = (f.name, None, float if value is None else type(value))
     return keys

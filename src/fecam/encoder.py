@@ -1,10 +1,9 @@
 """Compiles integer ranges into CAM tables.
 
-Two covers are produced for a range [lo, hi]: a minimal prefix cover for
-ternary (0/1/X) entries, and a greedy base-2^b digit-range cover for
-multi-bit analog entries where each cell stores an interval of quantized
-levels.  Both are exact: an address matches the cover iff it lies in the
-range.  Every cover entry is one address interval, so table lookup is one
+One greedy cover serves both modes: at b bits per cell it gives digit-range
+entries (each cell an interval of quantized levels); at one bit per cell,
+where a digit interval is 0, 1 or X, it is the minimal ternary prefix cover.
+Both are exact.  Every entry is one address interval, so table lookup is one
 `searchsorted` into an interval index (segment starts, each labelled with
 its first rule), keyed on Python ints from 63 bits up: any width works.
 """
@@ -33,7 +32,7 @@ class TernaryEntry:
     bits: str
 
     def __post_init__(self):
-        if not self.bits or any(ch not in "01X" for ch in self.bits):
+        if not (isinstance(self.bits, str) and self.bits and not self.bits.strip("01X")):
             raise InvalidParameterError(f"bad ternary bits: {self.bits!r}")
 
     @property
@@ -70,6 +69,7 @@ class AnalogEntry:
     def __post_init__(self):
         digits = tuple((int(a), int(b)) for a, b in self.digits)
         object.__setattr__(self, "digits", digits)
+        _cells_per_entry(0, self.bits_per_cell)  # any digit count fits the width
         top = (1 << self.bits_per_cell) - 1
         for d_lo, d_hi in digits:
             if not 0 <= d_lo <= d_hi <= top:
@@ -121,67 +121,64 @@ class RangeRule:
                 f"range [{self.lo}, {self.hi}] invalid for width {self.width}")
 
 
-def range_to_prefixes(lo: int, hi: int, width: int):
-    """Minimal prefix cover of [lo, hi]: disjoint, ascending, exact.
+def _cells_per_entry(width: int, bits_per_cell: int) -> int:
+    """Digits of an entry: the one geometry check (width 0: no rules)."""
+    if not (type(bits_per_cell) is int and bits_per_cell > 0):
+        raise InvalidParameterError(
+            f"bits per cell must be a positive int, got {bits_per_cell!r}")
+    if not (type(width) is int and width >= 0 and width % bits_per_cell == 0):
+        raise InvalidParameterError(
+            f"width {width!r} not divisible by {bits_per_cell} bits per cell")
+    return width // bits_per_cell
 
-    Greedy: at each cursor emit the largest power-of-two aligned block that
-    starts there and fits in the remaining range.
-    """
+
+def _blocks(lo: int, hi: int, width: int, bits_per_cell: int) -> list:
+    """The greedy cover of [lo, hi] as (start, k, span): span aligned blocks
+    of 2^(b k) addresses from start, differing only in digit k (b bits).  k is
+    as large as start's alignment, the room left and the digit count allow,
+    then span as large as digit k and the room allow."""
     rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
-    entries = []
-    cursor, hi = rule.lo, rule.hi
-    while cursor <= hi:
-        size = cursor & -cursor if cursor else 1 << width
-        while cursor + size - 1 > hi:
-            size >>= 1
-        wild = size.bit_length() - 1
-        if wild == width:
-            bits = "X" * width
-        else:
-            bits = format(cursor >> wild, f"0{width - wild}b") + "X" * wild
-        entries.append(TernaryEntry(bits))
-        cursor += size
-    return entries
+    top_k = _cells_per_entry(width, bits_per_cell) - 1
+    base = 1 << bits_per_cell
+    blocks, start = [], rule.lo
+    while start <= rule.hi:
+        room = rule.hi - start + 1
+        aligned = (start & -start).bit_length() - 1 if start else width
+        k = min(aligned // bits_per_cell,
+                (room.bit_length() - 1) // bits_per_cell, top_k)
+        shift = k * bits_per_cell
+        span = min(base - (start >> shift & base - 1), room >> shift)
+        blocks.append((start, k, span))
+        start += span << shift
+    return blocks
+
+
+def range_to_prefixes(lo: int, hi: int, width: int):
+    """Minimal prefix cover of [lo, hi]: disjoint, ascending, exact; the block
+    cover at one bit per cell.  A run of blocks is the bits of its start above
+    w = k + span - 1 (kept with their zeros under a leading 1), then w X's.
+    """
+    return [TernaryEntry(bin(start >> w | 1 << width - w)[3:] + "X" * w)
+            for start, k, span in _blocks(lo, hi, width, 1)
+            for w in (k + span - 1,)]
 
 
 def range_to_analog_entries(lo: int, hi: int, width: int,
                             bits_per_cell: int = 3):
     """Greedy digit-range cover of [lo, hi] in base 2^bits_per_cell.
 
-    Each entry fixes the high digits, bounds one digit by an interval, and
-    wildcards the lower digits; entries are disjoint, ascending, and their
-    union is exactly the range.
+    The greedy block cover: each entry fixes the high digits, bounds digit k
+    by an interval, and wildcards the lower digits; entries are disjoint,
+    ascending, and their union is exactly the range.
     """
-    if bits_per_cell < 1:
-        raise InvalidParameterError("bits_per_cell must be >= 1")
-    if width % bits_per_cell != 0:
-        raise InvalidParameterError(
-            f"width {width} not divisible by {bits_per_cell} bits per cell")
-    rule = RangeRule(lo, hi, width, "")
-    base = 1 << bits_per_cell
-    n_digits = width // bits_per_cell
+    blocks = _blocks(lo, hi, width, bits_per_cell)
+    b, top = bits_per_cell, (1 << bits_per_cell) - 1
+    exact, wild = [(d, d) for d in range(top + 1)], ((0, top),) * (width // b)
     entries = []
-    cursor, hi = rule.lo, rule.hi
-    while cursor <= hi:
-        k = 0
-        while (k + 1 < n_digits and cursor % base ** (k + 1) == 0
-               and cursor + base ** (k + 1) - 1 <= hi):
-            k += 1
-        d_lo = (cursor // base ** k) % base
-        span = 1
-        while d_lo + span <= base - 1 and cursor + (span + 1) * base ** k - 1 <= hi:
-            span += 1
-        digits = []
-        for pos in range(n_digits - 1, -1, -1):
-            if pos > k:
-                d = (cursor // base ** pos) % base
-                digits.append((d, d))
-            elif pos == k:
-                digits.append((d_lo, d_lo + span - 1))
-            else:
-                digits.append((0, base - 1))
-        entries.append(AnalogEntry(tuple(digits), bits_per_cell))
-        cursor += span * base ** k
+    for start, k, span in blocks:
+        fixed = [exact[start >> s & top] for s in range(width - b, k * b, -b)]
+        d = start >> k * b & top
+        entries.append(AnalogEntry((*fixed, (d, d + span - 1), *wild[:k]), b))
     return entries
 
 
@@ -254,16 +251,17 @@ def entry_to_cells(entry: AnalogEntry, cfg: CellConfig):
 def address_query_voltages(addr: int, width: int, bits_per_cell: int,
                            cfg: CellConfig):
     """Digit-center search voltages encoding an address, MSB first."""
-    if width % bits_per_cell != 0:
-        raise InvalidParameterError(
-            f"width {width} not divisible by {bits_per_cell} bits per cell")
+    n_digits = _cells_per_entry(width, bits_per_cell)
+    try:
+        addr = operator.index(addr)
+    except TypeError:
+        raise InvalidParameterError(f"address must be an integer, got {addr!r}") from None
     if not 0 <= addr < (1 << width):
         raise OutOfRangeError(f"address {addr} outside width {width}")
     base = 1 << bits_per_cell
     if cfg.level_count != base:
         raise InvalidParameterError(
             f"config has {cfg.level_count} levels, need {base}")
-    n_digits = width // bits_per_cell
     b = cfg.level_bounds
     voltages = []
     for pos in range(n_digits - 1, -1, -1):
@@ -328,12 +326,12 @@ def compile_table(rules, mode: TableMode, bits_per_cell: int = 3) -> RoutingTabl
         raise InvalidParameterError("rules mix different widths")
     if mode is TableMode.TERNARY:
         cover, bits_per_cell = range_to_prefixes, 1
-    elif mode is TableMode.ANALOG3B and bits_per_cell >= 1:
+    elif mode is TableMode.ANALOG3B:
         cover = functools.partial(range_to_analog_entries,
                                   bits_per_cell=bits_per_cell)
     else:
-        raise InvalidParameterError(
-            f"no {mode} table with {bits_per_cell} bits per cell")
+        raise InvalidParameterError(f"unknown table mode {mode!r}")
+    _cells_per_entry(width, bits_per_cell)  # checked also without rules
     entries = []
     for index, rule in enumerate(rules):
         entries.extend(TableEntry(e, rule.action, index)

@@ -17,7 +17,7 @@ import numpy as np
 from . import cell as cell_mod
 from .array import FecamArray, SearchResult, _check_size
 from .cell import TernaryBit, program_analog, program_digital
-from .config import GlobalConfig
+from .config import GlobalConfig, parse_floats
 from .costmodel import NUMBER_SPEC, _fmt
 from .encoder import RangeRule
 from .errors import FecamError, InconsistentInputError, ParseError
@@ -110,7 +110,7 @@ def parse_query_file(text: str):
     queries = []
     for number, line in _content_lines(text):
         try:
-            queries.append([float(tok) for tok in line.replace(",", " ").split()])
+            queries.append(list(parse_floats(line)))
         except ValueError as exc:
             raise ParseError(f"bad query line: {exc}", line=number)
     return queries

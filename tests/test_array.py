@@ -186,6 +186,14 @@ class TestMeasureBounds:
         assert lo == pytest.approx(0.4, abs=0.02)
         assert hi == pytest.approx(0.6, abs=0.02)
 
+    @pytest.mark.parametrize("row", [1.5, 0.0, "0", None])
+    def test_row_must_be_an_integer(self, demo_cell, mlp, cfg, params, row):
+        # 1.5 used to raise a bare IndexError
+        arr = filled(2, 1, demo_cell, mlp, cfg, params)
+        with pytest.raises(InvalidParameterError, match="row must be an integer"):
+            measure_bounds(arr, row)
+        assert measure_bounds(arr, np.int64(1)) == measure_bounds(arr, 1)
+
     def test_row_count_invariance(self, demo_cell, mlp, cfg, params):
         bounds = []
         for rows in (1, 16, 64):
@@ -305,6 +313,15 @@ class TestWrite:
         with pytest.raises(DimensionMismatchError):
             write_row(arr, plan)
 
+    @pytest.mark.parametrize("row", [1.5, 1.0, None])
+    def test_target_row_must_be_an_integer(self, demo_cell, mlp, cfg, params, row):
+        # write_cells(arr, 1.5, ...) used to raise a bare IndexError
+        arr = filled(2, 1, demo_cell, mlp, cfg, params)
+        with pytest.raises(InvalidParameterError, match="target row must be an integer"):
+            write_cells(arr, row, [demo_cell])
+        # the pulse solve meets each threshold within 1 mV
+        assert np.allclose(write_cells(arr, np.int64(1), [demo_cell])[0].vth, arr.vth, atol=1e-3)
+
     def test_programming_range_comes_from_device_params(self, mlp, cfg):
         # a fixed 4 V cap once refused this pulse whatever the device allowed
         params = DeviceParams(v_prog_max=4.5)
@@ -362,6 +379,19 @@ class TestConstruction:
             FecamArray(cells=[], ml_params=mlp, cfg=cfg, params=params)
         with pytest.raises(InvalidParameterError, match="at least 1 row"):
             FecamArray(cells=[[]], ml_params=mlp, cfg=cfg, params=params)
+
+    @pytest.mark.parametrize("upper, lower", [(np.nan, 5.0), (np.nan, 0.5), (0.5, 5.0),
+                                              (0.05, 0.5), (0.5, -np.inf)])
+    def test_thresholds_outside_the_device_range_rejected(self, mlp, cfg, params,
+                                                          upper, lower):
+        # NaN and 5 V used to build an array whose searches misreport
+        from fecam import FecamCell
+        from fecam.device import FeFetState
+        cell = FecamCell(FeFetState(upper, 0.0), FeFetState(lower, 0.0))
+        with pytest.raises(OutOfRangeError, match="thresholds must lie in"):
+            FecamArray(cells=[[cell]], ml_params=mlp, cfg=cfg, params=params)
+        ends = FecamCell(FeFetState(params.vth_low, 1.0), FeFetState(params.vth_high, 0.0))
+        assert FecamArray(cells=[[ends]], ml_params=mlp, cfg=cfg, params=params).rows == 1
 
     def test_supply_mismatch_rejected(self, demo_cell, mlp, params):
         from fecam import CellConfig

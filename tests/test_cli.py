@@ -68,6 +68,20 @@ class TestTransfer:
         assert err.startswith("error: parse-error:")
         assert "coercive_sigma must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--vgs-range", "0", "nan", "0.1"],    # numpy: arange cannot compute length
+        ["--vgs-range", "0", "inf", "0.1"],    # numpy: maximum allowed size exceeded
+        ["--vgs-range", "0", "1e300", "1e-300"],
+        ["--vgs-range", "0", "1", "inf"],
+        ["--vgs-range", "0", "1", "nan"],
+        ["--vds", "nan"],                      # exited 0 with NaN currents
+        ["--vds", "inf"]])
+    def test_non_finite_numbers_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "transfer", "--amplitudes", "3", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter:")
+        assert len(err.splitlines()) == 1
+
     def test_out_of_memory_exits_two(self, capsys):
         # 10^18 grid points: numpy refuses the 6.9 EiB request at once
         code, out, err = run(capsys, "transfer", "--amplitudes", "3",
@@ -105,6 +119,16 @@ class TestSearch:
                            "--queries", str(bad))
         assert code == 2
         assert err.startswith("error: out-of-range:")
+
+    @pytest.mark.parametrize("sense_time", ["abc", "", "nan", "0", "inf"])
+    def test_bad_sense_time_rejected(self, capsys, demo_files, sense_time):
+        # abc used to end in a bare ValueError from float()
+        _, array, queries, _ = demo_files
+        code, out, err = run(capsys, "search", "--array", str(array),
+                             "--queries", str(queries), "--sense-time", sense_time)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter:")
+        assert len(err.splitlines()) == 1
 
     def test_dimension_mismatch_names_both_lengths(self, capsys, demo_files):
         tmp_path, array, _, _ = demo_files
@@ -421,6 +445,16 @@ class TestBenchAndConfig:
         assert (code, out) == (2, "")
         assert err.startswith("error: parse-error:")
         assert "inverter_gain must be positive" in err
+
+    def test_negative_seed_rejected(self, capsys, tmp_path, demo_files):
+        # -1 used to load and end route --verify in a numpy traceback
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[general]\nrng_seed = -1\n")
+        code, out, err = run(capsys, "--config", str(ini), "route",
+                             "--rules", str(demo_files[3]), "--verify")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse-error:")
+        assert "rng_seed" in err
 
     def test_broken_config_reports_category(self, capsys, tmp_path):
         ini = tmp_path / "fecam.ini"

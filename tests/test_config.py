@@ -2,6 +2,7 @@ import configparser
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -89,6 +90,17 @@ class TestLoadConfig:
         path.write_text("[device]\nvth_low = 2.0\n")
         with pytest.raises(ParseError):
             load_config(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        # -1 used to load, and route --verify then failed inside numpy
+        path = tmp_path / "fecam.ini"
+        path.write_text("[general]\nrng_seed = -1\n")
+        with pytest.raises(ParseError, match="rng_seed must be a non-negative integer"):
+            load_config(path)
+        with pytest.raises(InvalidParameterError, match="rng_seed"):
+            replace(default_config(), rng_seed=-5)
+        assert replace(default_config(), rng_seed=2**64).rng_seed == 2**64
+        assert replace(default_config(), rng_seed=np.int64(3)).rng_seed == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

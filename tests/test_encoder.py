@@ -30,6 +30,66 @@ def minimal_prefix_cover_count(lo, hi):
     return best[lo]
 
 
+# The two greedy loops that the one block cover replaced, kept as the
+# entry-for-entry reference.
+def reference_prefix_bits(lo, hi, width):
+    """Prefix greedy: at each cursor the largest power-of-two aligned block
+    that starts there and fits in the remaining range."""
+    bits, cursor = [], lo
+    while cursor <= hi:
+        size = cursor & -cursor if cursor else 1 << width
+        while cursor + size - 1 > hi:
+            size >>= 1
+        wild = size.bit_length() - 1
+        if wild == width:
+            bits.append("X" * width)
+        else:
+            bits.append(format(cursor >> wild, f"0{width - wild}b") + "X" * wild)
+        cursor += size
+    return bits
+
+
+def reference_digit_ranges(lo, hi, width, bits_per_cell):
+    """Digit greedy in base 2^bits_per_cell: grow the wildcarded low digits,
+    then the interval of the next digit, while the block still fits."""
+    base = 1 << bits_per_cell
+    n_digits = width // bits_per_cell
+    entries, cursor = [], lo
+    while cursor <= hi:
+        k = 0
+        while (k + 1 < n_digits and cursor % base ** (k + 1) == 0
+               and cursor + base ** (k + 1) - 1 <= hi):
+            k += 1
+        d_lo = (cursor // base ** k) % base
+        span = 1
+        while d_lo + span <= base - 1 and cursor + (span + 1) * base ** k - 1 <= hi:
+            span += 1
+        digits = []
+        for pos in range(n_digits - 1, -1, -1):
+            if pos > k:
+                d = (cursor // base ** pos) % base
+                digits.append((d, d))
+            elif pos == k:
+                digits.append((d_lo, d_lo + span - 1))
+            else:
+                digits.append((0, base - 1))
+        entries.append(tuple(digits))
+        cursor += span * base ** k
+    return entries
+
+
+@st.composite
+def cover_cases(draw):
+    """A width of 1-130 bits, a bits per cell of 1-4 that divides it, and a
+    range whose ends are drawn from 0, the top address and random points."""
+    width = draw(st.integers(1, 130))
+    bits_per_cell = draw(st.sampled_from([b for b in (1, 2, 3, 4) if width % b == 0]))
+    end = st.one_of(st.just(0), st.just((1 << width) - 1),
+                    st.integers(0, (1 << width) - 1))
+    lo, hi = sorted((draw(end), draw(end)))
+    return lo, hi, width, bits_per_cell
+
+
 def random_ranges(rng, width, count):
     pairs = rng.integers(0, 1 << width, size=(count, 2))
     return [tuple(sorted(map(int, pair))) for pair in pairs]
@@ -123,6 +183,27 @@ class TestRangeToAnalogEntries:
             assert len(analog) <= len(ternary)
 
 
+class TestOneBlockCover:
+    @settings(max_examples=300)
+    @given(cover_cases())
+    def test_both_covers_equal_the_greedy_references(self, case):
+        lo, hi, width, bits_per_cell = case
+        assert [e.bits for e in range_to_prefixes(lo, hi, width)] == \
+            reference_prefix_bits(lo, hi, width)
+        assert [e.digits for e in range_to_analog_entries(lo, hi, width, bits_per_cell)] \
+            == reference_digit_ranges(lo, hi, width, bits_per_cell)
+
+    def test_one_bit_digit_cover_is_the_prefix_cover(self):
+        # at one bit per cell a digit interval (0,0), (1,1) or (0,1) is 0, 1 or X
+        symbol = {(0, 0): "0", (1, 1): "1", (0, 1): "X"}
+        rng = np.random.default_rng(17)
+        for width in (1, 5, 11):
+            for lo, hi in random_ranges(rng, width, 30):
+                digits = range_to_analog_entries(lo, hi, width, 1)
+                assert ["".join(symbol[d] for d in e.digits) for e in digits] == \
+                    [e.bits for e in range_to_prefixes(lo, hi, width)]
+
+
 class TestEntriesMatch:
     def test_full_space_matches_anything(self):
         entry = TernaryEntry("X" * 8)
@@ -167,6 +248,48 @@ class TestEntryToCells:
     def test_digit_validation(self):
         with pytest.raises(InvalidParameterError):
             AnalogEntry(((0, 8),), 3)
+
+    @pytest.mark.parametrize("bits_per_cell", [-1, 0, 1.0, None])
+    def test_bits_per_cell_must_be_a_positive_int(self, bits_per_cell):
+        # -1 used to raise "negative shift count", and 0 was accepted
+        with pytest.raises(InvalidParameterError, match="bits per cell"):
+            AnalogEntry(((0, 0),), bits_per_cell)
+
+    @pytest.mark.parametrize("bits", [123, None, b"01", "", "01x", "0 1"])
+    def test_ternary_bits_must_be_a_01x_string(self, bits):
+        # an int used to raise a bare TypeError
+        with pytest.raises(InvalidParameterError, match="bad ternary bits"):
+            TernaryEntry(bits)
+
+
+class TestAddressQueryVoltages:
+    def test_digit_centres(self, cfg):
+        b = cfg.level_bounds
+        assert address_query_voltages(0o57, 6, 3, cfg) == [
+            0.5 * (b[5] + b[6]), 0.5 * (b[7] + b[8])]
+
+    @pytest.mark.parametrize("bits_per_cell", [0, -3, 1.5])
+    def test_bits_per_cell_checked_first(self, cfg, bits_per_cell):
+        # 0 used to raise ZeroDivisionError
+        with pytest.raises(InvalidParameterError, match="bits per cell"):
+            address_query_voltages(5, 6, bits_per_cell, cfg)
+
+    @pytest.mark.parametrize("addr", [5.5, 5.0, "5", None])
+    def test_address_must_be_an_integer(self, cfg, addr):
+        # 5.5 used to raise a bare TypeError
+        with pytest.raises(InvalidParameterError, match="integer"):
+            address_query_voltages(addr, 6, 3, cfg)
+        assert address_query_voltages(np.int64(5), 6, 3, cfg) == \
+            address_query_voltages(5, 6, 3, cfg)
+
+    @pytest.mark.parametrize("addr", [-1, 64])
+    def test_address_within_width(self, cfg, addr):
+        with pytest.raises(OutOfRangeError):
+            address_query_voltages(addr, 6, 3, cfg)
+
+    def test_width_must_divide(self, cfg):
+        with pytest.raises(InvalidParameterError, match="not divisible"):
+            address_query_voltages(5, 8, 3, cfg)
 
 
 class TestEndToEnd:

@@ -7,6 +7,7 @@ from fecam import (InconsistentInputError, ParseError, SearchResult, TernaryBit,
                    match_window, program_digital, search)
 from fecam.cell import program_analog, program_level_window
 from fecam.costmodel import _fmt
+from fecam.config import parse_floats
 from fecam.fileio import (bounds_sweep_csv, parse_array_file, parse_query_file,
                           parse_rules_file, trace_csv, transfer_csv)
 
@@ -138,6 +139,14 @@ class TestQueryAndRuleFiles:
     def test_query_lines(self):
         queries = parse_query_file("0.3\n0.1, 0.2, 0.3\n# skip\n")
         assert queries == [[0.3], [0.1, 0.2, 0.3]]
+
+    def test_query_line_is_a_number_list(self):
+        # one parser reads query lines, config lists and CLI lists
+        line = "0.1, 0.2\t0.3,0.4"
+        assert parse_query_file(line) == [list(parse_floats(line))]
+        assert parse_floats(line) == (0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(ValueError):
+            parse_floats("0.1 fast")
 
     def test_query_bad_token(self):
         with pytest.raises(ParseError, match="line 2"):
