@@ -32,7 +32,7 @@ from . import device
 from .cell import CellConfig, FecamCell, inverter
 from .device import DeviceParams, FeFetState, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
-                     InvalidParameterError, OutOfRangeError, require_finite)
+                     InvalidParameterError, OutOfRangeError, is_int, require_finite)
 
 TRACE_POINTS = 1001       # samples of a recorded match-line transient
 BLOCK_CELLS = 1 << 14     # FeFET currents per block of a batch search (128 KB)
@@ -97,9 +97,6 @@ class SearchResult:
     times: np.ndarray         # (n_points,) s
     ml_voltages: np.ndarray   # (n_points, rows) V
 
-    def row_trace(self, row: int):
-        return list(zip(self.times.tolist(), self.ml_voltages[:, row].tolist()))
-
 
 @dataclass(frozen=True)
 class DisturbReport:
@@ -138,7 +135,7 @@ class WritePlan:
         object.__setattr__(self, "sl_pulses", tuple(self.sl_pulses))
         object.__setattr__(self, "isl_pulses", tuple(self.isl_pulses))
         object.__setattr__(self, "source_bias", tuple(float(b) for b in self.source_bias))
-        if not isinstance(self.target_row, (int, np.integer)):
+        if not is_int(self.target_row):
             raise InvalidParameterError(f"target row must be an integer, got {self.target_row!r}")
         if len(self.sl_pulses) != len(self.isl_pulses):
             raise DimensionMismatchError(
@@ -167,8 +164,8 @@ class FecamArray:
     """R x C cells as one state, `vth`, plus the electrical context shared by
     every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
     thresholds, then its lower ones, the current kernel's layout, kept with
-    their `_threshold_factors`.  `FecamArray(cells=...)` gathers a grid of
-    FecamCell into it and `.cells` is a view of it; writes return a new array."""
+    their `_threshold_factors`.  `FecamArray(cells=...)` gathers a FecamCell
+    grid's thresholds into it, `.cells` views them back; writes return a new array."""
 
     vth: np.ndarray           # (rows, 2 cols) V, read-only
     ml_params: MatchLineParams
@@ -217,11 +214,10 @@ class FecamArray:
 
     @cached_property
     def cells(self) -> tuple:
-        """rows x cols of FecamCell, each FeFET FeFetState(v, its polarization);
+        """rows x cols of FecamCell, each FeFET FeFetState(v) of its threshold;
         built once per distinct threshold pair, so equal cells are one object."""
         rows = [list(zip(row[:self.cols], row[self.cols:])) for row in self.vth.tolist()]
-        made = {pair: FecamCell(*(FeFetState(v, device.polarization_for_vth(self.params, v))
-                                  for v in pair)) for pair in set().union(*rows)}
+        made = {pair: FecamCell(*map(FeFetState, pair)) for pair in set().union(*rows)}
         return tuple(tuple(map(made.__getitem__, row)) for row in rows)
 
     @classmethod
@@ -356,7 +352,7 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     Sweeps v_sl applied to every column and returns the edges of the maximal
     contiguous matching run, or None when nothing matches.
     """
-    if not isinstance(row, (int, np.integer)):
+    if not is_int(row):
         raise InvalidParameterError(f"row must be an integer, got {row!r}")
     if not 0 <= row < arr.rows:
         raise OutOfRangeError(f"row {row} outside [0, {arr.rows - 1}]")

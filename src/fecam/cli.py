@@ -5,8 +5,8 @@ search from description files), sweep (array-size and search-voltage
 sweeps), route (range-rule compilation and comparison), bench (calibrated
 cost figures).  Physical constants come from one config file; the path is
 taken from --config, else the FECAM_CONFIG environment variable, else the
-built-in defaults.  Exit status is 0 on success and 2 on failure with a
-single machine-parsable error line on stderr.
+built-in defaults.  Exit status is 0 on success and 2 on failure, a bad
+command line included, with a single machine-parsable error line on stderr.
 """
 
 from __future__ import annotations
@@ -23,11 +23,14 @@ from . import costmodel, encoder, fileio
 from .cell import program_analog
 from .config import GlobalConfig, default_config, load_config, parse_floats
 from .costmodel import CamKind, _fmt
-from .device import WritePulse, vth_from_pulse, saturated_current, vds_factor
+from .device import WritePulse, drain_current, vth_from_pulse
 from .errors import FecamError, InvalidParameterError
 
 CONFIG_ENV_VAR = "FECAM_CONFIG"
 VERIFY_CHUNK = 1 << 16  # route --verify samples drawn and checked at once
+NEGATIVE_VALUES = ("A negative number in exponent form, or -inf, reads as an "
+                   "option: join it to its option, as in --sense-time=-1e-9, "
+                   "or write it as a plain decimal.")
 
 
 def _write_out(path, text: str) -> None:
@@ -66,7 +69,7 @@ def cmd_transfer(args) -> int:
     rows = []
     for amplitude in amplitudes:
         vth = vth_from_pulse(params, WritePulse(amplitude))
-        currents = saturated_current(params, v_gs, vth) * vds_factor(params, args.vds)
+        currents = drain_current(params, v_gs, args.vds, vth)
         rows.extend((amplitude, v, i) for v, i in zip(v_gs, currents))
     _write_out(args.out, fileio.transfer_csv(rows))
     return 0
@@ -223,16 +226,25 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in the one-line form of every failure."""
+
+    def error(self, message):
+        self.exit(2, f"error: {InvalidParameterError.category}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fecam",
         description="Behavioral simulator and range encoder for 2-FeFET "
-                    "universal content-addressable memory arrays.")
+                    "universal content-addressable memory arrays.",
+        epilog=NEGATIVE_VALUES)
     parser.add_argument("--config", help="config file path (overrides "
                         f"${CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transfer", help="programmed transfer-curve families")
+    p = sub.add_parser("transfer", help="programmed transfer-curve families",
+                       epilog=NEGATIVE_VALUES)
     p.add_argument("--amplitudes", required=True,
                    help="comma/space separated write amplitudes in volts "
                         "(empty string for a header-only CSV)")
@@ -242,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("search", help="search an array against query vectors")
+    p = sub.add_parser("search", help="search an array against query vectors",
+                       epilog=NEGATIVE_VALUES)
     p.add_argument("--array", required=True, help="array description file")
     p.add_argument("--queries", required=True, help="query file, one per line")
     p.add_argument("--sense-time", default="auto",
@@ -250,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trace CSV path (multi-query runs get _qN)")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("sweep", help="bounds and timing vs array size or v_sl")
+    p = sub.add_parser("sweep", help="bounds and timing vs array size or v_sl",
+                       epilog=NEGATIVE_VALUES)
     p.add_argument("--axis", required=True, choices=["rows", "cols", "v_sl"])
     p.add_argument("--values", default="",
                    help="axis values (v_sl default: full range at 1 mV)")

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import configparser
 import functools
-import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .array import MatchLineParams
 from .cell import CellConfig
 from .costmodel import CostParams
 from .device import DeviceParams
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, is_int
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class GlobalConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.rng_seed, numbers.Integral) and self.rng_seed >= 0):
+        if not (is_int(self.rng_seed) and self.rng_seed >= 0):
             raise InvalidParameterError(
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 

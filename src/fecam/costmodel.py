@@ -10,13 +10,12 @@ transient model's capacitances for comparison, without gating anything.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field, fields
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
 
 from .array import MatchLineParams, ml_capacitance
 from .encoder import RoutingTable, TableMode
-from .errors import InconsistentInputError, InvalidParameterError, require_finite
+from .errors import (InconsistentInputError, InvalidParameterError, is_int,
+                     require_finite)
 
 
 WORD_BITS = 64  # word size of the word-level figures
@@ -148,14 +147,6 @@ class ComparisonReport:
             "the reference headline differs by reference_area_gap_percent")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def csv_header() -> str:
-        # the CSV holds the first nine fields: no reference calibration
-        return ",".join(f.name for f in fields(ComparisonReport)[:9])
-
-    def csv_row(self) -> str:
-        return ",".join(_fmt(v) for v in list(self.as_dict().values())[:9])
-
 
 NUMBER_SPEC = ".10g"  # every real number the package writes: 10 significant digits
 
@@ -169,7 +160,7 @@ def _fmt(value) -> str:
     """
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int, np.integer)):
+    if is_int(value):
         return str(int(value))
     return format(float(value), NUMBER_SPEC)
 

@@ -18,29 +18,26 @@ import numpy as np
 from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError,
                      require_finite)
 
-DEFAULT_PULSE_WIDTH = 100e-9  # s, accepted but not modeled (amplitude-only map)
-VTH_SOLVE_TOLERANCE = 1e-3    # V, contract of pulse_for_vth
+VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 
 
 @dataclass(frozen=True)
 class WritePulse:
-    """Gate write pulse.
+    """Gate write pulse, set by its amplitude alone.
 
     Positive amplitudes (within the programming range) switch domains toward
     the low-vth state; the erase amplitude restores the fully unswitched
     high-vth state.
     """
 
-    amplitude: float            # V
-    width: float = DEFAULT_PULSE_WIDTH  # s, must be > 0
+    amplitude: float  # V
 
 
 @dataclass(frozen=True)
 class FeFetState:
-    """Nonvolatile state of one FeFET."""
+    """Nonvolatile state of one FeFET: its threshold."""
 
-    vth: float                    # V
-    polarization_fraction: float  # 0 = erased, 1 = fully switched
+    vth: float  # V
 
 
 @dataclass(frozen=True)
@@ -89,8 +86,6 @@ class DeviceParams:
 
 
 def _check_pulse(params: DeviceParams, pulse: WritePulse) -> None:
-    if pulse.width <= 0:
-        raise InvalidPulseError(f"pulse width must be positive, got {pulse.width}")
     a = pulse.amplitude
     if abs(a - params.v_erase) <= 1e-9:
         return
@@ -115,30 +110,21 @@ def polarization_after_pulse(params: DeviceParams, pulse: WritePulse) -> float:
     return NormalDist().cdf(z)
 
 
-def vth_from_polarization(params: DeviceParams, fraction: float) -> float:
-    return params.vth_high - fraction * params.vth_span
-
-
-def polarization_for_vth(params: DeviceParams, vth: float) -> float:
-    return (params.vth_high - vth) / params.vth_span
-
-
 def state_for_vth(params: DeviceParams, vth: float) -> FeFetState:
     """State holding the given threshold, without going through a pulse."""
     if not params.vth_low <= vth <= params.vth_high:
         raise OutOfRangeError(
             f"vth {vth} V outside programmable range "
             f"[{params.vth_low}, {params.vth_high}] V")
-    return FeFetState(vth=vth, polarization_fraction=polarization_for_vth(params, vth))
+    return FeFetState(vth)
 
 
 def vth_from_pulse(params: DeviceParams, pulse: WritePulse) -> float:
     """Threshold voltage after the pulse; monotone nonincreasing in amplitude."""
-    return vth_from_polarization(params, polarization_after_pulse(params, pulse))
+    return params.vth_high - polarization_after_pulse(params, pulse) * params.vth_span
 
 
-def pulse_for_vth(params: DeviceParams, target_vth: float,
-                  width: float = DEFAULT_PULSE_WIDTH) -> WritePulse:
+def pulse_for_vth(params: DeviceParams, target_vth: float) -> WritePulse:
     """Pulse that programs the device to target_vth within 1 mV.
 
     The amplitude is the inverse normal CDF of the target's switched fraction,
@@ -151,11 +137,11 @@ def pulse_for_vth(params: DeviceParams, target_vth: float,
         raise OutOfRangeError(
             f"target vth {target_vth} V outside [{params.vth_low}, {params.vth_high}] V")
     if abs(target_vth - params.vth_high) <= VTH_SOLVE_TOLERANCE:
-        return WritePulse(params.v_erase, width)
-    fraction = polarization_for_vth(params, target_vth)  # in (0, 1] here
+        return WritePulse(params.v_erase)
+    fraction = (params.vth_high - target_vth) / params.vth_span  # in (0, 1] here
     amplitude = (params.v_prog_max if fraction >= 1.0 else params.coercive_mu
                  + params.coercive_sigma * NormalDist().inv_cdf(fraction))
-    pulse = WritePulse(min(max(amplitude, params.v_prog_min), params.v_prog_max), width)
+    pulse = WritePulse(min(max(amplitude, params.v_prog_min), params.v_prog_max))
     if abs(vth_from_pulse(params, pulse) - target_vth) > VTH_SOLVE_TOLERANCE:
         raise OutOfRangeError(
             f"target vth {target_vth} V not reachable within 1 mV by amplitudes "

@@ -13,13 +13,12 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cell import CellConfig
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError, OutOfRangeError, is_int
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,6 @@ class TernaryEntry:
     def is_prefix_form(self) -> bool:
         return "X" not in self.bits.rstrip("X")
 
-    def value_and_mask(self):
-        """Integer compare form: addr matches iff (addr & mask) == value."""
-        mask = self.bits.replace("0", "1").replace("X", "0")
-        return int(self.bits.replace("X", "0"), 2), int(mask, 2)
-
     @property
     def interval(self):
         """(lo, hi) of the addresses the entry matches; prefix form only."""
@@ -67,9 +61,13 @@ class AnalogEntry:
     bits_per_cell: int = 3
 
     def __post_init__(self):
-        digits = tuple((int(a), int(b)) for a, b in self.digits)
-        object.__setattr__(self, "digits", digits)
         _cells_per_entry(0, self.bits_per_cell)  # any digit count fits the width
+        digits = tuple([(int(a), int(b)) for a, b in self.digits])
+        object.__setattr__(self, "digits", digits)
+        if type(self.bits_per_cell) is not int:  # a numpy int
+            object.__setattr__(self, "bits_per_cell", int(self.bits_per_cell))
+        if not digits:
+            raise InvalidParameterError("an analog entry needs at least one digit")
         top = (1 << self.bits_per_cell) - 1
         for d_lo, d_hi in digits:
             if not 0 <= d_lo <= d_hi <= top:
@@ -99,7 +97,7 @@ class AnalogEntry:
 @dataclass(frozen=True)
 class RangeRule:
     """One routing rule: match addresses in [lo, hi] and return the action.
-    The ends are stored as Python ints."""
+    The ends and the width are stored as Python ints."""
 
     lo: int
     hi: int
@@ -107,15 +105,14 @@ class RangeRule:
     action: str
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "lo", operator.index(self.lo))
-            object.__setattr__(self, "hi", operator.index(self.hi))
-        except TypeError:
+        if not (is_int(self.lo) and is_int(self.hi)):
             raise InvalidParameterError(
-                f"range ends must be integers, got {self.lo!r}, {self.hi!r}") from None
-        if not (type(self.width) is int and self.width > 0):
+                f"range ends must be integers, got {self.lo!r}, {self.hi!r}")
+        if not (is_int(self.width) and self.width > 0):
             raise InvalidParameterError(
                 f"rule width must be a positive int, got {self.width!r}")
+        if not type(self.lo) is type(self.hi) is type(self.width) is int:  # numpy ints
+            self.__dict__.update(lo=int(self.lo), hi=int(self.hi), width=int(self.width))
         if not 0 <= self.lo <= self.hi < (1 << self.width):
             raise InvalidParameterError(
                 f"range [{self.lo}, {self.hi}] invalid for width {self.width}")
@@ -123,10 +120,10 @@ class RangeRule:
 
 def _cells_per_entry(width: int, bits_per_cell: int) -> int:
     """Digits of an entry: the one geometry check (width 0: no rules)."""
-    if not (type(bits_per_cell) is int and bits_per_cell > 0):
+    if not (is_int(bits_per_cell) and bits_per_cell > 0):
         raise InvalidParameterError(
             f"bits per cell must be a positive int, got {bits_per_cell!r}")
-    if not (type(width) is int and width >= 0 and width % bits_per_cell == 0):
+    if not (is_int(width) and width >= 0 and width % bits_per_cell == 0):
         raise InvalidParameterError(
             f"width {width!r} not divisible by {bits_per_cell} bits per cell")
     return width // bits_per_cell
@@ -139,6 +136,7 @@ def _blocks(lo: int, hi: int, width: int, bits_per_cell: int) -> list:
     then span as large as digit k and the room allow."""
     rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
     top_k = _cells_per_entry(width, bits_per_cell) - 1
+    width, bits_per_cell = rule.width, int(bits_per_cell)  # numpy ints overflow past 63 bits
     base = 1 << bits_per_cell
     blocks, start = [], rule.lo
     while start <= rule.hi:
@@ -158,7 +156,7 @@ def range_to_prefixes(lo: int, hi: int, width: int):
     cover at one bit per cell.  A run of blocks is the bits of its start above
     w = k + span - 1 (kept with their zeros under a leading 1), then w X's.
     """
-    return [TernaryEntry(bin(start >> w | 1 << width - w)[3:] + "X" * w)
+    return [TernaryEntry(bin(start >> w | 1 << int(width) - w)[3:] + "X" * w)
             for start, k, span in _blocks(lo, hi, width, 1)
             for w in (k + span - 1,)]
 
@@ -172,7 +170,8 @@ def range_to_analog_entries(lo: int, hi: int, width: int,
     ascending, and their union is exactly the range.
     """
     blocks = _blocks(lo, hi, width, bits_per_cell)
-    b, top = bits_per_cell, (1 << bits_per_cell) - 1
+    b = int(bits_per_cell)
+    top = (1 << b) - 1
     exact, wild = [(d, d) for d in range(top + 1)], ((0, top),) * (width // b)
     entries = []
     for start, k, span in blocks:
@@ -190,9 +189,9 @@ def _addresses(addrs, width: int) -> np.ndarray:
     a = np.asarray(addrs) if narrow else np.asarray(addrs, dtype=object)
     kind = a.dtype.kind
     if kind == "O":  # wide, or ints too wide for int64
-        integral = all(isinstance(x, (int, np.integer)) for x in a.flat)
+        integral = all(map(is_int, a.flat))
     else:
-        integral = kind in "biu" or not a.size
+        integral = kind in "iu" or not a.size
     if not integral:
         raise InvalidParameterError("addresses must be integers")
     if width and a.size and (a.min() < 0 or a.max() >= 1 << width):
@@ -226,9 +225,9 @@ def entries_match_many(entries, addrs, width: int) -> np.ndarray:
     a = _addresses(addrs, width)
     out = np.zeros(a.shape, dtype=bool)
     for e in entries:
-        if isinstance(e, TernaryEntry):
-            value, mask = e.value_and_mask()
-            out |= (a & mask) == value
+        if isinstance(e, TernaryEntry):  # addr & mask == value, X bits unmasked
+            mask = int(e.bits.replace("0", "1").replace("X", "0"), 2)
+            out |= (a & mask) == int(e.bits.replace("X", "0"), 2)
         else:
             hit = np.ones(a.shape, dtype=bool)
             for pos, (d_lo, d_hi) in enumerate(reversed(e.digits)):
@@ -252,10 +251,9 @@ def address_query_voltages(addr: int, width: int, bits_per_cell: int,
                            cfg: CellConfig):
     """Digit-center search voltages encoding an address, MSB first."""
     n_digits = _cells_per_entry(width, bits_per_cell)
-    try:
-        addr = operator.index(addr)
-    except TypeError:
-        raise InvalidParameterError(f"address must be an integer, got {addr!r}") from None
+    if not is_int(addr):
+        raise InvalidParameterError(f"address must be an integer, got {addr!r}")
+    addr, width, bits_per_cell = int(addr), int(width), int(bits_per_cell)
     if not 0 <= addr < (1 << width):
         raise OutOfRangeError(f"address {addr} outside width {width}")
     base = 1 << bits_per_cell

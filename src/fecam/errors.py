@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness check
-every parameter class runs first.
+"""Exception types shared across the package, the finiteness check every
+parameter class runs first, and the one test of what counts as an integer.
 
 Every error carries a stable machine-parsable ``category`` string; the CLI
 prints it as the single-line error code.
@@ -7,6 +7,8 @@ prints it as the single-line error code.
 
 import math
 from dataclasses import fields
+
+import numpy as np
 
 
 class FecamError(Exception):
@@ -64,3 +66,9 @@ def require_finite(params) -> None:
                  else value if isinstance(value, tuple) else (value,))
         if not all(x is None or math.isfinite(x) for x in items):
             raise InvalidParameterError(f"{f.name} must be finite, got {value}")
+
+
+def is_int(x) -> bool:
+    """The package's one integer rule: a Python int or a numpy integer counts,
+    a bool does not (True is not row 1 or width 1); plain ints pass first."""
+    return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))

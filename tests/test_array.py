@@ -121,12 +121,6 @@ class TestSearch:
         assert np.array_equal(a.ml_voltages, b.ml_voltages)
         assert np.array_equal(a.times, b.times)
 
-    def test_row_trace_helper(self, demo_cell, mlp, cfg, params):
-        arr = filled(1, 1, demo_cell, mlp, cfg, params)
-        trace = search(arr, [0.5]).row_trace(0)
-        assert trace[0] == (0.0, mlp.vdd)
-        assert len(trace) == 1001
-
     def test_query_validation(self, demo_cell, mlp, cfg, params):
         arr = filled(1, 2, demo_cell, mlp, cfg, params)
         with pytest.raises(DimensionMismatchError):
@@ -186,7 +180,7 @@ class TestMeasureBounds:
         assert lo == pytest.approx(0.4, abs=0.02)
         assert hi == pytest.approx(0.6, abs=0.02)
 
-    @pytest.mark.parametrize("row", [1.5, 0.0, "0", None])
+    @pytest.mark.parametrize("row", [1.5, 0.0, "0", None, True])
     def test_row_must_be_an_integer(self, demo_cell, mlp, cfg, params, row):
         # 1.5 used to raise a bare IndexError
         arr = filled(2, 1, demo_cell, mlp, cfg, params)
@@ -303,7 +297,7 @@ class TestWrite:
                       isl_pulses=(WritePulse(4.0),), source_bias=(1.0,))
         # the pulse is checked against the array's DeviceParams when applied,
         # before the disturb report (which this plan also fails)
-        plan = WritePlan(target_row=0, sl_pulses=(WritePulse(-4.5, width=1e-9),),
+        plan = WritePlan(target_row=0, sl_pulses=(WritePulse(-4.5),),
                          isl_pulses=(None,), source_bias=(0.0, -DISTURB_LIMIT))
         with pytest.raises(InvalidPulseError):
             write_row(filled(2, 1, demo_cell, mlp, cfg, params), plan)
@@ -313,7 +307,7 @@ class TestWrite:
         with pytest.raises(DimensionMismatchError):
             write_row(arr, plan)
 
-    @pytest.mark.parametrize("row", [1.5, 1.0, None])
+    @pytest.mark.parametrize("row", [1.5, 1.0, None, True])
     def test_target_row_must_be_an_integer(self, demo_cell, mlp, cfg, params, row):
         # write_cells(arr, 1.5, ...) used to raise a bare IndexError
         arr = filled(2, 1, demo_cell, mlp, cfg, params)
@@ -387,10 +381,10 @@ class TestConstruction:
         # NaN and 5 V used to build an array whose searches misreport
         from fecam import FecamCell
         from fecam.device import FeFetState
-        cell = FecamCell(FeFetState(upper, 0.0), FeFetState(lower, 0.0))
+        cell = FecamCell(FeFetState(upper), FeFetState(lower))
         with pytest.raises(OutOfRangeError, match="thresholds must lie in"):
             FecamArray(cells=[[cell]], ml_params=mlp, cfg=cfg, params=params)
-        ends = FecamCell(FeFetState(params.vth_low, 1.0), FeFetState(params.vth_high, 0.0))
+        ends = FecamCell(FeFetState(params.vth_low), FeFetState(params.vth_high))
         assert FecamArray(cells=[[ends]], ml_params=mlp, cfg=cfg, params=params).rows == 1
 
     def test_supply_mismatch_rejected(self, demo_cell, mlp, params):

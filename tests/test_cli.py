@@ -235,6 +235,34 @@ class TestSweep:
         assert "rows" in err and "cols" in err and "v_sl" in err
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "diagonal"],
+        ["search", "--array", "a.txt", "--queries", "q.txt", "--sense-time", "-1e-9"],
+        ["transfer", "--amplitudes", "3", "--vgs-range", "-inf", "0", "0.1"]])
+    def test_argparse_errors_take_the_one_line_form(self, capsys, argv):
+        # these used to print argparse's usage text and message instead
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: invalid-parameter:")
+
+    def test_joined_negative_value_reaches_its_check(self, capsys, demo_files):
+        _, array, queries, _ = demo_files
+        code, out, err = run(capsys, "search", "--array", str(array),
+                             "--queries", str(queries), "--sense-time=-1e-9")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter: t_sense must be positive")
+
+    def test_help_names_the_joined_form(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        assert "--sense-time=-1e-9" in capsys.readouterr().out
+
+
 class TestRoute:
     def test_both_modes_with_report(self, capsys, demo_files):
         tmp_path, _, _, rules = demo_files

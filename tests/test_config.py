@@ -97,8 +97,9 @@ class TestLoadConfig:
         path.write_text("[general]\nrng_seed = -1\n")
         with pytest.raises(ParseError, match="rng_seed must be a non-negative integer"):
             load_config(path)
-        with pytest.raises(InvalidParameterError, match="rng_seed"):
-            replace(default_config(), rng_seed=-5)
+        for bad in (-5, True):
+            with pytest.raises(InvalidParameterError, match="rng_seed"):
+                replace(default_config(), rng_seed=bad)
         assert replace(default_config(), rng_seed=2**64).rng_seed == 2**64
         assert replace(default_config(), rng_seed=np.int64(3)).rng_seed == 3
 

