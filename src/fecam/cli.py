@@ -24,7 +24,7 @@ from .cell import program_analog
 from .config import GlobalConfig, default_config, load_config, parse_floats
 from .costmodel import CamKind, _fmt
 from .device import WritePulse, drain_current, vth_from_pulse
-from .errors import FecamError, InvalidParameterError
+from .errors import FecamError, InvalidParameterError, ParseError
 
 CONFIG_ENV_VAR = "FECAM_CONFIG"
 VERIFY_CHUNK = 1 << 16  # route --verify samples drawn and checked at once
@@ -38,6 +38,14 @@ def _write_out(path, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _read(path) -> str:
+    """An input file's text; bytes that do not decode raise ParseError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {path}: {exc}") from None
 
 
 def _load(args) -> GlobalConfig:
@@ -77,8 +85,8 @@ def cmd_transfer(args) -> int:
 
 def cmd_search(args) -> int:
     config = _load(args)
-    arr = fileio.parse_array_file(Path(args.array).read_text(), config)
-    queries = fileio.parse_query_file(Path(args.queries).read_text())
+    arr = fileio.parse_array_file(_read(args.array), config)
+    queries = fileio.parse_query_file(_read(args.queries))
     try:
         t_sense = None if args.sense_time == "auto" else float(args.sense_time)
     except ValueError:
@@ -142,7 +150,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_route(args) -> int:
     config = _load(args)
-    rules = fileio.parse_rules_file(Path(args.rules).read_text())
+    rules = fileio.parse_rules_file(_read(args.rules))
     levels = config.cell.level_count
     bits_per_cell = levels.bit_length() - 1  # analog cells store log2(levels) bits
     if levels < 2 or levels != 1 << bits_per_cell:

@@ -74,7 +74,7 @@ def load_config(path) -> GlobalConfig:
     try:
         with open(path) as handle:
             parser.read_file(handle, source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}")
     except configparser.Error as exc:
         raise ParseError(f"cannot parse config {path}: {exc}")

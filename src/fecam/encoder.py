@@ -3,13 +3,15 @@
 One greedy cover serves both modes: at b bits per cell it gives digit-range
 entries (each cell an interval of quantized levels); at one bit per cell,
 where a digit interval is 0, 1 or X, it is the minimal ternary prefix cover.
-Both are exact.  Every entry is one address interval, so table lookup is one
-`searchsorted` into an interval index (segment starts, each labelled with
-its first rule), keyed on Python ints from 63 bits up: any width works.
+Both are exact.  Every entry is one address interval, so table lookup is a
+search of one interval index (segment starts, each labelled with its first
+rule): `bisect` for one address over Python ints, `searchsorted` for many,
+keyed on Python ints from 63 bits up.  Any width works.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import heapq
@@ -19,6 +21,8 @@ import numpy as np
 
 from .cell import CellConfig
 from .errors import InvalidParameterError, OutOfRangeError, is_int
+
+MAX_RULE_WIDTH = 1024     # widest rule: a ternary cover holds ~2 w entries of w cells
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,12 @@ class AnalogEntry:
 
     def __post_init__(self):
         _cells_per_entry(0, self.bits_per_cell)  # any digit count fits the width
-        digits = tuple([(int(a), int(b)) for a, b in self.digits])
+        try:
+            digits = tuple([(a, b) if type(a) is type(b) is int else _digit_range(a, b)
+                            for a, b in self.digits])
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise InvalidParameterError(
+                f"digits must be (lo, hi) pairs, got {self.digits!r}") from None
         object.__setattr__(self, "digits", digits)
         if type(self.bits_per_cell) is not int:  # a numpy int
             object.__setattr__(self, "bits_per_cell", int(self.bits_per_cell))
@@ -94,6 +103,14 @@ class AnalogEntry:
         return "".join(f"[{a}-{b}]" for a, b in self.digits)
 
 
+def _digit_range(d_lo, d_hi) -> tuple:
+    """One digit range as Python ints, refusing non-integer ends."""
+    if not (is_int(d_lo) and is_int(d_hi)):
+        raise InvalidParameterError(
+            f"digit ends must be integers, got {d_lo!r}, {d_hi!r}")
+    return int(d_lo), int(d_hi)
+
+
 @dataclass(frozen=True)
 class RangeRule:
     """One routing rule: match addresses in [lo, hi] and return the action.
@@ -108,9 +125,9 @@ class RangeRule:
         if not (is_int(self.lo) and is_int(self.hi)):
             raise InvalidParameterError(
                 f"range ends must be integers, got {self.lo!r}, {self.hi!r}")
-        if not (is_int(self.width) and self.width > 0):
-            raise InvalidParameterError(
-                f"rule width must be a positive int, got {self.width!r}")
+        if not (is_int(self.width) and 0 < self.width <= MAX_RULE_WIDTH):
+            raise InvalidParameterError(f"rule width must be a positive int "
+                                        f"up to {MAX_RULE_WIDTH}, got {self.width!r}")
         if not type(self.lo) is type(self.hi) is type(self.width) is int:  # numpy ints
             self.__dict__.update(lo=int(self.lo), hi=int(self.hi), width=int(self.width))
         if not 0 <= self.lo <= self.hi < (1 << self.width):
@@ -184,19 +201,18 @@ def range_to_analog_entries(lo: int, hi: int, width: int,
 def _addresses(addrs, width: int) -> np.ndarray:
     """Integer address array checked against the width: int64 below 63 bits,
     Python ints from 63 bits up.  Width 0 (a table without rules) bounds
-    nothing.  A non-integer address raises at any width."""
-    narrow = 0 < width < 63
-    a = np.asarray(addrs) if narrow else np.asarray(addrs, dtype=object)
-    kind = a.dtype.kind
-    if kind == "O":  # wide, or ints too wide for int64
+    nothing.  A non-integer address, a bool among them, raises at any width:
+    a typed array is judged by its dtype, anything else element by element."""
+    if isinstance(addrs, np.ndarray) and addrs.dtype.kind != "O":
+        a, integral = addrs, addrs.dtype.kind in "iu" or not addrs.size
+    else:  # a bool turns into an int in a typed array, so look at each one
+        a = np.asarray(addrs, dtype=object)
         integral = all(map(is_int, a.flat))
-    else:
-        integral = kind in "iu" or not a.size
     if not integral:
         raise InvalidParameterError("addresses must be integers")
     if width and a.size and (a.min() < 0 or a.max() >= 1 << width):
         raise OutOfRangeError(f"addresses outside width {width}")
-    return a.astype(np.int64, copy=False) if narrow else a
+    return a.astype(np.int64 if 0 < width < 63 else object, copy=False)
 
 
 def _interval_index(intervals, width: int):
@@ -310,6 +326,12 @@ class RoutingTable:
         rule = np.array([tagged.rule_index for tagged in self.entries] + [-1])
         return starts, rule[first]
 
+    @functools.cached_property
+    def _bisect_index(self):
+        """`_index` as Python lists, for one-address `bisect`; built lazily."""
+        starts, rule = self._index
+        return starts.tolist(), rule.tolist()
+
 
 def compile_table(rules, mode: TableMode, bits_per_cell: int = 3) -> RoutingTable:
     """Concatenate per-rule covers into one table, first-match priority.
@@ -339,9 +361,16 @@ def compile_table(rules, mode: TableMode, bits_per_cell: int = 3) -> RoutingTabl
 
 
 def lookup(table: RoutingTable, addr: int):
-    """Action of the first matching entry, or None when nothing matches:
-    `lookup_many` of one address, so it works at any address width."""
-    index = lookup_many(table, [addr])[0]
+    """Action of the first matching entry, or None when nothing matches: one
+    `bisect` into the table's interval index, at any address width.  Checks
+    and errors are those of `lookup_many`."""
+    if not is_int(addr):
+        raise InvalidParameterError("addresses must be integers")
+    addr, width = int(addr), table.width
+    if width and not 0 <= addr < 1 << width:
+        raise OutOfRangeError(f"addresses outside width {width}")
+    starts, rule = table._bisect_index
+    index = rule[bisect.bisect_right(starts, addr) - 1]
     return table.rules[index].action if index >= 0 else None
 
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import re
 import time
 import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fecam import AnalogEntry, CamKind, cli, encoder, entry_to_cells, load_config
 from fecam.cli import main
@@ -403,7 +406,8 @@ class TestRoute:
         assert int(counts["analog_cells"]) == len(entries) * 24 // 2
         cfg = load_config(ini).cell
         for line in entries:
-            digits = re.findall(r"\[(\d+)-(\d+)\]", line.split("\t")[0])
+            digits = [tuple(map(int, d)) for d in
+                      re.findall(r"\[(\d+)-(\d+)\]", line.split("\t")[0])]
             assert len(digits) == 12
             windows = entry_to_cells(AnalogEntry(tuple(digits), 2), cfg)
             assert len(windows) == 12
@@ -427,6 +431,17 @@ class TestRoute:
         assert float(report["analog_energy_joules"]) == pytest.approx(
             int(report["analog_cells"]) * 2 * per_bit, rel=1e-9)
 
+    def test_undecodable_input_is_a_parse_error(self, capsys, tmp_path, demo_files):
+        # a rule or config file that is not UTF-8 used to end in a traceback
+        _, _, _, rules = demo_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe 1 2 8 a\n")
+        for argv in (["route", "--rules", str(bad)],
+                     ["--config", str(bad), "route", "--rules", str(rules)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: parse-error:") and "bad.txt" in err
+
     def test_level_count_must_be_a_power_of_two(self, capsys, tmp_path, demo_files):
         _, _, _, rules = demo_files
         ini = tmp_path / "fecam.ini"
@@ -437,6 +452,59 @@ class TestRoute:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid-parameter:")
         assert "level_count" in err
+
+
+JUNK_TOKENS = st.one_of(
+    st.sampled_from(["", "-1", "0", "1.5", "1e3", "0x1f", "x", "#", "1_0", "\u0663",
+                     str(1 << 140)]),
+    st.text(st.characters(codec="utf-8"), max_size=6))
+
+
+@st.composite
+def rule_files(draw):
+    """Rule-file bytes: rules at one width, some with a token replaced by junk,
+    or free text, or bytes that need not be UTF-8."""
+    kind = draw(st.sampled_from(["rules", "rules", "rules", "text", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=24))
+    if kind == "text":
+        return draw(st.text(st.characters(codec="utf-8"), max_size=40)).encode()
+    width = draw(st.integers(1, 43).map(lambda k: 3 * k) | st.integers(1, 130))
+    address = st.integers(0, (1 << width) - 1)
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo, hi = sorted((draw(address), draw(address)))
+        tokens = [str(lo), str(hi), str(width), draw(st.sampled_from(["a", "b", "hop"]))]
+        if draw(st.booleans()):
+            tokens[draw(st.integers(0, 3))] = draw(JUNK_TOKENS)
+        lines.append(" ".join(tokens))
+    return "\n".join(lines).encode()
+
+
+class TestRouteFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=rule_files(), mode=st.sampled_from(["ternary", "analog", "both"]),
+           samples=st.integers(-3, 3000).map(lambda n: str(n) if n > -3 else "1.5"),
+           verify=st.booleans())
+    def test_route_exits_cleanly(self, tmp_path, text, mode, samples, verify):
+        # 0 with no stderr, or 2 with one categorized error line: never a traceback
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(text)
+        argv = ["route", "--rules", str(rules), "--mode", mode, "--samples", samples]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--verify"] * verify)
+            except SystemExit as exc:  # argparse errors exit through SystemExit(2)
+                code = exc.code
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+            assert "= fail" not in out.getvalue()
+        else:
+            assert code == 2
+            assert re.fullmatch(r"error: [a-z-]+: [^\n]*\n", err), err
 
 
 class TestBenchAndConfig:

@@ -250,6 +250,16 @@ class TestEntryToCells:
             AnalogEntry(((0, 8),), 3)
         with pytest.raises(InvalidParameterError):
             AnalogEntry(())  # width 0, like TernaryEntry("")
+        # int() read 0.5 as 0, and "a" raised a bare ValueError
+        for digits in (((0.5, 1),), (("a", 1),), ((0, True),), ((np.float64(1), 2),)):
+            with pytest.raises(InvalidParameterError, match="digit ends must be integers"):
+                AnalogEntry(digits, 3)
+        for digits in (((0, 1, 2),), (1, 2), 7):
+            with pytest.raises(InvalidParameterError, match=r"\(lo, hi\) pairs"):
+                AnalogEntry(digits, 3)
+        entry = AnalogEntry(((np.int64(1), np.uint8(2)), (0, 7)), 3)
+        assert entry == AnalogEntry(((1, 2), (0, 7)), 3)
+        assert all(type(d) is int for pair in entry.digits for d in pair)
 
     @pytest.mark.parametrize("bits_per_cell", [-1, 0, 1.0, None])
     def test_bits_per_cell_must_be_a_positive_int(self, bits_per_cell):
@@ -354,7 +364,8 @@ class TestRoutingTable:
         table = compile_table([RangeRule(0, 10, width, "a")], TableMode.TERNARY)
         entries = [e.entry for e in table.entries]
         for bad in ([5.5, 2.9], [5.0], np.array([5.0]), [np.float64(5)], ["5"],
-                    [True, False], np.array([True, False])):
+                    [True, False], np.array([True, False]), [True, 2],
+                    [2, np.bool_(False)]):
             with pytest.raises(InvalidParameterError, match="integers"):
                 lookup_many(table, bad)
             with pytest.raises(InvalidParameterError, match="integers"):
@@ -369,7 +380,7 @@ class TestRoutingTable:
         with pytest.raises(OutOfRangeError):
             lookup_many(table, [5, 1 << width])
 
-    @pytest.mark.parametrize("width", [0, -1, -64, 3.0, True, "8", None])
+    @pytest.mark.parametrize("width", [0, -1, -64, 3.0, True, "8", None, 1025, 1 << 140])
     def test_width_must_be_a_positive_int(self, width):
         # width 0 used to fail later on empty ternary bits, -1 on a shift count
         with pytest.raises(InvalidParameterError, match="width must be a positive int"):
@@ -457,7 +468,44 @@ def overlapping_tables(draw):
     return width, rules, compile_table(rules, mode), draw(st.lists(address, max_size=4))
 
 
+@st.composite
+def tables_and_one_address(draw):
+    """A drawn table (width 0 when it has no rules) and one address: in range
+    as an int, np.int64 or np.uint64 (when it fits), a bool, a float, a
+    string, or one step outside the width."""
+    table = draw(overlapping_tables())[2]
+    top = (1 << table.width) - 1 if table.width else 1 << 140
+    inside = draw(st.integers(0, top))
+    candidates = [inside, -1, 1 << table.width, float(inside), str(inside),
+                  draw(st.booleans()), np.bool_(draw(st.booleans())),
+                  draw(st.floats()), draw(st.text(max_size=3))]
+    if inside < 1 << 63:
+        candidates.append(np.int64(inside))
+    if inside < 1 << 64:
+        candidates.append(np.uint64(inside))
+    return table, draw(st.sampled_from(candidates))
+
+
+def outcome(call):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the outcomes are compared, not handled
+        return type(exc), str(exc)
+
+
 class TestIntervalIndex:
+    @settings(max_examples=300)
+    @given(tables_and_one_address())
+    def test_lookup_agrees_with_lookup_many(self, drawn):
+        # one address by bisection, many by searchsorted: same answer, same error
+        table, addr = drawn
+        want = outcome(lambda: lookup_many(table, [addr])[0])
+        if not isinstance(want, tuple):
+            want = table.rules[want].action if want >= 0 else None
+        assert outcome(lambda: lookup(table, addr)) == want
+
+
     @settings(max_examples=150)
     @given(overlapping_tables())
     def test_lookup_agrees_with_entry_scan(self, drawn):
