@@ -48,6 +48,7 @@ class MatchLineParams:
 
     Capacitance defaults are back-solved so a single-column line discharges
     through the sense boundary in 10 ns at the 25 nA average cell current.
+    The line precharges to the cell supply, `CellConfig.vdd`.
     """
 
     c_pmos: float = 0.10e-15       # F, precharge transistor drain capacitance
@@ -55,16 +56,21 @@ class MatchLineParams:
     c_parasitic: float = 0.05e-15  # F, per-cell interconnect capacitance
     delta_v_ml: float = 0.5        # V, sense boundary drop
     i_discharge_avg: float = 25e-9 # A, average per-cell discharge current
-    vdd: float = 1.0               # V, precharge level
 
     def __post_init__(self):
         require_finite(self)
         if min(self.c_pmos, self.c_drain, self.c_parasitic) <= 0:
             raise InvalidParameterError("capacitances must be positive")
-        if not 0 < self.delta_v_ml < self.vdd:
-            raise InvalidParameterError("delta_v_ml must be in (0, vdd)")
+        if not self.delta_v_ml > 0:
+            raise InvalidParameterError("delta_v_ml must be positive")
         if self.i_discharge_avg <= 0:
             raise InvalidParameterError("i_discharge_avg must be positive")
+
+    def check_swing(self, vdd: float) -> None:
+        """Refuse a sense boundary vdd - delta_v_ml at or below 0 V."""
+        if not self.delta_v_ml < vdd:
+            raise InvalidParameterError(
+                f"delta_v_ml must be below vdd ({self.delta_v_ml} V vs {vdd} V)")
 
 
 def ml_capacitance(p: MatchLineParams, n_cols: int) -> float:
@@ -82,10 +88,11 @@ def discharge_time(p: MatchLineParams, n_cols: int) -> float:
     return ml_capacitance(p, n_cols) * p.delta_v_ml / (n_cols * p.i_discharge_avg)
 
 
-def sense(v_ml_at_t: float, p: MatchLineParams) -> bool:
-    """Threshold-comparator sense amplifier; boundary equality is a mismatch.
-    Applies elementwise to an array of voltages."""
-    return v_ml_at_t > p.vdd - p.delta_v_ml
+def sense(v_ml_at_t: float, p: MatchLineParams, vdd: float) -> bool:
+    """Threshold-comparator sense amplifier on a line precharged to vdd;
+    boundary equality is a mismatch.  Applies elementwise to an array of
+    voltages."""
+    return v_ml_at_t > vdd - p.delta_v_ml
 
 
 @dataclass(frozen=True)
@@ -178,10 +185,7 @@ class FecamArray:
         _check_size(rows, cols)
         if any(len(row) != cols for row in grid):
             raise InvalidParameterError("ragged cell grid")
-        if abs(cfg.vdd - ml_params.vdd) > 1e-12:
-            raise InvalidParameterError(
-                "cell and match-line supplies differ "
-                f"({cfg.vdd} V vs {ml_params.vdd} V)")
+        ml_params.check_swing(cfg.vdd)
         if rows > SIZE_GUIDELINE:
             warnings.warn(
                 f"{rows} rows exceeds {SIZE_GUIDELINE}; search-line "
@@ -275,7 +279,7 @@ def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
     return out
 
 
-def _ml_voltage(p: MatchLineParams, v_dsat: float, n_cols: int,
+def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
                 static_currents: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Exact V_ML(times) for C_ML dV/dt = -I_static min(V/v_dsat, 1), V(0) = vdd,
     shaped times.shape + static_currents.shape.  Nothing divides by the
@@ -287,8 +291,8 @@ def _ml_voltage(p: MatchLineParams, v_dsat: float, n_cols: int,
     knee <= v_dsat keep it at or above lin.  So the larger of the two is the
     solution on both branches."""
     lin = np.multiply.outer(times, static_currents / ml_capacitance(p, n_cols))
-    np.subtract(p.vdd, lin, out=lin)
-    knee = min(p.vdd, v_dsat)
+    np.subtract(vdd, lin, out=lin)
+    knee = min(vdd, v_dsat)
     decayed = lin - knee
     np.minimum(decayed, 0.0, out=decayed)
     decayed /= v_dsat
@@ -322,8 +326,9 @@ def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=Fals
     static = _static_row_currents(arr.vth[rows], None if factors is None else factors[rows],
                                   arr.cfg, arr.params, q)
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
-    v = _ml_voltage(arr.ml_params, arr.params.v_dsat, arr.cols, static, times)
-    return sense(v[-1], arr.ml_params), t, times, v
+    vdd = arr.cfg.vdd
+    v = _ml_voltage(arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static, times)
+    return sense(v[-1], arr.ml_params, vdd), t, times, v
 
 
 def search(arr: FecamArray, query, t_sense: float | None = None) -> SearchResult:

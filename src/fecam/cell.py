@@ -41,14 +41,14 @@ class CellConfig:
     """Cell-level electrical configuration.
 
     level_bounds are the fence-posts b_0 < ... < b_L of the quantized match
-    windows (L = level_count); digital_margin sets the closed edge of the
-    digital one/zero windows so the 0 V / vdd query voltages sit well inside
-    or outside them.  inverter_gain selects an optional smooth inverted-SL
+    windows, at least two, so L = level_count = len(level_bounds) - 1.  vdd is
+    the one supply: search lines and match-line precharge.  digital_margin
+    sets the closed edge of the digital one/zero windows so the 0 V / vdd
+    query voltages sit well inside or outside them.  inverter_gain selects an optional smooth inverted-SL
     transfer curve; the default None is the ideal complement vdd - v_sl.
     """
 
     vdd: float = 1.0
-    level_count: int = 8
     level_bounds: tuple = field(default_factory=_default_level_bounds)
     digital_margin: float = 0.3
     inverter_gain: float | None = None
@@ -59,11 +59,8 @@ class CellConfig:
         require_finite(self)
         if self.vdd <= 0:
             raise InvalidParameterError("vdd must be positive")
-        if self.level_count < 1:
-            raise InvalidParameterError("level_count must be >= 1")
-        if len(bounds) != self.level_count + 1:
-            raise InvalidParameterError(
-                f"need {self.level_count + 1} level bounds, got {len(bounds)}")
+        if len(bounds) < 2:
+            raise InvalidParameterError(f"need at least 2 level bounds, got {len(bounds)}")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise InvalidParameterError("level bounds must be strictly increasing")
         if bounds[0] < 0 or bounds[-1] > self.vdd:
@@ -73,6 +70,10 @@ class CellConfig:
         if self.inverter_gain is not None and not self.inverter_gain > 0:
             raise InvalidParameterError(
                 f"inverter_gain must be positive, got {self.inverter_gain}")
+
+    @property
+    def level_count(self) -> int:
+        return len(self.level_bounds) - 1
 
 
 @dataclass(frozen=True)

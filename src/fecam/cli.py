@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +156,7 @@ def cmd_route(args) -> int:
     bits_per_cell = levels.bit_length() - 1  # analog cells store log2(levels) bits
     if levels < 2 or levels != 1 << bits_per_cell:
         raise InvalidParameterError(
-            f"route needs a power-of-two [cell] level_count, got {levels}")
+            f"route needs a power-of-two level_count (bounds minus one), got {levels}")
     want = (["ternary", "analog"] if args.mode == "both" else [args.mode])
     tables = {}
     out_lines = []
@@ -211,7 +212,7 @@ def _verify_tables(config, rules, tables, samples: int) -> str:
 
 def cmd_bench(args) -> int:
     config = _load(args)
-    cost, mlp = config.cost, config.matchline
+    cost, mlp, vdd = config.cost, config.matchline, config.cell.vdd
     lines = []
     for kind in CamKind:
         lines.append(f"energy_per_bit_{kind.value}_joules = "
@@ -223,7 +224,7 @@ def cmd_bench(args) -> int:
     for kind in (CamKind.FECAM_DIGITAL, CamKind.FECAM_ANALOG):
         lines.append(f"energy_ratio_vs_cmos_{kind.value} = "
                      + _fmt(costmodel.energy_ratio_vs_cmos(cost, kind)))
-        estimate = costmodel.ml_energy_estimate(mlp, cost.word_cells[kind])
+        estimate = costmodel.ml_energy_estimate(mlp, cost.word_cells[kind], vdd)
         calibrated = costmodel.word_search_energy(cost, kind)
         lines.append(f"ml_word_energy_estimate_{kind.value}_joules = "
                      + _fmt(estimate))
@@ -300,19 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except FecamError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: io-error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: out-of-memory: {exc}", file=sys.stderr)
-        return 2
+    """Run one command.  Its warnings, as the caller's filters let them
+    through, become `warning: <message>` lines on stderr, ahead of any error
+    line; the caller's warning state is restored on return."""
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        except FecamError as exc:
+            error = f"{exc.category}: {exc}"
+        except OSError as exc:
+            error = f"io-error: {exc}"
+        except MemoryError as exc:
+            error = f"out-of-memory: {exc}"
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ class GlobalConfig:
         if not (is_int(self.rng_seed) and self.rng_seed >= 0):
             raise InvalidParameterError(
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        self.matchline.check_swing(self.cell.vdd)
 
 
 def default_config() -> GlobalConfig:

@@ -115,10 +115,10 @@ def word_search_energy(p: CostParams, kind: CamKind) -> float:
     return search_energy(p, kind, p.word_cells[kind])
 
 
-def ml_energy_estimate(mlp: MatchLineParams, n_cols: int) -> float:
+def ml_energy_estimate(mlp: MatchLineParams, n_cols: int, vdd: float) -> float:
     """Transient-model estimate of per-row match-line dynamic energy:
-    recharging the sense-boundary swing on the line capacitance."""
-    return ml_capacitance(mlp, n_cols) * mlp.vdd * mlp.delta_v_ml
+    recharging the sense-boundary swing on the line capacitance from vdd."""
+    return ml_capacitance(mlp, n_cols) * vdd * mlp.delta_v_ml
 
 
 @dataclass(frozen=True)

@@ -135,15 +135,32 @@ class RangeRule:
                 f"range [{self.lo}, {self.hi}] invalid for width {self.width}")
 
 
+def _check_width(width) -> None:
+    """The one width bound: an int in [0, MAX_RULE_WIDTH] (0: no rules).  The
+    message leaves the width out: an int past 4300 digits has no repr."""
+    if not (is_int(width) and 0 <= width <= MAX_RULE_WIDTH):
+        raise InvalidParameterError(f"width must be an int in [0, {MAX_RULE_WIDTH}]")
+
+
 def _cells_per_entry(width: int, bits_per_cell: int) -> int:
-    """Digits of an entry: the one geometry check (width 0: no rules)."""
-    if not (is_int(bits_per_cell) and bits_per_cell > 0):
+    """Digits of an entry: the one geometry check.  A digit is no wider
+    than the widest rule."""
+    if not (is_int(bits_per_cell) and 0 < bits_per_cell <= MAX_RULE_WIDTH):
         raise InvalidParameterError(
-            f"bits per cell must be a positive int, got {bits_per_cell!r}")
-    if not (is_int(width) and width >= 0 and width % bits_per_cell == 0):
+            f"bits per cell must be a positive int up to {MAX_RULE_WIDTH}")
+    _check_width(width)
+    if width % bits_per_cell:
         raise InvalidParameterError(
-            f"width {width!r} not divisible by {bits_per_cell} bits per cell")
+            f"width {width} not divisible by {bits_per_cell} bits per cell")
     return width // bits_per_cell
+
+
+def _check_levels(bits_per_cell: int, cfg: CellConfig) -> None:
+    """The one levels-per-digit check: b bits per cell need 2^b levels."""
+    if cfg.level_count != 1 << bits_per_cell:
+        raise InvalidParameterError(
+            f"{bits_per_cell} bits per cell needs {1 << bits_per_cell} levels, "
+            f"config has {cfg.level_count}")
 
 
 def _blocks(lo: int, hi: int, width: int, bits_per_cell: int) -> list:
@@ -203,6 +220,7 @@ def _addresses(addrs, width: int) -> np.ndarray:
     Python ints from 63 bits up.  Width 0 (a table without rules) bounds
     nothing.  A non-integer address, a bool among them, raises at any width:
     a typed array is judged by its dtype, anything else element by element."""
+    _check_width(width)
     if isinstance(addrs, np.ndarray) and addrs.dtype.kind != "O":
         a, integral = addrs, addrs.dtype.kind in "iu" or not addrs.size
     else:  # a bool turns into an int in a typed array, so look at each one
@@ -255,10 +273,7 @@ def entries_match_many(entries, addrs, width: int) -> np.ndarray:
 
 def entry_to_cells(entry: AnalogEntry, cfg: CellConfig):
     """Per-cell analog windows [b_dlo, b_(dhi+1)] realizing the entry."""
-    if cfg.level_count != (1 << entry.bits_per_cell):
-        raise InvalidParameterError(
-            f"{entry.bits_per_cell} bits per cell needs "
-            f"{1 << entry.bits_per_cell} levels, config has {cfg.level_count}")
+    _check_levels(entry.bits_per_cell, cfg)
     b = cfg.level_bounds
     return [(b[d_lo], b[d_hi + 1]) for d_lo, d_hi in entry.digits]
 
@@ -272,10 +287,8 @@ def address_query_voltages(addr: int, width: int, bits_per_cell: int,
     addr, width, bits_per_cell = int(addr), int(width), int(bits_per_cell)
     if not 0 <= addr < (1 << width):
         raise OutOfRangeError(f"address {addr} outside width {width}")
+    _check_levels(bits_per_cell, cfg)
     base = 1 << bits_per_cell
-    if cfg.level_count != base:
-        raise InvalidParameterError(
-            f"config has {cfg.level_count} levels, need {base}")
     b = cfg.level_bounds
     voltages = []
     for pos in range(n_digits - 1, -1, -1):
@@ -292,8 +305,7 @@ class TableMode(enum.Enum):
 @dataclass(frozen=True)
 class TableEntry:
     entry: object             # TernaryEntry or AnalogEntry
-    action: str
-    rule_index: int
+    rule_index: int           # the rule it covers, which holds the action
 
 
 @dataclass(frozen=True)
@@ -354,7 +366,7 @@ def compile_table(rules, mode: TableMode, bits_per_cell: int = 3) -> RoutingTabl
     _cells_per_entry(width, bits_per_cell)  # checked also without rules
     entries = []
     for index, rule in enumerate(rules):
-        entries.extend(TableEntry(e, rule.action, index)
+        entries.extend(TableEntry(e, index)
                        for e in cover(rule.lo, rule.hi, rule.width))
     return RoutingTable(mode=mode, width=width, entries=tuple(entries),
                         rules=rules, bits_per_cell=bits_per_cell)
@@ -383,6 +395,8 @@ def lookup_many(table: RoutingTable, addrs) -> np.ndarray:
 
 
 def table_text(table: RoutingTable) -> str:
-    """One entry per line: the entry pattern and its action."""
-    lines = [f"{tagged.entry}\t{tagged.action}" for tagged in table.entries]
+    """One entry per line: the entry pattern and its rule's action."""
+    rules = table.rules
+    lines = [f"{tagged.entry}\t{rules[tagged.rule_index].action}"
+             for tagged in table.entries]
     return "\n".join(lines) + ("\n" if lines else "")

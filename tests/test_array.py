@@ -67,14 +67,14 @@ class TestDischargeTime:
 
 
 class TestSense:
-    def test_high_line_matches(self, mlp):
-        assert sense(mlp.vdd, mlp) is True
+    def test_high_line_matches(self, mlp, cfg):
+        assert sense(cfg.vdd, mlp, cfg.vdd) is True
 
-    def test_exact_boundary_is_mismatch(self, mlp):
-        assert sense(mlp.vdd - mlp.delta_v_ml, mlp) is False
+    def test_exact_boundary_is_mismatch(self, mlp, cfg):
+        assert sense(cfg.vdd - mlp.delta_v_ml, mlp, cfg.vdd) is False
 
-    def test_discharged_line_mismatches(self, mlp):
-        assert sense(0.0, mlp) is False
+    def test_discharged_line_mismatches(self, mlp, cfg):
+        assert sense(0.0, mlp, cfg.vdd) is False
 
 
 class TestSearch:
@@ -109,7 +109,7 @@ class TestSearch:
     def test_trace_starts_at_vdd_and_never_rises(self, demo_cell, mlp, cfg, params):
         arr = filled(2, 3, demo_cell, mlp, cfg, params)
         result = search(arr, [0.5, 0.65, 0.3])
-        assert (result.ml_voltages[0] == mlp.vdd).all()
+        assert (result.ml_voltages[0] == cfg.vdd).all()
         assert (np.diff(result.ml_voltages, axis=0) <= 1e-15).all()
         assert (result.ml_voltages >= -1e-12).all()
 
@@ -174,9 +174,9 @@ class TestMeasureBounds:
             with pytest.raises(InvalidParameterError):
                 measure_bounds(arr, 0, resolution=bad)
         # a supply whose 1 mV sweep grid overshoots it by an ulp
-        cfg_113, mlp_113 = replace(cfg, vdd=1.13), replace(mlp, vdd=1.13)
+        cfg_113 = replace(cfg, vdd=1.13)
         cell = program_analog(0.4, 0.6, cfg_113, params)
-        lo, hi = measure_bounds(filled(1, 1, cell, mlp_113, cfg_113, params), 0)
+        lo, hi = measure_bounds(filled(1, 1, cell, mlp, cfg_113, params), 0)
         assert lo == pytest.approx(0.4, abs=0.02)
         assert hi == pytest.approx(0.6, abs=0.02)
 
@@ -387,13 +387,19 @@ class TestConstruction:
         ends = FecamCell(FeFetState(params.vth_low), FeFetState(params.vth_high))
         assert FecamArray(cells=[[ends]], ml_params=mlp, cfg=cfg, params=params).rows == 1
 
-    def test_supply_mismatch_rejected(self, demo_cell, mlp, params):
-        from fecam import CellConfig
-        bad_cfg = CellConfig(vdd=1.2,
-                             level_bounds=tuple(0.1 + 0.1 * k for k in range(9)))
-        cell = program_analog(0.4, 0.6, bad_cfg, params)
-        with pytest.raises(InvalidParameterError):
-            filled(1, 1, cell, mlp, bad_cfg, params)
+    def test_line_precharges_to_the_cell_supply(self, mlp, params):
+        # the match line used to carry its own vdd, and 1.2 V cells were refused
+        cfg_12 = CellConfig(vdd=1.2)
+        arr = filled(1, 1, program_analog(0.4, 0.6, cfg_12, params), mlp, cfg_12, params)
+        assert (search(arr, [0.5]).ml_voltages[0] == 1.2).all()
+        assert measure_bounds(arr, 0) == pytest.approx((0.4, 0.6), abs=0.02)
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5])
+    def test_sense_swing_must_fit_the_supply(self, demo_cell, mlp, cfg, params, delta):
+        with pytest.raises(InvalidParameterError, match="delta_v_ml must be below vdd"):
+            filled(1, 1, demo_cell, replace(mlp, delta_v_ml=delta), cfg, params)
+        with pytest.raises(InvalidParameterError, match="delta_v_ml must be positive"):
+            replace(mlp, delta_v_ml=0.0)
 
     def test_single_mismatch_time_feasibility(self, mlp, cfg, params):
         t8 = single_mismatch_sense_time(mlp, params, cfg, 8)

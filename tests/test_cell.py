@@ -210,15 +210,17 @@ class TestCellConfigValidation:
         with pytest.raises(InvalidParameterError):
             CellConfig(level_bounds=(0.1, 0.3, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 
-    def test_bounds_count_matches_levels(self):
-        with pytest.raises(InvalidParameterError):
+    def test_level_count_is_bounds_minus_one(self):
+        assert CellConfig().level_count == 8
+        assert CellConfig(level_bounds=(0.1, 0.3, 0.5, 0.7, 0.9)).level_count == 4
+        with pytest.raises(TypeError):  # derived, so not a field to set
             CellConfig(level_count=4)
 
-    @pytest.mark.parametrize("levels, bounds", [(0, (0.5,)), (-1, ())])
-    def test_level_count_must_be_positive(self, levels, bounds):
-        # -1 levels with no bounds used to raise a bare IndexError
-        with pytest.raises(InvalidParameterError, match="level_count must be >= 1"):
-            CellConfig(level_count=levels, level_bounds=bounds)
+    @pytest.mark.parametrize("bounds", [(0.5,), ()])
+    def test_needs_two_bounds(self, bounds):
+        # no bounds used to raise a bare IndexError
+        with pytest.raises(InvalidParameterError, match="need at least 2 level bounds"):
+            CellConfig(level_bounds=bounds)
 
     def test_bounds_inside_supply(self):
         with pytest.raises(InvalidParameterError):

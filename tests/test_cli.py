@@ -3,6 +3,7 @@ import io
 import re
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -171,6 +172,24 @@ class TestSearch:
 
 
 class TestSweep:
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_size_warning_is_one_line(self, capsys, tmp_path):
+        # it used to print as two lines, its source path and its code line
+        state = list(warnings.filters), warnings.showwarning
+        code, out, err = run(capsys, "sweep", "--axis", "rows", "--values", "65")
+        assert (code, len(out.splitlines())) == (0, 2)
+        assert err.startswith("warning: 65 rows exceeds 64") and err.count("\n") == 1
+        assert (list(warnings.filters), warnings.showwarning) == state
+        # a failure after a warning: the warning line, then the error line
+        (tmp_path / "array.txt").write_text("rows 65\ncols 1\n")
+        (tmp_path / "queries.txt").write_text("0.5 0.5\n")
+        code, out, err = run(capsys, "search", "--array", str(tmp_path / "array.txt"),
+                             "--queries", str(tmp_path / "queries.txt"))
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("warning: 65 rows exceeds 64")
+        assert lines[1].startswith("error: dimension-mismatch:")
+
     def test_rows_axis_constant_bounds(self, capsys):
         code, out, _ = run(capsys, "sweep", "--axis", "rows",
                            "--values", "1,16,64")
@@ -200,9 +219,10 @@ class TestSweep:
         assert [line.split(",")[1] for line in lines[1:]] == ["0", "1", "0"]
 
     def test_vsl_axis_default_grid_ends_at_supply(self, capsys, tmp_path):
-        # the 1 mV grid overshoots a 1.13 V supply by an ulp unless clipped
+        # the 1 mV grid overshoots a 1.13 V supply by an ulp unless clipped;
+        # the one supply is [cell] vdd, so the match line follows it
         ini = tmp_path / "fecam.ini"
-        ini.write_text("[cell]\nvdd = 1.13\n[matchline]\nvdd = 1.13\n")
+        ini.write_text("[cell]\nvdd = 1.13\n")
         code, out, err = run(capsys, "--config", str(ini), "sweep", "--axis", "v_sl")
         assert code == 0, err
         lines = out.splitlines()
@@ -391,7 +411,7 @@ class TestRoute:
     def test_four_level_cells_compile_two_bit_entries(self, capsys, tmp_path):
         # 4 levels used to compile 3-bit entries that entry_to_cells refused
         ini = tmp_path / "fecam.ini"
-        ini.write_text("[cell]\nlevel_count = 4\nlevel_bounds = 0.1 0.3 0.5 0.7 0.9\n")
+        ini.write_text("[cell]\nlevel_bounds = 0.1 0.3 0.5 0.7 0.9\n")
         rules = tmp_path / "rules.txt"
         rules.write_text("98305 14712838 24 portA\n5 70000 24 low\n")
         listing = tmp_path / "table.txt"
@@ -415,7 +435,7 @@ class TestRoute:
     def test_report_prices_the_table_bits_per_cell(self, capsys, tmp_path):
         # 2-bit cells were priced as 3-bit ones; now the calibration must match
         ini = tmp_path / "fecam.ini"
-        ini.write_text("[cell]\nlevel_count = 4\nlevel_bounds = 0.1 0.3 0.5 0.7 0.9\n")
+        ini.write_text("[cell]\nlevel_bounds = 0.1 0.3 0.5 0.7 0.9\n")
         rules = tmp_path / "rules.txt"
         rules.write_text("98305 14712838 24 portA\n5 70000 24 low\n")
         argv = ("--config", str(ini), "route", "--rules", str(rules), "--mode", "both")
@@ -445,8 +465,7 @@ class TestRoute:
     def test_level_count_must_be_a_power_of_two(self, capsys, tmp_path, demo_files):
         _, _, _, rules = demo_files
         ini = tmp_path / "fecam.ini"
-        ini.write_text("[cell]\nlevel_count = 5\n"
-                       "level_bounds = 0.1 0.2 0.3 0.5 0.7 0.9\n")
+        ini.write_text("[cell]\nlevel_bounds = 0.1 0.2 0.3 0.5 0.7 0.9\n")
         code, out, err = run(capsys, "--config", str(ini), "route",
                              "--rules", str(rules))
         assert (code, out) == (2, "")
@@ -481,6 +500,24 @@ def rule_files(draw):
     return "\n".join(lines).encode()
 
 
+def exits_cleanly(argv):
+    """Run main in-process and hold it to its contract: exit 0 with only
+    warning lines on stderr, or exit 2 with one categorized error line after
+    them; never a traceback.  Returns the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors exit through SystemExit(2)
+            code = exc.code
+    lines = err.getvalue().splitlines(keepends=True)
+    assert code in (0, 2)
+    if code == 2:
+        assert lines and re.fullmatch(r"error: [a-z-]+: [^\n]*\n", lines.pop()), lines
+    assert all(re.fullmatch(r"warning: [^\n]*\n", line) for line in lines), lines
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestRouteFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -488,23 +525,146 @@ class TestRouteFuzz:
            samples=st.integers(-3, 3000).map(lambda n: str(n) if n > -3 else "1.5"),
            verify=st.booleans())
     def test_route_exits_cleanly(self, tmp_path, text, mode, samples, verify):
-        # 0 with no stderr, or 2 with one categorized error line: never a traceback
         rules = tmp_path / "rules.txt"
         rules.write_bytes(text)
         argv = ["route", "--rules", str(rules), "--mode", mode, "--samples", samples]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv + ["--verify"] * verify)
-            except SystemExit as exc:  # argparse errors exit through SystemExit(2)
-                code = exc.code
-        err = err.getvalue()
+        code, out, err = exits_cleanly(argv + ["--verify"] * verify)
         if code == 0:
             assert err == ""
-            assert "= fail" not in out.getvalue()
-        else:
-            assert code == 2
-            assert re.fullmatch(r"error: [a-z-]+: [^\n]*\n", err), err
+            assert "= fail" not in out
+
+
+IN_RANGE = st.sampled_from(["0", "0.3", "0.5", "0.95", "1"])
+VOLTS = IN_RANGE | st.sampled_from(["1.13", "2", "-0.1", "nan", "x"])
+
+# config lines (section, key, value) that load, and ones that do not or that
+# break what uses them: the two removed keys, the sense swing at or above
+# the supply, bad supplies and bound lists
+GOOD_CONFIG = st.sampled_from([
+    ("cell", "vdd", "1.13"), ("cell", "vdd", "1.0"), ("cell", "inverter_gain", "5"),
+    ("cell", "level_bounds", "0.1 0.3 0.5 0.7 0.9"), ("cell", "digital_margin", "0.25"),
+    ("matchline", "delta_v_ml", "0.4"), ("matchline", "delta_v_ml", "0.9"),
+    ("matchline", "c_pmos", "1e-16")])
+BAD_CONFIG = st.sampled_from([
+    ("cell", "level_count", "8"), ("matchline", "vdd", "1.0"),
+    ("matchline", "delta_v_ml", "1.0"), ("matchline", "delta_v_ml", "1.13"),
+    ("matchline", "delta_v_ml", "-1"), ("cell", "vdd", "0.5"), ("cell", "vdd", "x"),
+    ("cell", "level_bounds", "0.5"), ("matchline", "i_discharge_avg", "0")])
+
+
+@st.composite
+def config_files(draw):
+    """Config text of a few good lines and maybe a bad one, or None."""
+    if draw(st.booleans()):
+        return None
+    chosen = {"cell": {}, "matchline": {}}
+    lines = draw(st.lists(GOOD_CONFIG, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(BAD_CONFIG))
+    for section, key, value in lines:
+        chosen[section][key] = value
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in chosen.items() if keys)
+
+
+@st.composite
+def search_files(draw):
+    """Array and query text of at most 64x64 cells, with at most one fault:
+    a bad size or header, a bad match-line override (the removed vdd among
+    them), a bad or misplaced cell, or a query of the wrong width or with a
+    bad voltage."""
+    fault = draw(st.sampled_from([None, None, None, "size", "header", "override",
+                                  "place", "spec", "width", "volt"]))
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    if fault == "size":
+        rows, cols = draw(st.sampled_from([(0, cols), (rows, 0), (-1, cols)]))
+    lines = [f"rows {rows}", f"cols {cols}"]
+    if fault == "header":
+        lines = lines[:draw(st.integers(0, 1))]
+    # overrides that load, the extreme ones stretching the auto sense time
+    overrides = ["delta_v_ml 0.4", "c_drain 3e-16", "c_pmos 1e300", "i_discharge_avg 1e-300"]
+    if fault == "override":
+        overrides = ["vdd 1.0", "delta_v_ml 1.0", "bogus 1", "c_drain x"]
+    lines += ["matchline " + o for o in draw(st.lists(st.sampled_from(overrides),
+                                                      min_size=fault == "override",
+                                                      max_size=1))]
+    cells = []
+    for _ in range(draw(st.integers(0, 6))):
+        r, c = draw(st.integers(0, max(rows - 1, 0))), draw(st.integers(0, max(cols - 1, 0)))
+        spec = draw(st.integers(0, 7).map("level {}".format)
+                    | st.sampled_from(["digital 0", "digital 1", "digital X",
+                                       "analog 0.2 0.7", "analog 0 1"]))
+        cells.append([r, c, spec])
+    if cells and fault == "place":
+        cells[0][draw(st.integers(0, 1))] = draw(st.sampled_from([-1, rows, cols]))
+    if cells and fault == "spec":
+        cells[0][2] = draw(st.sampled_from(["level 8", "level -1", "digital 2",
+                                            "analog 0.7 0.2", "analog 0.4 nan",
+                                            "analog 0.4", "window 1", ""]))
+    lines += ["cell {} {} {}".format(*cell) for cell in cells]
+    queries = [draw(st.lists(IN_RANGE, min_size=max(cols, 0), max_size=max(cols, 0)))
+               for _ in range(draw(st.integers(0, 3)))]
+    if queries and fault == "width":
+        queries[0] = queries[0][:-1] or ["0.5", "0.5"]
+    if queries and queries[0] and fault == "volt":
+        queries[0][-1] = draw(VOLTS)
+    sep = draw(st.sampled_from([" ", ","]))
+    return ("\n".join(lines) + "\n",
+            "\n".join(sep.join(query) for query in queries) + "\n")
+
+
+def with_config(tmp_path, config):
+    if config is None:
+        return []
+    path = tmp_path / "fecam.ini"
+    path.write_text(config)
+    return ["--config", str(path)]
+
+
+# a warning stays a warning here, so that exits_cleanly sees each one's line
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+class TestSearchAndSweepFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=config_files(), files=search_files(),
+           sense_time=st.sampled_from(["auto", "1e-8", "1e-12", "1e-300", "1e300"])
+           | st.sampled_from(["0", "-1e-9", "nan", "inf", "x"]))
+    def test_search_exits_cleanly(self, tmp_path, config, files, sense_time):
+        (tmp_path / "array.txt").write_text(files[0])
+        (tmp_path / "queries.txt").write_text(files[1])
+        exits_cleanly(with_config(tmp_path, config) + [
+            "search", "--array", str(tmp_path / "array.txt"), "--queries",
+            str(tmp_path / "queries.txt"), f"--sense-time={sense_time}"])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=config_files(), data=st.data())
+    def test_sweep_exits_cleanly(self, tmp_path, config, data):
+        # at most one bad argument; a size axis sweeps up to 66 cells against
+        # a fixed side of at most 62, so no array holds more than 64x64 cells
+        fault = data.draw(st.sampled_from([None, None, None, "axis", "values",
+                                           "window", "rows", "cols"]))
+        axis = data.draw(st.sampled_from(["rows", "cols", "v_sl"]))
+        sizes = axis in ("rows", "cols")
+        good = (st.integers(1, 66).map(str) | st.sampled_from(["64", "65", "66"])
+                if sizes else IN_RANGE)
+        values = data.draw(st.lists(good, min_size=sizes, max_size=3))
+        window = sorted(data.draw(st.lists(st.sampled_from(["0.1", "0.3", "0.5", "0.9"]),
+                                           min_size=2, max_size=2, unique=True)))
+        side = {"rows": str(data.draw(st.integers(1, 62 if axis == "cols" else 64))),
+                "cols": str(data.draw(st.integers(1, 62 if axis == "rows" else 64)))}
+        bad = st.sampled_from(["0", "-1", "1.5", "x", "", str(1 << 140)])
+        if fault == "axis":
+            axis = data.draw(st.sampled_from(["x", "diagonal", ""]))
+        elif fault == "values":
+            values.append(data.draw(bad if sizes else VOLTS))
+        elif fault == "window":
+            window = data.draw(st.tuples(VOLTS, VOLTS))
+        elif fault:
+            side[fault] = data.draw(bad)
+        exits_cleanly(with_config(tmp_path, config) + [
+            "sweep", "--axis", axis, f"--values={','.join(values)}", "--window",
+            *window, f"--rows={side['rows']}", f"--cols={side['cols']}"])
 
 
 class TestBenchAndConfig:

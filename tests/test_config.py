@@ -69,9 +69,10 @@ class TestLoadConfig:
 
     def test_level_bounds_list(self, tmp_path):
         path = tmp_path / "fecam.ini"
-        path.write_text("[cell]\nlevel_count = 2\nlevel_bounds = 0.2 0.5 0.8\n")
+        path.write_text("[cell]\nlevel_bounds = 0.2 0.5 0.8\n")
         config = load_config(path)
         assert config.cell.level_bounds == (0.2, 0.5, 0.8)
+        assert config.cell.level_count == 2
 
     def test_unknown_field_named_in_error(self, tmp_path):
         path = tmp_path / "fecam.ini"
@@ -129,11 +130,11 @@ class TestFiniteParameters:
 @st.composite
 def configs(draw):
     """Valid configs away from the defaults: cell level counts 2, 4 and 8
-    with matching bounds, inverter gain set or not, per-kind cost entries."""
+    from 3, 5 and 9 bounds, inverter gain set or not, per-kind cost entries."""
     levels = draw(st.sampled_from([2, 4, 8]))
     bounds = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=levels + 1,
                                   max_size=levels + 1, unique=True)))
-    cell = CellConfig(level_count=levels, level_bounds=tuple(bounds),
+    cell = CellConfig(level_bounds=tuple(bounds),
                       digital_margin=draw(st.floats(0.01, 0.49)),
                       inverter_gain=draw(st.none() | st.floats(0.1, 50.0)))
     kinds = list(CamKind)
@@ -176,6 +177,26 @@ class TestFormatFromFields:
         parser = configparser.ConfigParser()
         parser.read_string(config_text(config))
         assert set(parser["cell"]) == expected["cell"] - {"inverter_gain"}
+
+    def test_level_count_and_second_supply_are_not_keys(self, tmp_path):
+        # both used to be keys: a bound count to match, a supply to keep equal
+        parser = configparser.ConfigParser()
+        parser.read_string(config_text(default_config()))
+        assert "level_count" not in parser["cell"] and "vdd" in parser["cell"]
+        assert "vdd" not in parser["matchline"]
+        path = tmp_path / "fecam.ini"
+        for section, key in (("cell", "level_count"), ("matchline", "vdd")):
+            path.write_text(f"[{section}]\n{key} = 1\n")
+            with pytest.raises(ParseError, match=rf"unknown field \[{section}\] {key}"):
+                load_config(path)
+
+    def test_sense_swing_checked_against_the_cell_supply(self, tmp_path):
+        path = tmp_path / "fecam.ini"
+        path.write_text("[cell]\nvdd = 1.13\n[matchline]\ndelta_v_ml = 1.0\n")
+        assert load_config(path).matchline.delta_v_ml == 1.0
+        path.write_text("[cell]\nvdd = 0.9\n[matchline]\ndelta_v_ml = 0.9\n")
+        with pytest.raises(ParseError, match="delta_v_ml must be below vdd"):
+            load_config(path)
 
     def test_word_sizes_are_not_keys(self, tmp_path):
         path = tmp_path / "fecam.ini"

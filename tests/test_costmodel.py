@@ -126,10 +126,10 @@ class TestRoutingReport:
 
 
 class TestMlEnergyCrossCheck:
-    def test_estimate_close_to_calibration(self, cost, mlp):
+    def test_estimate_close_to_calibration(self, cost, mlp, cfg):
         # informational: the transient C*V*dV estimate lands near the
         # calibrated word energy without being forced to
         for kind in (CamKind.FECAM_DIGITAL, CamKind.FECAM_ANALOG):
-            estimate = ml_energy_estimate(mlp, cost.word_cells[kind])
+            estimate = ml_energy_estimate(mlp, cost.word_cells[kind], cfg.vdd)
             calibrated = word_search_energy(cost, kind)
             assert 0.5 < estimate / calibrated < 2.0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fecam import (AnalogEntry, FecamArray, InvalidParameterError,
+from fecam import (AnalogEntry, CellConfig, FecamArray, InvalidParameterError,
                    OutOfRangeError, RangeRule, TableMode, TernaryEntry,
                    address_query_voltages, batch_search, compile_table,
                    entries_match, entries_match_many, entry_to_cells, lookup,
@@ -228,6 +228,15 @@ class TestEntriesMatch:
         with pytest.raises(OutOfRangeError):
             entries_match([TernaryEntry("0X")], 4, 2)
 
+    def test_width_bounded(self):
+        # 1 << 140 used to raise a bare OverflowError from 1 << width
+        top = (1 << 1024) - 1
+        entry = TernaryEntry("1" + "X" * 1023)
+        assert entries_match_many([entry], [0, top], 1024).tolist() == [False, True]
+        for width in (1025, 1 << 140, 10 ** 5000, -1, 8.0):
+            with pytest.raises(InvalidParameterError, match="width must be an int"):
+                entries_match_many([], [0], width)
+
 
 class TestEntryToCells:
     def test_full_digit_range_spans_grid(self, cfg):
@@ -261,7 +270,7 @@ class TestEntryToCells:
         assert entry == AnalogEntry(((1, 2), (0, 7)), 3)
         assert all(type(d) is int for pair in entry.digits for d in pair)
 
-    @pytest.mark.parametrize("bits_per_cell", [-1, 0, 1.0, None])
+    @pytest.mark.parametrize("bits_per_cell", [-1, 0, 1.0, None, 1025, 1 << 140])
     def test_bits_per_cell_must_be_a_positive_int(self, bits_per_cell):
         # -1 used to raise "negative shift count", and 0 was accepted
         with pytest.raises(InvalidParameterError, match="bits per cell"):
@@ -280,7 +289,7 @@ class TestAddressQueryVoltages:
         assert address_query_voltages(0o57, 6, 3, cfg) == [
             0.5 * (b[5] + b[6]), 0.5 * (b[7] + b[8])]
 
-    @pytest.mark.parametrize("bits_per_cell", [0, -3, 1.5])
+    @pytest.mark.parametrize("bits_per_cell", [0, -3, 1.5, 1 << 140])
     def test_bits_per_cell_checked_first(self, cfg, bits_per_cell):
         # 0 used to raise ZeroDivisionError
         with pytest.raises(InvalidParameterError, match="bits per cell"):
@@ -302,6 +311,23 @@ class TestAddressQueryVoltages:
     def test_width_must_divide(self, cfg):
         with pytest.raises(InvalidParameterError, match="not divisible"):
             address_query_voltages(5, 8, 3, cfg)
+
+    def test_width_bounded(self, cfg):
+        # 1 << 140 used to raise a bare OverflowError from 1 << width
+        two_levels = CellConfig(level_bounds=(0.1, 0.5, 0.9))
+        top = address_query_voltages((1 << 1024) - 1, 1024, 1, two_levels)
+        assert top == [0.7] * 1024
+        for width in (1025, 1 << 140):
+            with pytest.raises(InvalidParameterError, match="width must be an int"):
+                address_query_voltages(0, width, 1, cfg)
+
+    def test_levels_per_digit_checked(self, cfg):
+        with pytest.raises(InvalidParameterError,
+                           match="2 bits per cell needs 4 levels, config has 8"):
+            address_query_voltages(5, 8, 2, cfg)
+        with pytest.raises(InvalidParameterError,
+                           match="2 bits per cell needs 4 levels, config has 8"):
+            entry_to_cells(AnalogEntry(((0, 1),), 2), cfg)
 
 
 class TestEndToEnd:

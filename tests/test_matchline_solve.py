@@ -48,16 +48,17 @@ def test_closed_form_agrees_with_rk4(data, mlp, params, cfg):
         st.floats(2 * cols * params.i_off, 2 * cols * params.i_on),
         min_size=1, max_size=32)))
     t = sense_time(kind, mlp, params, cfg, cols)
-    closed = _ml_voltage(mlp, params.v_dsat, cols, currents, np.array([t]))[0]
-    reference = rk4_ml_voltage(currents, ml_capacitance(mlp, cols), mlp.vdd,
+    vdd = cfg.vdd
+    closed = _ml_voltage(mlp, vdd, params.v_dsat, cols, currents, np.array([t]))[0]
+    reference = rk4_ml_voltage(currents, ml_capacitance(mlp, cols), vdd,
                                params.v_dsat, t)
     assert np.abs(closed - reference).max() <= TOLERANCE
-    clear = np.abs(reference - (mlp.vdd - mlp.delta_v_ml)) > TOLERANCE
-    assert (sense(closed, mlp) == sense(reference, mlp))[clear].all()
+    clear = np.abs(reference - (vdd - mlp.delta_v_ml)) > TOLERANCE
+    assert (sense(closed, mlp, vdd) == sense(reference, mlp, vdd))[clear].all()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_zero_current_stays_at_vdd(mlp, params):
+def test_zero_current_stays_at_vdd(mlp, params, cfg):
     times = np.linspace(0.0, discharge_time(mlp, 8), 1001)
-    v = _ml_voltage(mlp, params.v_dsat, 8, np.array([0.0, 1e-320]), times)
-    assert (v == mlp.vdd).all()
+    v = _ml_voltage(mlp, cfg.vdd, params.v_dsat, 8, np.array([0.0, 1e-320]), times)
+    assert (v == cfg.vdd).all()
