@@ -32,7 +32,7 @@ from . import device
 from .cell import CellConfig, FecamCell, inverter
 from .device import DeviceParams, FeFetState, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
-                     InvalidParameterError, OutOfRangeError, is_int, require_finite)
+                     InvalidParameterError, OutOfRangeError, check_int, require_finite)
 
 TRACE_POINTS = 1001       # samples of a recorded match-line transient
 BLOCK_CELLS = 1 << 14     # FeFET currents per block of a batch search (128 KB)
@@ -75,17 +75,19 @@ class MatchLineParams:
 
 def ml_capacitance(p: MatchLineParams, n_cols: int) -> float:
     """Lumped match-line capacitance of a row with n_cols cells."""
-    if n_cols < 0:
-        raise InvalidParameterError("n_cols must be >= 0")
+    n_cols = check_int(n_cols, "n_cols", 0, MAX_CELLS)
     return p.c_pmos + n_cols * (p.c_drain + p.c_parasitic)
 
 
 def discharge_time(p: MatchLineParams, n_cols: int) -> float:
     """Time for the match line to drop by the sense boundary when all n_cols
     cells discharge at the average current; used as the auto search time."""
-    if n_cols < 1:
-        raise InvalidParameterError("n_cols must be >= 1")
-    return ml_capacitance(p, n_cols) * p.delta_v_ml / (n_cols * p.i_discharge_avg)
+    n_cols = check_int(n_cols, "n_cols", 1, MAX_CELLS)
+    t = ml_capacitance(p, n_cols) * p.delta_v_ml / (n_cols * p.i_discharge_avg)
+    if not 0.0 < t < np.inf:  # extreme parameters over- or underflow the quotient
+        raise InvalidParameterError(
+            f"the [matchline] parameters give an auto sense time of {t} s")
+    return t
 
 
 def sense(v_ml_at_t: float, p: MatchLineParams, vdd: float) -> bool:
@@ -142,8 +144,8 @@ class WritePlan:
         object.__setattr__(self, "sl_pulses", tuple(self.sl_pulses))
         object.__setattr__(self, "isl_pulses", tuple(self.isl_pulses))
         object.__setattr__(self, "source_bias", tuple(float(b) for b in self.source_bias))
-        if not is_int(self.target_row):
-            raise InvalidParameterError(f"target row must be an integer, got {self.target_row!r}")
+        object.__setattr__(self, "target_row", check_int(
+            self.target_row, "target row", 0, len(self.source_bias) - 1, OutOfRangeError))
         if len(self.sl_pulses) != len(self.isl_pulses):
             raise DimensionMismatchError(
                 f"{len(self.sl_pulses)} SL pulses vs {len(self.isl_pulses)} "
@@ -160,10 +162,9 @@ class WritePlan:
 
 def _check_size(rows: int, cols: int) -> None:
     """Reject an array without cells or with more than MAX_CELLS of them."""
-    if rows < 1 or cols < 1 or rows * cols > MAX_CELLS:
-        raise InvalidParameterError(
-            f"a {rows}x{cols} array needs at least 1 row and 1 column and at "
-            f"most {MAX_CELLS} cells")
+    of_array = f"of an array of at most {MAX_CELLS} cells"
+    rows = check_int(rows, f"rows {of_array}", 1, MAX_CELLS)
+    check_int(cols, f"cols {of_array}", 1, MAX_CELLS // rows)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -233,6 +234,14 @@ class FecamArray:
 
     def auto_sense_time(self) -> float:
         return discharge_time(self.ml_params, self.cols)
+
+    @cached_property
+    def _quiet_time(self) -> float:
+        """Sense times below this cannot overflow the match-line solve: no row
+        draws more than 2 cols i_on, and the solve divides by v_dsat."""
+        room = 1e300 * min(self.params.v_dsat, 1.0) - 2 * self.cfg.vdd
+        most = 2 * self.cols * self.params.i_on
+        return room * ml_capacitance(self.ml_params, self.cols) / most
 
 
 def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
@@ -327,7 +336,12 @@ def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=Fals
                                   arr.cfg, arr.params, q)
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
     vdd = arr.cfg.vdd
-    v = _ml_voltage(arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static, times)
+    solve = (arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static, times)
+    if t < arr._quiet_time:
+        v = _ml_voltage(*solve)
+    else:  # the line discharges fully, and rightly, but numpy warns of the overflow
+        with np.errstate(over="ignore"):
+            v = _ml_voltage(*solve)
     return sense(v[-1], arr.ml_params, vdd), t, times, v
 
 
@@ -357,10 +371,7 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     Sweeps v_sl applied to every column and returns the edges of the maximal
     contiguous matching run, or None when nothing matches.
     """
-    if not is_int(row):
-        raise InvalidParameterError(f"row must be an integer, got {row!r}")
-    if not 0 <= row < arr.rows:
-        raise OutOfRangeError(f"row {row} outside [0, {arr.rows - 1}]")
+    row = check_int(row, "row", 0, arr.rows - 1, OutOfRangeError)
     if not 0.0 < resolution < np.inf:
         raise InvalidParameterError(f"resolution must be positive, got {resolution}")
     vdd = arr.cfg.vdd
@@ -388,6 +399,7 @@ def single_mismatch_sense_time(p: MatchLineParams, params: DeviceParams,
     the worst all-cells-just-inside row current and the single
     one-level-outside cell current, and errors out when those overlap.
     """
+    n_cols = check_int(n_cols, "n_cols", 1, MAX_CELLS)
     half_width = min(b2 - b1 for b1, b2 in
                      zip(cfg.level_bounds, cfg.level_bounds[1:])) / 2.0
     # narrowest case: a single-level window queried at its center leaves both
@@ -419,8 +431,7 @@ def write_row(arr: FecamArray, plan: WritePlan):
     cells; rejects the write when any unselected device would see more than
     half the maximum write voltage between gate and source.
     """
-    if not 0 <= plan.target_row < arr.rows:
-        raise OutOfRangeError(f"target row {plan.target_row} outside array")
+    check_int(plan.target_row, "target row", 0, arr.rows - 1, OutOfRangeError)
     if len(plan.sl_pulses) != arr.cols:
         raise DimensionMismatchError(
             f"{len(plan.sl_pulses)} pulse columns vs {arr.cols} array columns")

@@ -16,7 +16,7 @@ import numpy as np
 from . import device
 from .device import DeviceParams, FeFetState
 from .errors import (EmptyWindowError, InvalidParameterError, OutOfRangeError,
-                     require_finite)
+                     check_int, require_finite)
 
 
 class TernaryBit(enum.Enum):
@@ -199,9 +199,7 @@ def quantized_levels(cfg: CellConfig):
 
 def level_center(level: int, cfg: CellConfig) -> float:
     """Search voltage encoding a quantized level (window midpoint)."""
-    if not 0 <= level < cfg.level_count:
-        raise OutOfRangeError(
-            f"level {level} outside [0, {cfg.level_count - 1}]")
+    level = check_int(level, "level", 0, cfg.level_count - 1, OutOfRangeError)
     b = cfg.level_bounds
     return 0.5 * (b[level] + b[level + 1])
 
@@ -209,9 +207,8 @@ def level_center(level: int, cfg: CellConfig) -> float:
 def program_level_window(lo_level: int, hi_level: int, cfg: CellConfig,
                          params: DeviceParams) -> FecamCell:
     """Cell matching the quantized levels lo_level..hi_level inclusive."""
-    if not (0 <= lo_level <= hi_level < cfg.level_count):
-        raise OutOfRangeError(
-            f"level range [{lo_level}, {hi_level}] outside "
-            f"[0, {cfg.level_count - 1}]")
+    top = cfg.level_count - 1
+    lo_level = check_int(lo_level, "lo_level", 0, top, OutOfRangeError)
+    hi_level = check_int(hi_level, "hi_level", lo_level, top, OutOfRangeError)
     b = cfg.level_bounds
     return program_analog(b[lo_level], b[hi_level + 1], cfg, params)

@@ -17,7 +17,7 @@ from .array import MatchLineParams
 from .cell import CellConfig
 from .costmodel import CostParams
 from .device import DeviceParams
-from .errors import InvalidParameterError, ParseError, is_int
+from .errors import ParseError, check_int
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,10 @@ class GlobalConfig:
     cell: CellConfig = field(default_factory=CellConfig)
     matchline: MatchLineParams = field(default_factory=MatchLineParams)
     cost: CostParams = field(default_factory=CostParams)
-    rng_seed: int = 0
+    rng_seed: int = 0         # numpy's SeedSequence pools 128 bits of entropy
 
     def __post_init__(self):
-        if not (is_int(self.rng_seed) and self.rng_seed >= 0):
-            raise InvalidParameterError(
-                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        check_int(self.rng_seed, "rng_seed", 0, (1 << 128) - 1)
         self.matchline.check_swing(self.cell.vdd)
 
 

@@ -13,12 +13,13 @@ import enum
 from dataclasses import asdict, dataclass, field
 
 from .array import MatchLineParams, ml_capacitance
-from .encoder import RoutingTable, TableMode
-from .errors import (InconsistentInputError, InvalidParameterError, is_int,
-                     require_finite)
+from .encoder import MAX_RULE_WIDTH, RoutingTable, TableMode
+from .errors import (InconsistentInputError, InvalidParameterError, check_int,
+                     is_int, require_finite)
 
 
 WORD_BITS = 64  # word size of the word-level figures
+MAX_PRICED_CELLS = 1 << 53  # the largest cell count a float holds exactly
 
 
 class CamKind(enum.Enum):
@@ -63,8 +64,8 @@ class CostParams:
         for kind in CamKind:
             if self.energy_per_bit.get(kind, 0) <= 0:
                 raise InvalidParameterError(f"energy_per_bit missing for {kind}")
-            if self.bits_per_cell.get(kind, 0) < 1:
-                raise InvalidParameterError(f"bits_per_cell must be >= 1 for {kind}")
+            check_int(self.bits_per_cell.get(kind), f"bits_per_cell_{kind.value}",
+                      1, MAX_RULE_WIDTH)
         if self.area_per_bit_ratio_analog_vs_cmos <= 0 or self.cmos_cell_area <= 0:
             raise InvalidParameterError("area constants must be positive")
 
@@ -93,15 +94,13 @@ class CostParams:
 
 def search_energy(p: CostParams, kind: CamKind, n_cells: int) -> float:
     """Energy of searching n_cells cells, in joules."""
-    if n_cells < 0:
-        raise InvalidParameterError("n_cells must be >= 0")
+    n_cells = check_int(n_cells, "n_cells", 0, MAX_PRICED_CELLS)
     return n_cells * p.bits_per_cell[kind] * p.energy_per_bit[kind]
 
 
 def area(p: CostParams, kind: CamKind, n_cells: int) -> float:
     """Array area of n_cells cells, in cmos_cell_area units."""
-    if n_cells < 0:
-        raise InvalidParameterError("n_cells must be >= 0")
+    n_cells = check_int(n_cells, "n_cells", 0, MAX_PRICED_CELLS)
     return n_cells * p.cell_area(kind)
 
 

@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError,
-                     require_finite)
+                     check_int, require_finite)
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 
@@ -69,9 +69,9 @@ class DeviceParams:
             raise InvalidParameterError("vth_low must be below vth_high")
         if self.coercive_sigma <= 0:
             raise InvalidParameterError("coercive_sigma must be positive")
-        if not self.i_off < self.i_threshold < self.i_on:
+        if not 0 <= self.i_off < self.i_threshold < self.i_on:
             raise InvalidParameterError(
-                "currents must satisfy i_off < i_threshold < i_on")
+                "currents must satisfy 0 <= i_off < i_threshold < i_on")
         if self.subthreshold_slope <= 0 or self.v_dsat <= 0:
             raise InvalidParameterError(
                 "subthreshold_slope and v_dsat must be positive")
@@ -196,10 +196,11 @@ def resolvable_levels(params: DeviceParams, sigma_vth: float,
     For each candidate count m (from level_count down), programs m levels
     spanning the vth range, draws noisy samples, and classifies each sample to
     the nearest level; m is resolvable when every level classifies correctly
-    with at least min_accuracy.  Returns the largest resolvable m (>= 1).
+    with at least min_accuracy.  Returns the largest resolvable m (>= 1), for
+    at most one level per VTH_SOLVE_TOLERANCE of the threshold range.
     """
-    if level_count < 1:
-        raise InvalidParameterError("level_count must be >= 1")
+    most = 1 + int(params.vth_span / VTH_SOLVE_TOLERANCE)
+    level_count = check_int(level_count, "level_count", 1, most)
     for m in range(level_count, 1, -1):
         centers = np.linspace(params.vth_low, params.vth_high, m)
         spacing = params.vth_span / (m - 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellConfig
-from .errors import InvalidParameterError, OutOfRangeError, is_int
+from .errors import InvalidParameterError, OutOfRangeError, check_int, is_int
 
 MAX_RULE_WIDTH = 1024     # widest rule: a ternary cover holds ~2 w entries of w cells
 
@@ -65,24 +65,20 @@ class AnalogEntry:
     bits_per_cell: int = 3
 
     def __post_init__(self):
-        _cells_per_entry(0, self.bits_per_cell)  # any digit count fits the width
-        try:
-            digits = tuple([(a, b) if type(a) is type(b) is int else _digit_range(a, b)
+        _, bits, _ = _geometry(0, self.bits_per_cell)  # any digit count fits the width
+        top = (1 << bits) - 1
+        try:  # all-int pairs in range pass as they are; check_int words any error
+            digits = tuple([(a, b) if type(a) is type(b) is int and 0 <= a <= b <= top
+                            else (lo := check_int(a, "digit low end", 0, top),
+                                  check_int(b, "digit high end", lo, top))
                             for a, b in self.digits])
         except (TypeError, ValueError):  # not an iterable of pairs
-            raise InvalidParameterError(
-                f"digits must be (lo, hi) pairs, got {self.digits!r}") from None
-        object.__setattr__(self, "digits", digits)
-        if type(self.bits_per_cell) is not int:  # a numpy int
-            object.__setattr__(self, "bits_per_cell", int(self.bits_per_cell))
+            raise InvalidParameterError("digits must be (lo, hi) pairs") from None
         if not digits:
             raise InvalidParameterError("an analog entry needs at least one digit")
-        top = (1 << self.bits_per_cell) - 1
-        for d_lo, d_hi in digits:
-            if not 0 <= d_lo <= d_hi <= top:
-                raise InvalidParameterError(
-                    f"digit range [{d_lo}, {d_hi}] invalid for "
-                    f"{self.bits_per_cell} bits per cell")
+        object.__setattr__(self, "digits", digits)
+        if type(self.bits_per_cell) is not int:  # hold a Python int
+            object.__setattr__(self, "bits_per_cell", bits)
 
     @property
     def width(self) -> int:
@@ -103,14 +99,6 @@ class AnalogEntry:
         return "".join(f"[{a}-{b}]" for a, b in self.digits)
 
 
-def _digit_range(d_lo, d_hi) -> tuple:
-    """One digit range as Python ints, refusing non-integer ends."""
-    if not (is_int(d_lo) and is_int(d_hi)):
-        raise InvalidParameterError(
-            f"digit ends must be integers, got {d_lo!r}, {d_hi!r}")
-    return int(d_lo), int(d_hi)
-
-
 @dataclass(frozen=True)
 class RangeRule:
     """One routing rule: match addresses in [lo, hi] and return the action.
@@ -122,37 +110,24 @@ class RangeRule:
     action: str
 
     def __post_init__(self):
-        if not (is_int(self.lo) and is_int(self.hi)):
-            raise InvalidParameterError(
-                f"range ends must be integers, got {self.lo!r}, {self.hi!r}")
-        if not (is_int(self.width) and 0 < self.width <= MAX_RULE_WIDTH):
-            raise InvalidParameterError(f"rule width must be a positive int "
-                                        f"up to {MAX_RULE_WIDTH}, got {self.width!r}")
-        if not type(self.lo) is type(self.hi) is type(self.width) is int:  # numpy ints
-            self.__dict__.update(lo=int(self.lo), hi=int(self.hi), width=int(self.width))
-        if not 0 <= self.lo <= self.hi < (1 << self.width):
-            raise InvalidParameterError(
-                f"range [{self.lo}, {self.hi}] invalid for width {self.width}")
+        width = check_int(self.width, "rule width", 1, MAX_RULE_WIDTH)
+        top = (1 << width) - 1
+        lo = check_int(self.lo, "range low end", 0, top)
+        hi = check_int(self.hi, "range high end", lo, top)
+        if not type(self.lo) is type(self.hi) is type(self.width) is int:  # hold Python ints
+            self.__dict__.update(lo=lo, hi=hi, width=width)
 
 
-def _check_width(width) -> None:
-    """The one width bound: an int in [0, MAX_RULE_WIDTH] (0: no rules).  The
-    message leaves the width out: an int past 4300 digits has no repr."""
-    if not (is_int(width) and 0 <= width <= MAX_RULE_WIDTH):
-        raise InvalidParameterError(f"width must be an int in [0, {MAX_RULE_WIDTH}]")
-
-
-def _cells_per_entry(width: int, bits_per_cell: int) -> int:
-    """Digits of an entry: the one geometry check.  A digit is no wider
-    than the widest rule."""
-    if not (is_int(bits_per_cell) and 0 < bits_per_cell <= MAX_RULE_WIDTH):
-        raise InvalidParameterError(
-            f"bits per cell must be a positive int up to {MAX_RULE_WIDTH}")
-    _check_width(width)
+def _geometry(width: int, bits_per_cell: int) -> tuple:
+    """(width, bits per cell, digits) of an entry as Python ints: the one
+    geometry check.  A width of 0 holds no rules; a digit is no wider than
+    the widest rule."""
+    bits_per_cell = check_int(bits_per_cell, "bits per cell", 1, MAX_RULE_WIDTH)
+    width = check_int(width, "width", 0, MAX_RULE_WIDTH)
     if width % bits_per_cell:
         raise InvalidParameterError(
             f"width {width} not divisible by {bits_per_cell} bits per cell")
-    return width // bits_per_cell
+    return width, bits_per_cell, width // bits_per_cell
 
 
 def _check_levels(bits_per_cell: int, cfg: CellConfig) -> None:
@@ -169,8 +144,8 @@ def _blocks(lo: int, hi: int, width: int, bits_per_cell: int) -> list:
     as large as start's alignment, the room left and the digit count allow,
     then span as large as digit k and the room allow."""
     rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
-    top_k = _cells_per_entry(width, bits_per_cell) - 1
-    width, bits_per_cell = rule.width, int(bits_per_cell)  # numpy ints overflow past 63 bits
+    width, bits_per_cell, digits = _geometry(rule.width, bits_per_cell)
+    top_k = digits - 1
     base = 1 << bits_per_cell
     blocks, start = [], rule.lo
     while start <= rule.hi:
@@ -220,7 +195,7 @@ def _addresses(addrs, width: int) -> np.ndarray:
     Python ints from 63 bits up.  Width 0 (a table without rules) bounds
     nothing.  A non-integer address, a bool among them, raises at any width:
     a typed array is judged by its dtype, anything else element by element."""
-    _check_width(width)
+    width = check_int(width, "width", 0, MAX_RULE_WIDTH)
     if isinstance(addrs, np.ndarray) and addrs.dtype.kind != "O":
         a, integral = addrs, addrs.dtype.kind in "iu" or not addrs.size
     else:  # a bool turns into an int in a typed array, so look at each one
@@ -281,12 +256,8 @@ def entry_to_cells(entry: AnalogEntry, cfg: CellConfig):
 def address_query_voltages(addr: int, width: int, bits_per_cell: int,
                            cfg: CellConfig):
     """Digit-center search voltages encoding an address, MSB first."""
-    n_digits = _cells_per_entry(width, bits_per_cell)
-    if not is_int(addr):
-        raise InvalidParameterError(f"address must be an integer, got {addr!r}")
-    addr, width, bits_per_cell = int(addr), int(width), int(bits_per_cell)
-    if not 0 <= addr < (1 << width):
-        raise OutOfRangeError(f"address {addr} outside width {width}")
+    width, bits_per_cell, n_digits = _geometry(width, bits_per_cell)
+    addr = check_int(addr, "address", 0, (1 << width) - 1, OutOfRangeError)
     _check_levels(bits_per_cell, cfg)
     base = 1 << bits_per_cell
     b = cfg.level_bounds
@@ -363,7 +334,7 @@ def compile_table(rules, mode: TableMode, bits_per_cell: int = 3) -> RoutingTabl
                                   bits_per_cell=bits_per_cell)
     else:
         raise InvalidParameterError(f"unknown table mode {mode!r}")
-    _cells_per_entry(width, bits_per_cell)  # checked also without rules
+    _, bits_per_cell, _ = _geometry(width, bits_per_cell)  # checked also without rules
     entries = []
     for index, rule in enumerate(rules):
         entries.extend(TableEntry(e, index)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the finiteness check every
-parameter class runs first, and the one test of what counts as an integer.
+parameter class runs first, the one test of what counts as an integer, and
+the one check of a bounded integer: every index, count and width.
 
 Every error carries a stable machine-parsable ``category`` string; the CLI
 prints it as the single-line error code.
@@ -64,7 +65,7 @@ def require_finite(params) -> None:
         value = getattr(params, f.name)
         items = (value.values() if isinstance(value, dict)
                  else value if isinstance(value, tuple) else (value,))
-        if not all(x is None or math.isfinite(x) for x in items):
+        if not all(x is None or is_int(x) or math.isfinite(x) for x in items):
             raise InvalidParameterError(f"{f.name} must be finite, got {value}")
 
 
@@ -72,3 +73,21 @@ def is_int(x) -> bool:
     """The package's one integer rule: a Python int or a numpy integer counts,
     a bool does not (True is not row 1 or width 1); plain ints pass first."""
     return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
+
+
+def check_int(value, what: str, lo: int, hi: int,
+              error: type = InvalidParameterError) -> int:
+    """The one bounded-integer check: `value` as a Python int in [lo, hi].  A
+    non-integer or a bool (`is_int`) raises InvalidParameterError, an int
+    outside the bounds `error`, with one message that names `what`."""
+    if type(value) is int and lo <= value <= hi:  # the common case, first
+        return value
+    if not is_int(value):
+        error = InvalidParameterError
+    elif lo <= int(value) <= hi:  # a numpy int
+        return int(value)
+    try:
+        got = repr(value)
+    except ValueError:  # an int past the digit limit of int-to-str has no repr
+        got = f"an int of {value.bit_length()} bits"
+    raise error(f"{what} must be an integer in [{lo}, {hi}], got {got}")

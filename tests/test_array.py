@@ -307,11 +307,13 @@ class TestWrite:
         with pytest.raises(DimensionMismatchError):
             write_row(arr, plan)
 
-    @pytest.mark.parametrize("row", [1.5, 1.0, None, True])
+    @pytest.mark.parametrize("row", [1.5, 1.0, None, True, -1, 2,
+                                     pytest.param(10 ** 5000, id="10**5000")])
     def test_target_row_must_be_an_integer(self, demo_cell, mlp, cfg, params, row):
         # write_cells(arr, 1.5, ...) used to raise a bare IndexError
         arr = filled(2, 1, demo_cell, mlp, cfg, params)
-        with pytest.raises(InvalidParameterError, match="target row must be an integer"):
+        error = OutOfRangeError if type(row) is int else InvalidParameterError
+        with pytest.raises(error, match="target row must be an integer"):
             write_cells(arr, row, [demo_cell])
         # the pulse solve meets each threshold within 1 mV
         assert np.allclose(write_cells(arr, np.int64(1), [demo_cell])[0].vth, arr.vth, atol=1e-3)
@@ -360,18 +362,19 @@ class TestConstruction:
         with pytest.warns(RuntimeWarning):
             filled(1, 65, demo_cell, mlp, cfg, params)
 
-    @pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0), (-2, 3),
-                                            (1025, 1024), (1, MAX_CELLS + 1),
-                                            (10 ** 30, 10 ** 30)])
+    @pytest.mark.parametrize("rows, cols", [
+        (0, 1), (1, 0), (-2, 3), (1025, 1024), (1, MAX_CELLS + 1), (10 ** 30, 10 ** 30),
+        *[pair for bad in (1.5, True, None, -1) for pair in ((bad, 1), (1, bad))],
+        pytest.param(10 ** 5000, 1, id="10**5000-1"), pytest.param(1, 10 ** 5000, id="1-10**5000")])
     def test_size_checked_before_the_grid(self, demo_cell, mlp, cfg, params,
                                           rows, cols):
         with pytest.raises(InvalidParameterError, match="at most"):
             filled(rows, cols, demo_cell, mlp, cfg, params)
 
     def test_empty_grid_rejected(self, mlp, cfg, params):
-        with pytest.raises(InvalidParameterError, match="at least 1 row"):
+        with pytest.raises(InvalidParameterError, match=r"must be an integer in \[1, "):
             FecamArray(cells=[], ml_params=mlp, cfg=cfg, params=params)
-        with pytest.raises(InvalidParameterError, match="at least 1 row"):
+        with pytest.raises(InvalidParameterError, match=r"must be an integer in \[1, "):
             FecamArray(cells=[[]], ml_params=mlp, cfg=cfg, params=params)
 
     @pytest.mark.parametrize("upper, lower", [(np.nan, 5.0), (np.nan, 0.5), (0.5, 5.0),

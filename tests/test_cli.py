@@ -171,6 +171,30 @@ class TestSearch:
         assert err.startswith("error: invalid-parameter:")
 
 
+    def test_overflowing_auto_sense_time_names_the_matchline(self, capsys, demo_files):
+        # it used to read "t_sense must be positive and finite, got inf", as if given
+        tmp_path, _, queries, _ = demo_files
+        array = tmp_path / "slow.txt"
+        array.write_text(DEMO_ARRAY + "matchline c_pmos 1e302\n")
+        code, out, err = run(capsys, "search", "--array", str(array),
+                             "--queries", str(queries))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: invalid-parameter: the \[matchline\] parameters "
+                            r"give an auto sense time of inf s\n", err)
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_huge_sense_time_discharges_without_warnings(self, capsys, tmp_path):
+        # numpy used to warn of an overflow in multiply and in divide
+        array, queries = tmp_path / "array.txt", tmp_path / "queries.txt"
+        array.write_text("rows 2\ncols 2\ncell 0 0 analog 0.4 0.6\n")
+        queries.write_text("0.5 0.5\n0.1 0.9\n")
+        code, out, err = run(capsys, "search", "--array", str(array), "--queries",
+                             str(queries), "--sense-time=1e300")
+        assert (code, err) == (0, "")
+        assert "query_0_matches = false,false\n" in out
+        assert "query_1_matches = false,false\n" in out
+
+
 class TestSweep:
     @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_size_warning_is_one_line(self, capsys, tmp_path):
@@ -514,7 +538,9 @@ def exits_cleanly(argv):
     assert code in (0, 2)
     if code == 2:
         assert lines and re.fullmatch(r"error: [a-z-]+: [^\n]*\n", lines.pop()), lines
-    assert all(re.fullmatch(r"warning: [^\n]*\n", line) for line in lines), lines
+    # the size guideline is the only warning: numpy's own must not leak out
+    assert all(re.fullmatch(r"warning: \d+ (rows|columns) exceeds 64; [^\n]*\n", line)
+               for line in lines), lines
     return code, out.getvalue(), err.getvalue()
 
 

@@ -238,6 +238,9 @@ class TestParamValidation:
     def test_bad_current_ordering(self):
         with pytest.raises(InvalidParameterError):
             DeviceParams(i_off=1e-6, i_threshold=1e-7)
+        # a negative leakage used to load, and then raised a searched match line
+        with pytest.raises(InvalidParameterError):
+            DeviceParams(i_off=-1e-9)
 
     def test_bad_vth_ordering(self):
         with pytest.raises(InvalidParameterError):

@@ -261,8 +261,13 @@ class TestEntryToCells:
             AnalogEntry(())  # width 0, like TernaryEntry("")
         # int() read 0.5 as 0, and "a" raised a bare ValueError
         for digits in (((0.5, 1),), (("a", 1),), ((0, True),), ((np.float64(1), 2),)):
-            with pytest.raises(InvalidParameterError, match="digit ends must be integers"):
+            with pytest.raises(InvalidParameterError, match="digit (low|high) end must be an integer"):
                 AnalogEntry(digits, 3)
+        for bad in (1.5, True, None, -1, 10 ** 5000):
+            for digits in (((bad, 1),), ((0, bad),)):
+                with pytest.raises(InvalidParameterError,
+                                   match="digit (low|high) end must be an integer"):
+                    AnalogEntry(digits, 3)
         for digits in (((0, 1, 2),), (1, 2), 7):
             with pytest.raises(InvalidParameterError, match=r"\(lo, hi\) pairs"):
                 AnalogEntry(digits, 3)
@@ -406,19 +411,21 @@ class TestRoutingTable:
         with pytest.raises(OutOfRangeError):
             lookup_many(table, [5, 1 << width])
 
-    @pytest.mark.parametrize("width", [0, -1, -64, 3.0, True, "8", None, 1025, 1 << 140])
+    @pytest.mark.parametrize("width", [0, -1, -64, 3.0, True, "8", None, 1025, 1 << 140,
+                                       1.5, pytest.param(10 ** 5000, id="10**5000")])
     def test_width_must_be_a_positive_int(self, width):
         # width 0 used to fail later on empty ternary bits, -1 on a shift count
-        with pytest.raises(InvalidParameterError, match="width must be a positive int"):
+        with pytest.raises(InvalidParameterError, match=r"rule width must be an integer in \[1, 1024\]"):
             RangeRule(0, 0, width, "a")
-        with pytest.raises(InvalidParameterError, match="width must be a positive int"):
+        with pytest.raises(InvalidParameterError, match=r"rule width must be an integer in \[1, 1024\]"):
             range_to_prefixes(0, 0, width)
 
     @pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 3.0), (0, "3"), (None, 3),
-                                        (False, True)])
+                                        (False, True), (1.5, 3), (True, 3), (0, None),
+                                        (-1, 3), pytest.param(0, 10 ** 5000, id="0-10**5000")])
     def test_ends_must_be_integers(self, lo, hi):
         # a float end used to raise a bare TypeError inside compile_table
-        with pytest.raises(InvalidParameterError, match="ends must be integers"):
+        with pytest.raises(InvalidParameterError, match="range (low|high) end must be an integer"):
             RangeRule(lo, hi, 4, "a")
 
     @pytest.mark.parametrize("mode", list(TableMode))

@@ -163,7 +163,7 @@ class TestQueryAndRuleFiles:
 
     @pytest.mark.parametrize("width", ["0", "-1"])
     def test_rule_bad_width_names_line(self, width):
-        with pytest.raises(ParseError, match="line 2.*width must be a positive int"):
+        with pytest.raises(ParseError, match=r"line 2.*rule width must be an integer in \[1, 1024\]"):
             parse_rules_file(f"0 7 3 portB\n0 0 {width} portA\n")
 
     def test_rule_bad_range(self):
