@@ -8,7 +8,8 @@ match-line voltage as their drain voltage, the row current factors into a
 query-dependent static part times a common drain-saturation factor
 min(V / v_dsat, 1).  The discharge then has an exact closed form, a linear
 fall to the saturation knee followed by an exponential decay, so identical
-inputs give bit-identical results.
+inputs give bit-identical results; a traced search therefore solves its
+transient once per distinct row current, not once per row.
 
 The static part is factored: a subthreshold term i_th 10^((v - vth)/S) is
 (i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array keeps its threshold
@@ -335,13 +336,17 @@ def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=Fals
     static = _static_row_currents(arr.vth[rows], None if factors is None else factors[rows],
                                   arr.cfg, arr.params, q)
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
+    # the solve is elementwise, so a trace solves each distinct row current once
+    currents, lines = np.unique(static, return_inverse=True) if trace else (static, None)
     vdd = arr.cfg.vdd
-    solve = (arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static, times)
+    solve = (arr.ml_params, vdd, arr.params.v_dsat, arr.cols, currents, times)
     if t < arr._quiet_time:
         v = _ml_voltage(*solve)
     else:  # the line discharges fully, and rightly, but numpy warns of the overflow
         with np.errstate(over="ignore"):
             v = _ml_voltage(*solve)
+    if trace:
+        v = v[:, lines.reshape(static.shape)]
     return sense(v[-1], arr.ml_params, vdd), t, times, v
 
 
@@ -412,7 +417,11 @@ def single_mismatch_sense_time(p: MatchLineParams, params: DeviceParams,
             f"{n_cols} columns: accumulated in-window leakage "
             f"({worst_match:.3g} A) masks a single mismatch ({i_outside:.3g} A)")
     i_sense = (worst_match * i_outside) ** 0.5
-    return ml_capacitance(p, n_cols) * p.delta_v_ml / i_sense
+    t = ml_capacitance(p, n_cols) * p.delta_v_ml / i_sense if i_sense else np.inf
+    if not 0.0 < t < np.inf:  # extreme parameters over- or underflow the quotient
+        raise InvalidParameterError(f"the [matchline] and [device] parameters give "
+                                    f"a single-mismatch sense time of {t} s")
+    return t
 
 
 def _disturb_report(plan: WritePlan) -> DisturbReport:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .array import MatchLineParams
 from .cell import CellConfig
 from .costmodel import CostParams
-from .device import DeviceParams
+from .device import MAX_SEED, DeviceParams
 from .errors import ParseError, check_int
 
 
@@ -26,10 +26,10 @@ class GlobalConfig:
     cell: CellConfig = field(default_factory=CellConfig)
     matchline: MatchLineParams = field(default_factory=MatchLineParams)
     cost: CostParams = field(default_factory=CostParams)
-    rng_seed: int = 0         # numpy's SeedSequence pools 128 bits of entropy
+    rng_seed: int = 0
 
     def __post_init__(self):
-        check_int(self.rng_seed, "rng_seed", 0, (1 << 128) - 1)
+        check_int(self.rng_seed, "rng_seed", 0, MAX_SEED)
         self.matchline.check_swing(self.cell.vdd)
 
 

@@ -19,6 +19,8 @@ from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError,
                      check_int, require_finite)
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
+MAX_SEED = (1 << 128) - 1   # numpy's SeedSequence pools 128 bits of entropy
+MAX_DRAWS = 1 << 24         # noisy thresholds resolvable_levels draws per count
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,9 @@ def apply_variation(params: DeviceParams, vth, sigma_vth: float, seed):
 
     vth may be a scalar or array; the draw is deterministic for a given seed.
     """
-    if sigma_vth < 0:
-        raise InvalidParameterError(f"sigma_vth must be >= 0, got {sigma_vth}")
-    rng = np.random.default_rng(seed)
+    if not 0 <= sigma_vth < np.inf:  # NaN fails as well
+        raise InvalidParameterError(f"sigma_vth must be finite and >= 0, got {sigma_vth}")
+    rng = np.random.default_rng(check_int(seed, "seed", 0, MAX_SEED))
     noisy = np.asarray(vth, dtype=float) + rng.normal(0.0, sigma_vth, np.shape(vth))
     noisy = np.clip(noisy, params.vth_low, params.vth_high)
     if np.ndim(vth) == 0:
@@ -197,10 +199,14 @@ def resolvable_levels(params: DeviceParams, sigma_vth: float,
     spanning the vth range, draws noisy samples, and classifies each sample to
     the nearest level; m is resolvable when every level classifies correctly
     with at least min_accuracy.  Returns the largest resolvable m (>= 1), for
-    at most one level per VTH_SOLVE_TOLERANCE of the threshold range.
+    at most one level per VTH_SOLVE_TOLERANCE of the threshold range and
+    MAX_DRAWS samples per count; seed + m seeds the draws of m levels.
     """
     most = 1 + int(params.vth_span / VTH_SOLVE_TOLERANCE)
     level_count = check_int(level_count, "level_count", 1, most)
+    samples_per_level = check_int(samples_per_level, "samples_per_level", 1,
+                                  MAX_DRAWS // level_count)
+    seed = check_int(seed, "seed", 0, MAX_SEED - level_count)
     for m in range(level_count, 1, -1):
         centers = np.linspace(params.vth_low, params.vth_high, m)
         spacing = params.vth_span / (m - 1)

@@ -2,10 +2,12 @@
 
 All CSV exports start with a header row whose column names carry units, use
 the decimal point, and may use scientific notation.  Each export builds one
-"%" template for the whole file, with the columns it already knows (rows,
-times) filled in, and applies it once to the flat list of its numbers; the
-template fields come from costmodel.NUMBER_SPEC, the spec of `_fmt`.  An
-array description programs each distinct cell spec once.
+"%" template, with the columns it already knows (times) filled in, and fills
+it with the flat list of its numbers: once for the whole file, except the
+trace, which fills it once per distinct voltage column and prefixes each
+row's copy with its row number.  The template fields come from
+costmodel.NUMBER_SPEC, the spec of `_fmt`.  An array description programs
+each distinct cell spec once.
 """
 
 from __future__ import annotations
@@ -133,13 +135,20 @@ def parse_rules_file(text: str):
 
 
 def trace_csv(result: SearchResult) -> str:
-    """Per-row match-line transient: row,t_seconds,v_ml_volts."""
-    lines = [f"{_fmt(t)},{NUMBER}" for t in result.times]
-    blocks = (f"\n{row},".join(["", *lines])
-              for row in range(result.ml_voltages.shape[1]))
-    # header and last newline inside: the "%" result is the only copy of the text
-    template = "".join(["row,t_seconds,v_ml_volts", *blocks, "\n"])
-    return template % tuple(result.ml_voltages.T.ravel().tolist())
+    """Per-row match-line transient: row,t_seconds,v_ml_volts.  Each distinct
+    voltage column is formatted once, keyed on its bytes (so -0.0 and 0.0
+    stay apart), then copied for each of its rows with the row number in
+    front of every line."""
+    template = "".join(f"\n{_fmt(t)},{NUMBER}" for t in result.times)
+    texts = {}  # column bytes -> its lines, each after a newline
+    blocks = ["row,t_seconds,v_ml_volts"]
+    for row, column in enumerate(result.ml_voltages.T):
+        key = column.tobytes()
+        if key not in texts:
+            texts[key] = template % tuple(column.tolist())
+        blocks.append(texts[key].replace("\n", f"\n{row},"))
+    blocks.append("\n")
+    return "".join(blocks)
 
 
 def bounds_sweep_csv(v_sl_grid, matches) -> str:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
-                   DisturbViolationError, FecamArray, InvalidParameterError,
+                   DisturbViolationError, FecamArray, InvalidParameterError, MatchLineParams,
                    InvalidPulseError, OutOfRangeError, TernaryBit, WritePlan, WritePulse,
                    batch_search, cell_current, digital_query_voltage,
                    discharge_time, inhibition_plans, inverter, match_window,
@@ -409,6 +409,15 @@ class TestConstruction:
         assert t8 > 0
         with pytest.raises(InvalidParameterError):
             single_mismatch_sense_time(mlp, params, cfg, 16)
+
+    @pytest.mark.parametrize("mlp, params", [
+        (MatchLineParams(c_pmos=1e302), DeviceParams()),
+        # no leakage: a zero sense current; saturated_current warns of 10**5000
+        pytest.param(MatchLineParams(), DeviceParams(i_off=0.0, subthreshold_slope=1e-5),
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])
+    def test_overflowing_single_mismatch_time_names_the_matchline(self, cfg, mlp, params):
+        with pytest.raises(InvalidParameterError, match=r"\[matchline\].* inf s"):
+            single_mismatch_sense_time(mlp, params, cfg, 8)
 
 
 def reference_row_currents(up, lo, cfg, params, queries):

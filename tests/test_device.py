@@ -226,6 +226,13 @@ class TestVariation:
         with pytest.raises(InvalidParameterError):
             apply_variation(params, 0.5, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, params, sigma):
+        with pytest.raises(InvalidParameterError, match="sigma_vth must be finite"):
+            apply_variation(params, 0.5, sigma, seed=0)
+        with pytest.raises(InvalidParameterError, match="sigma_vth must be finite"):
+            resolvable_levels(params, sigma, level_count=3, samples_per_level=10)
+
     def test_separability_decreases_with_sigma(self, params):
         sigmas = [0.0, 0.04, 0.07, 0.15, 0.5]
         counts = [resolvable_levels(params, s) for s in sigmas]

@@ -208,6 +208,23 @@ class TestWritersMatchReference:
                               ml_voltages=v)
         assert trace_csv(result) == reference_trace_csv(result)
 
+    @settings(max_examples=60)
+    @given(data=st.data(), n_points=st.integers(0, 12), n_rows=st.integers(1, 40))
+    def test_trace_of_repeated_columns(self, data, n_points, n_rows):
+        """Rows that share a column, among columns apart only in the sign of a
+        zero or all NaN, give the reference bytes: the writer formats each
+        distinct column once."""
+        drawn = data.draw(volt_arrays(st.just(n_points), st.integers(0, 3)))
+        signs = np.where(np.arange(n_points) % 2, 0.0, -0.0)
+        pool = np.column_stack((drawn, np.zeros(n_points), np.full(n_points, -0.0),
+                                signs, -signs, np.full(n_points, np.nan)))
+        column_of = data.draw(hnp.arrays(np.intp, n_rows,
+                                         elements=st.integers(0, pool.shape[1] - 1)))
+        v = pool[:, column_of]
+        result = SearchResult(matches=(True,) * n_rows, sense_time=1e-8,
+                              times=np.linspace(0.0, 1e-8, n_points), ml_voltages=v)
+        assert trace_csv(result) == reference_trace_csv(result)
+
     def test_trace_of_a_search(self, config):
         arr = parse_array_file("rows 3\ncols 2\ncell 0 0 level 2\n"
                                "cell 1 1 analog 0.1 0.35\n", config)

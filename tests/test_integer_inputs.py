@@ -14,7 +14,7 @@ import pytest
 import fecam
 from fecam import (AnalogEntry, CamKind, CostParams, GlobalConfig, InvalidParameterError,
                    OutOfRangeError, RangeRule, TableMode, TernaryBit, WritePlan,
-                   address_query_voltages, area, compile_table, default_config,
+                   address_query_voltages, apply_variation, area, compile_table, default_config,
                    discharge_time, entries_match, entries_match_many, inhibition_plans,
                    level_center, lookup, measure_bounds, ml_capacitance,
                    ml_energy_estimate, program_digital, program_level_window,
@@ -23,7 +23,8 @@ from fecam import (AnalogEntry, CamKind, CostParams, GlobalConfig, InvalidParame
 
 BAD = [1.5, True, None, -1, pytest.param(10 ** 5000, id="10**5000")]
 NAMES = {"row", "target_row", "rows", "cols", "n_cols", "n_cells", "level", "lo_level",
-         "hi_level", "level_count", "width", "bits_per_cell", "addr", "rng_seed"}
+         "hi_level", "level_count", "samples_per_level", "width", "bits_per_cell", "addr",
+         "rng_seed", "seed"}
 
 
 @functools.cache
@@ -76,6 +77,14 @@ TABLE = {
     ("resolvable_levels", "level_count"): (
         lambda v: resolvable_levels(cfg().device, 0.01, level_count=v, samples_per_level=50),
         3, InvalidParameterError),
+    ("resolvable_levels", "samples_per_level"): (
+        lambda v: resolvable_levels(cfg().device, 0.01, level_count=3, samples_per_level=v),
+        50, InvalidParameterError),
+    ("resolvable_levels", "seed"): (
+        lambda v: resolvable_levels(cfg().device, 0.01, level_count=3, samples_per_level=50,
+                                    seed=v), 3, InvalidParameterError),
+    ("apply_variation", "seed"): (
+        lambda v: apply_variation(cfg().device, 0.5, 0.01, v), 3, InvalidParameterError),
     ("GlobalConfig", "rng_seed"): (lambda v: GlobalConfig(rng_seed=v), 3, InvalidParameterError),
     ("CostParams", "bits_per_cell"): (
         lambda v: CostParams(bits_per_cell=bits_of(v)), 2, InvalidParameterError),

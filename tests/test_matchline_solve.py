@@ -1,12 +1,14 @@
-"""The closed-form match-line solve against an independent RK4 reference."""
+"""The closed-form match-line solve against an independent RK4 reference, and
+a traced search against the solve of every row."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fecam import (discharge_time, ml_capacitance, sense,
-                   single_mismatch_sense_time)
-from fecam.array import _ml_voltage
+from fecam import (FecamArray, FecamCell, FeFetState, apply_variation, default_config,
+                   discharge_time, level_center, ml_capacitance, program_level_window,
+                   search, sense, single_mismatch_sense_time)
+from fecam.array import _ml_voltage, _static_row_currents
 
 RK4_STEPS = 1000
 TOLERANCE = 1e-6  # V
@@ -62,3 +64,41 @@ def test_zero_current_stays_at_vdd(mlp, params, cfg):
     times = np.linspace(0.0, discharge_time(mlp, 8), 1001)
     v = _ml_voltage(mlp, cfg.vdd, params.v_dsat, 8, np.array([0.0, 1e-320]), times)
     assert (v == cfg.vdd).all()
+
+
+def level_rows(levels):
+    """An 8-column array whose row r holds level levels[r] in every cell."""
+    c = default_config()
+    grid = [[program_level_window(k, k, c.cell, c.device)] * 8 for k in levels]
+    return FecamArray(cells=grid, ml_params=c.matchline, cfg=c.cell, params=c.device)
+
+
+def varied(arr, sigma, seed):
+    vth = apply_variation(arr.params, arr.vth, sigma, seed)
+    cells = [[FecamCell(FeFetState(u), FeFetState(lo))
+              for u, lo in zip(row[:arr.cols], row[arr.cols:])] for row in vth.tolist()]
+    return FecamArray(cells=cells, ml_params=arr.ml_params, cfg=arr.cfg, params=arr.params)
+
+
+REPEATED = [0, 3, 3, 5, 0, 7, 3, 0, 5, 1, 1, 3]
+
+
+@pytest.mark.parametrize("case", ["repeated rows", "all rows distinct", "past quiet time"])
+def test_traced_search_is_the_solve_of_every_row(case):
+    """search() solves each distinct row current once; its trace must be,
+    bit for bit, the solve of every row's own current."""
+    arr = level_rows(REPEATED)
+    if case == "all rows distinct":
+        arr = varied(arr, 0.02, seed=4)
+    query = [level_center(3, arr.cfg)] * arr.cols
+    t = 10 * arr._quiet_time if case == "past quiet time" else None
+    result = search(arr, query, t)
+    static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params,
+                                  np.array([query]))[0]
+    assert (len(np.unique(static)) == arr.rows) == (case == "all rows distinct")
+    with np.errstate(over="ignore"):
+        full = _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols,
+                           static, result.times)
+    assert result.ml_voltages.shape == full.shape
+    assert result.ml_voltages.tobytes() == full.tobytes()
+    assert result.matches == tuple(sense(full[-1], arr.ml_params, arr.cfg.vdd).tolist())
