@@ -9,7 +9,13 @@ query-dependent static part times a common drain-saturation factor
 min(V / v_dsat, 1).  The discharge then has an exact closed form, a linear
 fall to the saturation knee followed by an exponential decay, so identical
 inputs give bit-identical results; a traced search therefore solves its
-transient once per distinct row current, not once per row.
+transient once per distinct row current, not once per row.  `measure_bounds`
+applies one voltage to every column, so it sums each distinct cell's current
+once, times the cell's count.  That sum rounds differently from a per-column
+one, so a sweep point whose line ends within a few ulps of the sense boundary
+may settle differently than in `batch_search`.  At an exact tie, where each
+boundary FeFET draws exactly i_threshold at the auto time, the weighted sum
+ends on the boundary, which `sense` reads as a mismatch.
 
 The static part is factored: a subthreshold term i_th 10^((v - vth)/S) is
 (i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array keeps its threshold
@@ -256,12 +262,14 @@ def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
 
 
 def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
-                         params: DeviceParams, queries: np.ndarray) -> np.ndarray:
+                         params: DeviceParams, queries: np.ndarray,
+                         counts=None) -> np.ndarray:
     """Summed full-drive cell currents per (query, row); shape (S, R).
 
     vth and factors are as held by `FecamArray`.  Each FeFET adds
     i_off + min(i_th e^(k (v - vth)), i_on - i_off), which is
-    `device.saturated_current`; the queries go through in blocks of about
+    `device.saturated_current`, times its column's entry of counts (all
+    ones by default); the queries go through in blocks of about
     BLOCK_CELLS FeFET currents, at least one query each.
     """
     k = np.log(10.0) / params.subthreshold_slope
@@ -270,7 +278,7 @@ def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
     block = max(1, BLOCK_CELLS // (rows * fets))
     buf = np.empty((min(block, len(queries)), rows, fets))
     out = np.empty((len(queries), rows))
-    ones = np.ones(fets)
+    weights = np.ones(fets) if counts is None else np.tile(counts, 2).astype(float)
     for start in range(0, len(queries), block):
         q = queries[start:start + block]
         v = np.concatenate((q, inverter(q, cfg)), axis=1)[:, None, :]
@@ -284,8 +292,8 @@ def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
             np.exp(cells, out=cells)
             cells *= params.i_threshold
         np.minimum(cells, cap, out=cells)
-        np.matmul(cells, ones, out=out[start:start + len(q)])
-    out += fets * params.i_off
+        np.matmul(cells, weights, out=out[start:start + len(q)])
+    out += weights.sum() * params.i_off
     return out
 
 
@@ -312,29 +320,29 @@ def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
 
 
 def _checked(arr: FecamArray, queries, t_sense):
-    """Validated (n_queries, cols) voltages and sense time; t_sense None
-    selects the column-adapted auto time."""
+    """Validated (n_queries, cols) voltages and sense time."""
     q = np.asarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[1] != arr.cols:
         raise DimensionMismatchError(
             f"queries of shape {q.shape} do not match {arr.cols} columns")
     if not ((q >= 0.0) & (q <= arr.cfg.vdd)).all():  # NaN fails as well
         raise OutOfRangeError(f"query voltages must lie in [0, {arr.cfg.vdd}] V")
+    return q, _sense_time(arr, t_sense)
+
+
+def _sense_time(arr: FecamArray, t_sense) -> float:
+    """Validated sense time; None selects the column-adapted auto time."""
     t = arr.auto_sense_time() if t_sense is None else float(t_sense)
     if not 0.0 < t < np.inf:
         raise InvalidParameterError(f"t_sense must be positive and finite, got {t}")
-    return q, t
+    return t
 
 
-def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=False):
-    """The one search path: validate, solve the match lines of the rows that
-    rows selects (all by default) up to t_sense and sense them there.  Returns
-    the flags (S, R), t_sense, the times and V_ML (T, S, R); the times are
-    TRACE_POINTS samples from 0 when trace is set, else t_sense alone."""
-    q, t = _checked(arr, queries, t_sense)
-    factors = arr._factors
-    static = _static_row_currents(arr.vth[rows], None if factors is None else factors[rows],
-                                  arr.cfg, arr.params, q)
+def _solve_and_sense(arr: FecamArray, static: np.ndarray, t: float, trace=False):
+    """Solve up to t the match lines, each of a full row of `arr`, that draw
+    the static currents (S, R), and sense them there.  Returns the flags
+    (S, R), the times and V_ML (T, S, R); the times are TRACE_POINTS samples
+    from 0 when trace is set, else t alone."""
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
     # the solve is elementwise, so a trace solves each distinct row current once
     currents, lines = np.unique(static, return_inverse=True) if trace else (static, None)
@@ -347,7 +355,17 @@ def _search_rows(arr: FecamArray, queries, t_sense, rows=slice(None), trace=Fals
             v = _ml_voltage(*solve)
     if trace:
         v = v[:, lines.reshape(static.shape)]
-    return sense(v[-1], arr.ml_params, vdd), t, times, v
+    return sense(v[-1], arr.ml_params, vdd), times, v
+
+
+def _search_rows(arr: FecamArray, queries, t_sense, trace=False):
+    """The one search path: validate, then solve every row's match line up to
+    t_sense and sense it there.  Returns the flags (S, R), t_sense, the times
+    and V_ML (T, S, R), as `_solve_and_sense`."""
+    q, t = _checked(arr, queries, t_sense)
+    static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params, q)
+    flags, times, v = _solve_and_sense(arr, static, t, trace)
+    return flags, t, times, v
 
 
 def search(arr: FecamArray, query, t_sense: float | None = None) -> SearchResult:
@@ -374,16 +392,27 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     """Matching-window edges of one row under a common search voltage sweep.
 
     Sweeps v_sl applied to every column and returns the edges of the maximal
-    contiguous matching run, or None when nothing matches.
+    contiguous matching run, or None when nothing matches.  Cells of the row
+    that hold the same thresholds draw the same current at every sweep
+    point, so each distinct cell is solved once and weighted by its count;
+    the line keeps the full row's capacitance and sense time.  Within a few
+    ulps of the sense boundary, a sweep point may settle differently than in
+    `batch_search` of the same voltages (see the module docstring).
     """
     row = check_int(row, "row", 0, arr.rows - 1, OutOfRangeError)
     if not 0.0 < resolution < np.inf:
         raise InvalidParameterError(f"resolution must be positive, got {resolution}")
+    t = _sense_time(arr, t_sense)
     vdd = arr.cfg.vdd
     # arange can overshoot vdd by an ulp
     grid = np.minimum(np.arange(0.0, vdd + resolution / 2, resolution), vdd)
-    queries = np.repeat(grid[:, None], arr.cols, axis=1)
-    matching = _search_rows(arr, queries, t_sense, rows=[row])[0][:, 0]
+    upper, lower = arr.vth[row, :arr.cols], arr.vth[row, arr.cols:]
+    _, first, counts = np.unique(upper + 1j * lower, return_index=True, return_counts=True)
+    fets = np.concatenate((first, arr.cols + first))
+    factors = None if arr._factors is None else arr._factors[row, fets][None]
+    static = _static_row_currents(arr.vth[row, fets][None], factors, arr.cfg, arr.params,
+                                  np.repeat(grid[:, None], len(first), axis=1), counts)
+    matching = _solve_and_sense(arr, static, t)[0][:, 0]
     if not matching.any():
         return None
     # longest contiguous run of matches

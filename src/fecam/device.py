@@ -152,10 +152,14 @@ def pulse_for_vth(params: DeviceParams, target_vth: float) -> WritePulse:
 
 
 def saturated_current(params: DeviceParams, v_gs, vth):
-    """Drain current at full drain drive (v_ds >= v_dsat); array friendly."""
-    exponent = (np.asarray(v_gs, dtype=float) - vth) / params.subthreshold_slope
-    return np.minimum(params.i_off + params.i_threshold * 10.0 ** exponent,
-                      params.i_on)
+    """Drain current at full drain drive (v_ds >= v_dsat); array friendly.
+
+    The exponent is clamped a decade past the on-current before the power,
+    so a steep slope cannot overflow it and a clamped FeFET reads i_on."""
+    ceiling = np.log10(params.i_on - params.i_off) - np.log10(params.i_threshold) + 1.0
+    exponent = np.minimum((np.asarray(v_gs, dtype=float) - vth) / params.subthreshold_slope,
+                          ceiling)
+    return np.minimum(params.i_off + params.i_threshold * 10.0 ** exponent, params.i_on)
 
 
 def vds_factor(params: DeviceParams, v_ds):

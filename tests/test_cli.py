@@ -7,7 +7,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fecam import AnalogEntry, CamKind, cli, encoder, entry_to_cells, load_config
 from fecam.cli import main
@@ -85,6 +85,17 @@ class TestTransfer:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid-parameter:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_steep_slope_saturates_without_warning(self, capsys, tmp_path):
+        # 10 uV/decade once overflowed 10 ** exponent ahead of the i_on clamp
+        ini = tmp_path / "slope.cfg"
+        ini.write_text("[device]\nsubthreshold_slope = 1e-5\ni_off = 0\n")
+        code, out, err = run(capsys, "--config", str(ini), "transfer", "--amplitudes", "3")
+        assert (code, err) == (0, "")
+        currents = [line.split(",")[2] for line in out.splitlines()[1:]]
+        # vth 0.6 V: off below it, i_threshold on it, i_on above it
+        assert currents == ["0"] * 60 + ["2.5e-08"] + ["1e-06"] * 60
 
     def test_out_of_memory_exits_two(self, capsys):
         # 10^18 grid points: numpy refuses the 6.9 EiB request at once
@@ -565,17 +576,22 @@ VOLTS = IN_RANGE | st.sampled_from(["1.13", "2", "-0.1", "nan", "x"])
 
 # config lines (section, key, value) that load, and ones that do not or that
 # break what uses them: the two removed keys, the sense swing at or above
-# the supply, bad supplies and bound lists
+# the supply, bad supplies and bound lists, bad currents and costs
 GOOD_CONFIG = st.sampled_from([
     ("cell", "vdd", "1.13"), ("cell", "vdd", "1.0"), ("cell", "inverter_gain", "5"),
     ("cell", "level_bounds", "0.1 0.3 0.5 0.7 0.9"), ("cell", "digital_margin", "0.25"),
     ("matchline", "delta_v_ml", "0.4"), ("matchline", "delta_v_ml", "0.9"),
-    ("matchline", "c_pmos", "1e-16")])
+    ("matchline", "c_pmos", "1e-16"), ("device", "subthreshold_slope", "1e-5"),
+    ("device", "subthreshold_slope", "1"), ("device", "i_off", "0"),
+    ("device", "i_on", "1e-3"), ("cost", "energy_per_bit_cmos_tcam", "1e-300"),
+    ("cost", "bits_per_cell_fecam_analog", "4"), ("cost", "cmos_cell_area", "1e300")])
 BAD_CONFIG = st.sampled_from([
     ("cell", "level_count", "8"), ("matchline", "vdd", "1.0"),
     ("matchline", "delta_v_ml", "1.0"), ("matchline", "delta_v_ml", "1.13"),
     ("matchline", "delta_v_ml", "-1"), ("cell", "vdd", "0.5"), ("cell", "vdd", "x"),
-    ("cell", "level_bounds", "0.5"), ("matchline", "i_discharge_avg", "0")])
+    ("cell", "level_bounds", "0.5"), ("matchline", "i_discharge_avg", "0"),
+    ("device", "i_off", "-1e-12"), ("device", "subthreshold_slope", "0"),
+    ("cost", "bits_per_cell_cmos_tcam", "0"), ("cost", "energy_per_bit_fecam_digital", "-1")])
 
 
 @st.composite
@@ -583,7 +599,7 @@ def config_files(draw):
     """Config text of a few good lines and maybe a bad one, or None."""
     if draw(st.booleans()):
         return None
-    chosen = {"cell": {}, "matchline": {}}
+    chosen = {"cell": {}, "matchline": {}, "device": {}, "cost": {}}
     lines = draw(st.lists(GOOD_CONFIG, max_size=3))
     if draw(st.integers(0, 3)) == 0:
         lines.append(draw(BAD_CONFIG))
@@ -654,13 +670,14 @@ class TestSearchAndSweepFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(config=config_files(), files=search_files(),
            sense_time=st.sampled_from(["auto", "1e-8", "1e-12", "1e-300", "1e300"])
-           | st.sampled_from(["0", "-1e-9", "nan", "inf", "x"]))
-    def test_search_exits_cleanly(self, tmp_path, config, files, sense_time):
+           | st.sampled_from(["0", "-1e-9", "nan", "inf", "x"]), out=st.booleans())
+    def test_search_exits_cleanly(self, tmp_path, config, files, sense_time, out):
         (tmp_path / "array.txt").write_text(files[0])
         (tmp_path / "queries.txt").write_text(files[1])
         exits_cleanly(with_config(tmp_path, config) + [
             "search", "--array", str(tmp_path / "array.txt"), "--queries",
-            str(tmp_path / "queries.txt"), f"--sense-time={sense_time}"])
+            str(tmp_path / "queries.txt"), f"--sense-time={sense_time}"]
+            + ["--out", str(tmp_path / "trace.csv")] * out)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -691,6 +708,50 @@ class TestSearchAndSweepFuzz:
         exits_cleanly(with_config(tmp_path, config) + [
             "sweep", "--axis", axis, f"--values={','.join(values)}", "--window",
             *window, f"--rows={side['rows']}", f"--cols={side['cols']}"])
+
+
+# one bad transfer argument: amplitudes outside the programming range or not
+# numbers; a gate range that is NaN, infinite, empty, reversed or too long
+# to allocate; a drain bias that is not finite
+BAD_TRANSFER = st.sampled_from([
+    ("amplitudes", "9"), ("amplitudes", "-1"), ("amplitudes", "x"), ("amplitudes", "nan"),
+    ("vgs", ["nan", "1", "0.1"]), ("vgs", ["0", "inf", "0.1"]), ("vgs", ["0", "1", "0"]),
+    ("vgs", ["0", "1", "-0.1"]), ("vgs", ["0", "1e300", "1e-300"]),
+    ("vgs", ["0", "1e9", "1e-9"]), ("vgs", ["1", "0", "0.1"]),
+    ("vds", "nan"), ("vds", "inf"), ("vds", "x")])
+
+
+# a warning stays a warning here, so that exits_cleanly sees each one's line
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+class TestTransferAndBenchFuzz:
+    # at most one bad argument; a good gate range has at most 2,200 points
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=config_files(),
+           amplitudes=st.lists(st.sampled_from(["2", "3", "4", "-4", "2.5"]), max_size=3),
+           vgs=st.tuples(st.sampled_from(["0", "-1", "0.5"]), st.sampled_from(["1.2", "0.5"]),
+                         st.sampled_from(["0.01", "0.1", "0.5"])),
+           vds=st.sampled_from(["1", "0.05", "0"]), fault=st.none() | BAD_TRANSFER,
+           out=st.booleans())
+    @example(config="[device]\nsubthreshold_slope = 1e-5\n", amplitudes=["3"],
+             vgs=("0", "1.2", "0.01"), vds="1", fault=None, out=False)
+    def test_transfer_exits_cleanly(self, tmp_path, config, amplitudes, vgs, vds, fault,
+                                    out):
+        args = {"amplitudes": amplitudes, "vgs": list(vgs), "vds": vds}
+        if fault:
+            name, value = fault
+            args[name] = amplitudes + [value] if name == "amplitudes" else value
+        exits_cleanly(with_config(tmp_path, config) + [
+            "transfer", f"--amplitudes={','.join(args['amplitudes'])}", "--vgs-range",
+            *args["vgs"], f"--vds={args['vds']}"]
+            + ["--out", str(tmp_path / "transfer.csv")] * out)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=config_files(), out=st.booleans())
+    def test_bench_exits_cleanly(self, tmp_path, config, out):
+        exits_cleanly(with_config(tmp_path, config) + ["bench"]
+                      + ["--out", str(tmp_path / "bench.txt")] * out)
 
 
 class TestBenchAndConfig:
