@@ -8,14 +8,25 @@ match-line voltage as their drain voltage, the row current factors into a
 query-dependent static part times a common drain-saturation factor
 min(V / v_dsat, 1).  The discharge then has an exact closed form, a linear
 fall to the saturation knee followed by an exponential decay, so identical
-inputs give bit-identical results; a traced search therefore solves its
-transient once per distinct row current, not once per row.  `measure_bounds`
-applies one voltage to every column, so it sums each distinct cell's current
-once, times the cell's count.  That sum rounds differently from a per-column
-one, so a sweep point whose line ends within a few ulps of the sense boundary
-may settle differently than in `batch_search`.  At an exact tie, where each
-boundary FeFET draws exactly i_threshold at the auto time, the weighted sum
-ends on the boundary, which `sense` reads as a mismatch.
+inputs give bit-identical results.
+
+Rows that hold the same thresholds draw the same current under any query, so
+every search, traced or not, solves each distinct row once and gives each row
+the flags and trace of its distinct row.  The distinct rows are found from
+the threshold bytes of each row on an array's first search and cached with
+the array; a write returns a new array, which finds its own.  Each row's
+current is summed by one matmul over a block of distinct rows, and its
+rounding depends on that block's shape: a row's current can differ in the
+last bits with the number of distinct rows, and so can its flag at an exact
+sense tie.
+
+`measure_bounds` applies one voltage to every column, so it sums each
+distinct cell's current once, times the cell's count.  That sum rounds
+differently from a per-column one, so a sweep point whose line ends within a
+few ulps of the sense boundary may settle differently than in
+`batch_search`.  At an exact tie, where each boundary FeFET draws exactly
+i_threshold at the auto time, the weighted sum ends on the boundary, which
+`sense` reads as a mismatch.
 
 The static part is factored: a subthreshold term i_th 10^((v - vth)/S) is
 (i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array keeps its threshold
@@ -232,6 +243,16 @@ class FecamArray:
         made = {pair: FecamCell(*map(FeFetState, pair)) for pair in set().union(*rows)}
         return tuple(tuple(map(made.__getitem__, row)) for row in rows)
 
+    @cached_property
+    def _distinct_rows(self):
+        """(first, rows): the first row of each distinct row of `vth`, keyed on
+        its bytes, and each row's index into them; None when every row is
+        distinct.  Computed on the first search, once per array."""
+        keys = np.ascontiguousarray(self.vth).view(
+            np.dtype((np.void, self.vth.itemsize * self.vth.shape[1])))[:, 0]
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        return None if len(first) == self.rows else (first, rows)
+
     @classmethod
     def filled(cls, rows: int, cols: int, cell: FecamCell,
                ml_params: MatchLineParams, cfg: CellConfig,
@@ -285,11 +306,14 @@ def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
         cells = buf[:len(q)]
         if factors is not None:
             np.multiply(params.i_threshold * np.exp(k * v), factors, out=cells)
-        else:  # exponent clamped at the on-current, so exp cannot overflow
+        else:  # exponent clamped at the on-current; exp overflows only when
+            # i_on / i_threshold itself passes the float range, and then the
+            # inf it gives saturates at the on-current below
             np.subtract(v, vth, out=cells)
             cells *= k
-            np.minimum(cells, np.log(cap / params.i_threshold), out=cells)
-            np.exp(cells, out=cells)
+            np.minimum(cells, np.log(cap) - np.log(params.i_threshold), out=cells)
+            with np.errstate(over="ignore"):
+                np.exp(cells, out=cells)
             cells *= params.i_threshold
         np.minimum(cells, cap, out=cells)
         np.matmul(cells, weights, out=out[start:start + len(q)])
@@ -344,28 +368,32 @@ def _solve_and_sense(arr: FecamArray, static: np.ndarray, t: float, trace=False)
     (S, R), the times and V_ML (T, S, R); the times are TRACE_POINTS samples
     from 0 when trace is set, else t alone."""
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
-    # the solve is elementwise, so a trace solves each distinct row current once
-    currents, lines = np.unique(static, return_inverse=True) if trace else (static, None)
     vdd = arr.cfg.vdd
-    solve = (arr.ml_params, vdd, arr.params.v_dsat, arr.cols, currents, times)
+    solve = (arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static, times)
     if t < arr._quiet_time:
         v = _ml_voltage(*solve)
     else:  # the line discharges fully, and rightly, but numpy warns of the overflow
         with np.errstate(over="ignore"):
             v = _ml_voltage(*solve)
-    if trace:
-        v = v[:, lines.reshape(static.shape)]
     return sense(v[-1], arr.ml_params, vdd), times, v
 
 
 def _search_rows(arr: FecamArray, queries, t_sense, trace=False):
-    """The one search path: validate, then solve every row's match line up to
-    t_sense and sense it there.  Returns the flags (S, R), t_sense, the times
-    and V_ML (T, S, R), as `_solve_and_sense`."""
+    """The one search path: validate, then solve each distinct row's match
+    line up to t_sense, sense it there and give every row its distinct row's
+    answer.  Returns the flags (S, R), t_sense, the times as
+    `_solve_and_sense`, and V_ML (T, S, R) when trace is set, else None."""
     q, t = _checked(arr, queries, t_sense)
-    static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params, q)
+    distinct = arr._distinct_rows
+    if distinct is None:  # the rows as held, with no views to take or gather
+        static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params, q)
+        flags, times, v = _solve_and_sense(arr, static, t, trace)
+        return flags, t, times, v if trace else None
+    first, rows = distinct
+    factors = None if arr._factors is None else arr._factors[first]
+    static = _static_row_currents(arr.vth[first], factors, arr.cfg, arr.params, q)
     flags, times, v = _solve_and_sense(arr, static, t, trace)
-    return flags, t, times, v
+    return flags[:, rows], t, times, v[..., rows] if trace else None
 
 
 def search(arr: FecamArray, query, t_sense: float | None = None) -> SearchResult:

@@ -155,11 +155,15 @@ def saturated_current(params: DeviceParams, v_gs, vth):
     """Drain current at full drain drive (v_ds >= v_dsat); array friendly.
 
     The exponent is clamped a decade past the on-current before the power,
-    so a steep slope cannot overflow it and a clamped FeFET reads i_on."""
+    so a clamped FeFET reads i_on.  The power overflows only when
+    i_on / i_threshold itself passes the float range; the inf it gives then
+    reads i_on as well."""
     ceiling = np.log10(params.i_on - params.i_off) - np.log10(params.i_threshold) + 1.0
     exponent = np.minimum((np.asarray(v_gs, dtype=float) - vth) / params.subthreshold_slope,
                           ceiling)
-    return np.minimum(params.i_off + params.i_threshold * 10.0 ** exponent, params.i_on)
+    with np.errstate(over="ignore"):
+        power = 10.0 ** exponent
+    return np.minimum(params.i_off + params.i_threshold * power, params.i_on)
 
 
 def vds_factor(params: DeviceParams, v_ds):

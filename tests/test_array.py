@@ -11,8 +11,8 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    InvalidParameterError, MatchLineParams, InvalidPulseError, OutOfRangeError,
                    TernaryBit, WritePlan, WritePulse, apply_variation, batch_search,
                    cell_current, digital_query_voltage, discharge_time, inhibition_plans,
-                   inverter, match_window, measure_bounds, ml_capacitance, program_analog,
-                   program_digital, program_level_window, search, sense,
+                   inverter, level_center, match_window, measure_bounds, ml_capacitance,
+                   program_analog, program_digital, program_level_window, search, sense,
                    single_mismatch_sense_time, write_cells, write_row)
 from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, MAX_CELLS, _ml_voltage,
                          _static_row_currents, _threshold_factors)
@@ -226,6 +226,15 @@ def longest_run(grid, flags):
     return None if best is None else (float(grid[best[0]]), float(grid[best[1]]))
 
 
+def varied(arr, sigma, seed):
+    """arr with apply_variation on every threshold."""
+    vth = apply_variation(arr.params, arr.vth, sigma, seed)
+    return FecamArray(cells=[[FecamCell(FeFetState(u), FeFetState(lo))
+                              for u, lo in zip(row[:arr.cols], row[arr.cols:])]
+                             for row in vth.tolist()],
+                      ml_params=arr.ml_params, cfg=arr.cfg, params=arr.params)
+
+
 @st.composite
 def bounds_arrays(draw):
     """Arrays of up to 4x64 cells: each row one level in every cell, mixed
@@ -253,11 +262,7 @@ def bounds_arrays(draw):
     arr = FecamArray(cells=grid, ml_params=MatchLineParams(), cfg=cfg, params=params)
     if kind == "varied":
         sigma = draw(st.floats(1e-3, 0.05), label="sigma")
-        vth = apply_variation(params, arr.vth, sigma, int(rng.integers(0, 1000)))
-        arr = FecamArray(cells=[[FecamCell(FeFetState(u), FeFetState(lo))
-                                 for u, lo in zip(row[:cols], row[cols:])]
-                                for row in vth.tolist()],
-                         ml_params=arr.ml_params, cfg=cfg, params=params)
+        arr = varied(arr, sigma, int(rng.integers(0, 1000)))
     return arr
 
 
@@ -314,6 +319,103 @@ class TestBoundsAreTheSweep:
             for cols in range(1, 65):
                 arr = filled(1, cols, cell, mlp, cfg, params)
                 assert measure_bounds(arr, 0) == (grid[edges[0] + 1], grid[edges[1] - 1])
+
+
+@st.composite
+def tiled_arrays(draw):
+    """Arrays of up to 12 rows of up to 16 mixed level windows, each row
+    drawn in random order from a pool of 1 to rows distinct rows, so that all
+    rows are equal, some repeat, or none do; or, after apply_variation, every
+    row distinct.  On either kernel branch, with or without leakage."""
+    rows = draw(st.integers(1, 12), label="rows")
+    cols = draw(st.integers(1, 16), label="cols")
+    pool = draw(st.integers(1, rows), label="pool")
+    slope = 10.0 ** draw(st.floats(-5.0, 0.0), label="log10 slope")
+    params = DeviceParams(subthreshold_slope=slope,
+                          i_off=draw(st.sampled_from([0.0, 1e-12]), label="i_off"))
+    cfg = CellConfig(inverter_gain=draw(st.none() | st.floats(0.5, 10.0), label="gain"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    windows = np.sort(rng.integers(0, 8, (pool, cols, 2)), axis=2)
+    rows_of = [[program_level_window(int(lo), int(hi), cfg, params) for lo, hi in row]
+               for row in windows]
+    grid = [rows_of[i] for i in rng.permutation(np.arange(rows) % pool)]
+    arr = FecamArray(cells=grid, ml_params=MatchLineParams(), cfg=cfg, params=params)
+    if draw(st.booleans(), label="varied"):
+        arr = varied(arr, draw(st.floats(1e-3, 0.05), label="sigma"),
+                     int(rng.integers(0, 1000)))
+    return arr
+
+
+class TestDistinctRows:
+    @settings(max_examples=150)
+    @given(arr=tiled_arrays(), data=st.data())
+    def test_every_row_reads_its_own_solve(self, arr, data):
+        """A search solves each distinct row once; each row must still read
+        the solve of its own current in the full array, but for a line that
+        ends within rounding of the sense boundary, since the kernel's row
+        sums round by the shape of the block they are taken in."""
+        t_sense = data.draw(st.none() | st.floats(-12.0, -3.0).map(lambda x: 10.0 ** x)
+                            | st.sampled_from([0.5, 10.0]).map(lambda f: f * arr._quiet_time),
+                            label="t_sense")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="qseed"))
+        # level centres, which some rows match; level bounds, which are
+        # window edges; and uniform voltages
+        centers = np.array([level_center(k, arr.cfg) for k in range(8)])
+        edges = np.array(arr.cfg.level_bounds)
+        queries = np.concatenate((centers[rng.integers(0, 8, (4, arr.cols))],
+                                  edges[rng.integers(0, 9, (4, arr.cols))],
+                                  rng.uniform(0.0, arr.cfg.vdd, (4, arr.cols))))
+        keys = [row.tobytes() for row in arr.vth]
+        assert (arr._distinct_rows is None) == (len(set(keys)) == arr.rows)
+
+        flags = batch_search(arr, queries, t_sense)
+        t = arr.auto_sense_time() if t_sense is None else t_sense
+        vdd, boundary = arr.cfg.vdd, arr.cfg.vdd - arr.ml_params.delta_v_ml
+        static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params, queries)
+        with np.errstate(over="ignore"):
+            v = _ml_voltage(arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static,
+                            np.array([t]))[-1]
+        differ = flags != sense(v, arr.ml_params, vdd)
+        # as in test_bounds_equal_the_per_column_sweep
+        ties = np.abs(v - boundary) <= 4 * arr.cols * np.spacing(boundary)
+        assert not (differ & ~ties).any(), np.argwhere(differ & ~ties)
+
+        for i in rng.choice(len(queries), 3, replace=False):
+            result = search(arr, queries[i], t_sense)
+            assert result.matches == tuple(flags[i].tolist())
+            traces = {}
+            for key, trace in zip(keys, result.ml_voltages.T):
+                assert traces.setdefault(key, trace.tobytes()) == trace.tobytes()
+
+    def test_writes_do_not_share_the_index(self, mlp, cfg, params):
+        """write_cells returns a new array with its own distinct-row index:
+        a repeated row can turn distinct and a distinct row can turn into a
+        copy, and the array written from keeps its answers."""
+        cell = [program_level_window(k, k, cfg, params) for k in range(8)]
+        queries = np.array([[level_center(k, cfg)] * 4 for k in (2, 5, 6)])
+
+        def answers(arr):
+            return batch_search(arr, queries), [search(arr, q).matches for q in queries]
+
+        arr = filled(4, 4, cell[2], mlp, cfg, params)
+        levels = [2, 2, 2, 2]
+        seen = [(arr, answers(arr))]
+        # rows 1-3 repeat row 0; then row 0 turns distinct; row 1 copies it;
+        # row 3 turns distinct, then into a copy of rows 0 and 1
+        for row, level, distinct in [(0, 5, 2), (1, 5, 2), (3, 6, 3), (3, 5, 2)]:
+            arr, _ = write_cells(arr, row, [cell[level]] * 4)
+            levels[row] = level
+            flags, matches = answers(arr)
+            want = np.array([[k == held for held in levels] for k in (2, 5, 6)])
+            assert (flags == want).all(), (levels, flags)
+            assert matches == [tuple(f) for f in want.tolist()]
+            first, rows = arr._distinct_rows
+            assert len(first) == distinct
+            assert (arr.vth[first][rows] == arr.vth).all()
+            seen.append((arr, (flags, matches)))
+        for old, (flags, matches) in seen:
+            again = answers(old)
+            assert (again[0] == flags).all() and again[1] == matches
 
 
 class TestWrite:
@@ -566,13 +668,18 @@ class TestCurrentKernel:
         assert got[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_batch_search_memory_is_bounded(self, demo_cell, mlp, cfg, params):
-        # (queries, rows, cols) float temporaries would trace ~250 MB here
+        # (queries, rows, cols) float temporaries would trace ~250 MB here;
+        # the filled array is one distinct row, so the varied one, whose rows
+        # all differ, is the one that runs the kernel on every row
         arr = filled(64, 64, demo_cell, mlp, cfg, params)
+        distinct = varied(arr, 0.01, seed=5)
+        assert distinct._distinct_rows is None
         queries = np.random.default_rng(5).uniform(0.0, cfg.vdd, (2000, 64))
-        tracemalloc.start()
-        try:
-            batch_search(arr, queries)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        for arr in (arr, distinct):
+            tracemalloc.start()
+            try:
+                batch_search(arr, queries)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6

@@ -97,6 +97,28 @@ class TestTransfer:
         # vth 0.6 V: off below it, i_threshold on it, i_on above it
         assert currents == ["0"] * 60 + ["2.5e-08"] + ["1e-06"] * 60
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["transfer", "search"])
+    def test_current_ratio_past_the_float_range(self, capsys, demo_files, command):
+        # i_on / i_threshold = 1e310: 10 ** exponent and the kernel's exp once
+        # overflowed past their clamps, though the currents came out right
+        tmp_path, array, queries, _ = demo_files
+        ini = tmp_path / "ratio.cfg"
+        ini.write_text("[device]\ni_threshold = 1e-300\ni_on = 1e10\ni_off = 0\n"
+                       "subthreshold_slope = 1e-5\n")
+        argv = {"transfer": ["transfer", "--amplitudes", "3"],
+                "search": ["search", "--array", str(array), "--queries", str(queries),
+                           "--out", str(tmp_path / "trace.csv")]}[command]
+        code, out, err = run(capsys, "--config", str(ini), *argv)
+        assert (code, err) == (0, "")
+        if command == "transfer":
+            currents = [line.split(",")[2] for line in out.splitlines()[1:]]
+            assert currents == ["0"] * 60 + ["1e-300"] + ["1e+10"] * 60
+        else:
+            assert [line for line in out.splitlines() if "matches" in line] == [
+                "query_0_matches = false", "query_1_matches = true",
+                "query_2_matches = false"]
+
     def test_out_of_memory_exits_two(self, capsys):
         # 10^18 grid points: numpy refuses the 6.9 EiB request at once
         code, out, err = run(capsys, "transfer", "--amplitudes", "3",
