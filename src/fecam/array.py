@@ -41,7 +41,7 @@ the direct form e^(k (v - vth)).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -50,13 +50,15 @@ from . import device
 from .cell import CellConfig, FecamCell, inverter
 from .device import DeviceParams, FeFetState, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
-                     InvalidParameterError, OutOfRangeError, check_int, require_finite)
+                     InvalidParameterError, OutOfRangeError, check_int, check_real,
+                     require_finite)
 
 TRACE_POINTS = 1001       # samples of a recorded match-line transient
 BLOCK_CELLS = 1 << 14     # FeFET currents per block of a batch search (128 KB)
 EXP_LIMIT = 700.0         # largest exponent the factored kernel may form
 SIZE_GUIDELINE = 64       # beyond this, drivers need resizing; warn only
 MAX_CELLS = 1 << 20       # largest array built, checked before the grid exists
+MAX_SWEEP_STEPS = 1 << 20 # most resolution steps of vdd a measure_bounds sweep takes
 DISTURB_LIMIT = 2.0       # V, max tolerable unselected gate-source magnitude
 
 
@@ -77,18 +79,12 @@ class MatchLineParams:
 
     def __post_init__(self):
         require_finite(self)
-        if min(self.c_pmos, self.c_drain, self.c_parasitic) <= 0:
-            raise InvalidParameterError("capacitances must be positive")
-        if not self.delta_v_ml > 0:
-            raise InvalidParameterError("delta_v_ml must be positive")
-        if self.i_discharge_avg <= 0:
-            raise InvalidParameterError("i_discharge_avg must be positive")
+        for f in fields(self):
+            check_real(getattr(self, f.name), f.name, 0, open=True)
 
     def check_swing(self, vdd: float) -> None:
         """Refuse a sense boundary vdd - delta_v_ml at or below 0 V."""
-        if not self.delta_v_ml < vdd:
-            raise InvalidParameterError(
-                f"delta_v_ml must be below vdd ({self.delta_v_ml} V vs {vdd} V)")
+        check_real(self.delta_v_ml, "delta_v_ml, the drop from vdd,", 0, vdd, open=True)
 
 
 def ml_capacitance(p: MatchLineParams, n_cols: int) -> float:
@@ -102,10 +98,8 @@ def discharge_time(p: MatchLineParams, n_cols: int) -> float:
     cells discharge at the average current; used as the auto search time."""
     n_cols = check_int(n_cols, "n_cols", 1, MAX_CELLS)
     t = ml_capacitance(p, n_cols) * p.delta_v_ml / (n_cols * p.i_discharge_avg)
-    if not 0.0 < t < np.inf:  # extreme parameters over- or underflow the quotient
-        raise InvalidParameterError(
-            f"the [matchline] parameters give an auto sense time of {t} s")
-    return t
+    # extreme parameters over- or underflow the quotient
+    return check_real(t, "the auto sense time of the [matchline] parameters", 0, open=True)
 
 
 def sense(v_ml_at_t: float, p: MatchLineParams, vdd: float) -> bool:
@@ -356,10 +350,9 @@ def _checked(arr: FecamArray, queries, t_sense):
 
 def _sense_time(arr: FecamArray, t_sense) -> float:
     """Validated sense time; None selects the column-adapted auto time."""
-    t = arr.auto_sense_time() if t_sense is None else float(t_sense)
-    if not 0.0 < t < np.inf:
-        raise InvalidParameterError(f"t_sense must be positive and finite, got {t}")
-    return t
+    if t_sense is None:
+        return arr.auto_sense_time()
+    return float(check_real(t_sense, "t_sense", 0, open=True))
 
 
 def _solve_and_sense(arr: FecamArray, static: np.ndarray, t: float, trace=False):
@@ -419,7 +412,8 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
                    resolution: float = 1e-3):
     """Matching-window edges of one row under a common search voltage sweep.
 
-    Sweeps v_sl applied to every column and returns the edges of the maximal
+    Sweeps v_sl applied to every column, in steps of the resolution, at
+    least vdd / MAX_SWEEP_STEPS, and returns the edges of the maximal
     contiguous matching run, or None when nothing matches.  Cells of the row
     that hold the same thresholds draw the same current at every sweep
     point, so each distinct cell is solved once and weighted by its count;
@@ -428,10 +422,9 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     `batch_search` of the same voltages (see the module docstring).
     """
     row = check_int(row, "row", 0, arr.rows - 1, OutOfRangeError)
-    if not 0.0 < resolution < np.inf:
-        raise InvalidParameterError(f"resolution must be positive, got {resolution}")
-    t = _sense_time(arr, t_sense)
     vdd = arr.cfg.vdd
+    check_real(resolution, "resolution", vdd / MAX_SWEEP_STEPS)
+    t = _sense_time(arr, t_sense)
     # arange can overshoot vdd by an ulp
     grid = np.minimum(np.arange(0.0, vdd + resolution / 2, resolution), vdd)
     upper, lower = arr.vth[row, :arr.cols], arr.vth[row, arr.cols:]
@@ -439,7 +432,8 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     fets = np.concatenate((first, arr.cols + first))
     factors = None if arr._factors is None else arr._factors[row, fets][None]
     static = _static_row_currents(arr.vth[row, fets][None], factors, arr.cfg, arr.params,
-                                  np.repeat(grid[:, None], len(first), axis=1), counts)
+                                  np.broadcast_to(grid[:, None], (len(grid), len(first))),
+                                  counts)
     matching = _solve_and_sense(arr, static, t)[0][:, 0]
     if not matching.any():
         return None
@@ -475,10 +469,9 @@ def single_mismatch_sense_time(p: MatchLineParams, params: DeviceParams,
             f"({worst_match:.3g} A) masks a single mismatch ({i_outside:.3g} A)")
     i_sense = (worst_match * i_outside) ** 0.5
     t = ml_capacitance(p, n_cols) * p.delta_v_ml / i_sense if i_sense else np.inf
-    if not 0.0 < t < np.inf:  # extreme parameters over- or underflow the quotient
-        raise InvalidParameterError(f"the [matchline] and [device] parameters give "
-                                    f"a single-mismatch sense time of {t} s")
-    return t
+    # extreme parameters over- or underflow the quotient
+    return check_real(t, "the single-mismatch sense time of the [matchline] and [device] "
+                      "parameters", 0, open=True)
 
 
 def _disturb_report(plan: WritePlan) -> DisturbReport:

@@ -16,7 +16,9 @@ import numpy as np
 from . import device
 from .device import DeviceParams, FeFetState
 from .errors import (EmptyWindowError, InvalidParameterError, OutOfRangeError,
-                     check_int, require_finite)
+                     check_int, check_real, require_finite)
+
+MIN_RESOLUTION = 1e-12  # of vdd: far above the float spacing a bisection reaches
 
 
 class TernaryBit(enum.Enum):
@@ -57,19 +59,16 @@ class CellConfig:
         bounds = tuple(float(b) for b in self.level_bounds)
         object.__setattr__(self, "level_bounds", bounds)
         require_finite(self)
-        if self.vdd <= 0:
-            raise InvalidParameterError("vdd must be positive")
+        check_real(self.vdd, "vdd", 0, open=True)
         if len(bounds) < 2:
             raise InvalidParameterError(f"need at least 2 level bounds, got {len(bounds)}")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise InvalidParameterError("level bounds must be strictly increasing")
-        if bounds[0] < 0 or bounds[-1] > self.vdd:
-            raise InvalidParameterError("level bounds must lie within [0, vdd]")
-        if not 0 < self.digital_margin < self.vdd / 2:
-            raise InvalidParameterError("digital_margin must be in (0, vdd/2)")
-        if self.inverter_gain is not None and not self.inverter_gain > 0:
-            raise InvalidParameterError(
-                f"inverter_gain must be positive, got {self.inverter_gain}")
+        for end in (bounds[0], bounds[-1]):
+            check_real(end, "level bounds", 0, self.vdd)
+        check_real(self.digital_margin, "digital_margin", 0, self.vdd / 2, open=True)
+        if self.inverter_gain is not None:
+            check_real(self.inverter_gain, "inverter_gain", 0, open=True)
 
     @property
     def level_count(self) -> int:
@@ -105,9 +104,8 @@ def inverter(v_sl, cfg: CellConfig):
 def program_analog(lower: float, upper: float, cfg: CellConfig,
                    params: DeviceParams) -> FecamCell:
     """Cell matching exactly the window [lower, upper] of search voltages."""
-    if not (0.0 <= lower and upper <= cfg.vdd):
-        raise OutOfRangeError(
-            f"window [{lower}, {upper}] V outside search range [0, {cfg.vdd}] V")
+    check_real(lower, "window lower end", 0.0, np.inf, OutOfRangeError)
+    check_real(upper, "window upper end", -np.inf, cfg.vdd, OutOfRangeError)
     if lower >= upper:
         raise EmptyWindowError(f"empty window: lower {lower} V >= upper {upper} V")
     try:
@@ -159,12 +157,12 @@ def match_window(cell: FecamCell, cfg: CellConfig, params: DeviceParams,
     """Measured matching interval: v_sl where the cell current stays below
     the turn-on criterion at full match-line voltage.
 
-    Scans the search range, then bisects each edge down to the resolution.
-    Returns (lower, upper) in volts, or None when no search voltage matches
-    (a valid outcome for degenerate programming).
+    Scans the search range, then bisects each edge down to the resolution,
+    from MIN_RESOLUTION * vdd to vdd.  Returns (lower, upper) in volts, or
+    None when no search voltage matches (a valid outcome for degenerate
+    programming).
     """
-    if not 0.0 < resolution < np.inf:
-        raise InvalidParameterError(f"resolution must be positive, got {resolution}")
+    check_real(resolution, "resolution", MIN_RESOLUTION * cfg.vdd, cfg.vdd)
     grid = np.arange(0.0, cfg.vdd + resolution / 2, 2e-3)
     currents = cell_current(cell, grid, cfg.vdd, cfg, params)
     matching = np.flatnonzero(currents < params.i_threshold)

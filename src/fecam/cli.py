@@ -25,7 +25,7 @@ from .cell import program_analog
 from .config import GlobalConfig, default_config, load_config, parse_floats
 from .costmodel import CamKind, _fmt
 from .device import WritePulse, drain_current, vth_from_pulse
-from .errors import FecamError, InvalidParameterError, ParseError
+from .errors import FecamError, InvalidParameterError, ParseError, check_real
 
 CONFIG_ENV_VAR = "FECAM_CONFIG"
 VERIFY_CHUNK = 1 << 16  # route --verify samples drawn and checked at once
@@ -72,8 +72,7 @@ def cmd_transfer(args) -> int:
     if not (0 < step < np.inf and lo <= hi < np.inf and (hi - lo) / step < 2 ** 63):
         raise InvalidParameterError(
             "v_gs range needs finite lo <= hi, step > 0 and under 2^63 points")
-    if not np.isfinite(args.vds):
-        raise InvalidParameterError(f"v_ds must be finite, got {args.vds}")
+    check_real(args.vds, "--vds")
     v_gs = np.arange(lo, hi + step / 2, step)
     rows = []
     for amplitude in amplitudes:

@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from .array import MatchLineParams, ml_capacitance
 from .encoder import MAX_RULE_WIDTH, RoutingTable, TableMode
-from .errors import (InconsistentInputError, InvalidParameterError, check_int,
-                     is_int, require_finite)
+from .errors import InconsistentInputError, check_int, check_real, is_int, require_finite
 
 
 WORD_BITS = 64  # word size of the word-level figures
@@ -62,12 +61,12 @@ class CostParams:
     def __post_init__(self):
         require_finite(self)
         for kind in CamKind:
-            if self.energy_per_bit.get(kind, 0) <= 0:
-                raise InvalidParameterError(f"energy_per_bit missing for {kind}")
+            check_real(self.energy_per_bit.get(kind), f"energy_per_bit_{kind.value}",
+                       0, open=True)
             check_int(self.bits_per_cell.get(kind), f"bits_per_cell_{kind.value}",
                       1, MAX_RULE_WIDTH)
-        if self.area_per_bit_ratio_analog_vs_cmos <= 0 or self.cmos_cell_area <= 0:
-            raise InvalidParameterError("area constants must be positive")
+        for name in ("area_per_bit_ratio_analog_vs_cmos", "cmos_cell_area"):
+            check_real(getattr(self, name), name, 0, open=True)
 
     @property
     def word_cells(self) -> dict:
@@ -117,6 +116,7 @@ def word_search_energy(p: CostParams, kind: CamKind) -> float:
 def ml_energy_estimate(mlp: MatchLineParams, n_cols: int, vdd: float) -> float:
     """Transient-model estimate of per-row match-line dynamic energy:
     recharging the sense-boundary swing on the line capacitance from vdd."""
+    vdd = check_real(vdd, "vdd", 0, open=True)
     return ml_capacitance(mlp, n_cols) * vdd * mlp.delta_v_ml
 
 

@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError,
-                     check_int, require_finite)
+                     check_int, check_real, require_finite)
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 MAX_SEED = (1 << 128) - 1   # numpy's SeedSequence pools 128 bits of entropy
@@ -69,18 +69,14 @@ class DeviceParams:
         require_finite(self)
         if not self.vth_low < self.vth_high:
             raise InvalidParameterError("vth_low must be below vth_high")
-        if self.coercive_sigma <= 0:
-            raise InvalidParameterError("coercive_sigma must be positive")
         if not 0 <= self.i_off < self.i_threshold < self.i_on:
             raise InvalidParameterError(
                 "currents must satisfy 0 <= i_off < i_threshold < i_on")
-        if self.subthreshold_slope <= 0 or self.v_dsat <= 0:
-            raise InvalidParameterError(
-                "subthreshold_slope and v_dsat must be positive")
+        for name in ("coercive_sigma", "subthreshold_slope", "v_dsat"):
+            check_real(getattr(self, name), name, 0, open=True)
         if not self.v_prog_min < self.v_prog_max:
             raise InvalidParameterError("empty programming range")
-        if self.v_erase >= 0:
-            raise InvalidParameterError("erase amplitude must be negative")
+        check_real(self.v_erase, "v_erase", hi=0, open=True)
 
     @property
     def vth_span(self) -> float:
@@ -89,13 +85,9 @@ class DeviceParams:
 
 def _check_pulse(params: DeviceParams, pulse: WritePulse) -> None:
     a = pulse.amplitude
-    if abs(a - params.v_erase) <= 1e-9:
-        return
-    if not params.v_prog_min <= a <= params.v_prog_max:
-        raise InvalidPulseError(
-            f"amplitude {a} V outside programming range "
-            f"[{params.v_prog_min}, {params.v_prog_max}] V "
-            f"and not the erase amplitude {params.v_erase} V")
+    if not abs(a - params.v_erase) <= 1e-9:  # NaN goes on to the check
+        check_real(a, "amplitude, unless v_erase,", params.v_prog_min, params.v_prog_max,
+                   InvalidPulseError)
 
 
 def polarization_after_pulse(params: DeviceParams, pulse: WritePulse) -> float:
@@ -114,11 +106,8 @@ def polarization_after_pulse(params: DeviceParams, pulse: WritePulse) -> float:
 
 def state_for_vth(params: DeviceParams, vth: float) -> FeFetState:
     """State holding the given threshold, without going through a pulse."""
-    if not params.vth_low <= vth <= params.vth_high:
-        raise OutOfRangeError(
-            f"vth {vth} V outside programmable range "
-            f"[{params.vth_low}, {params.vth_high}] V")
-    return FeFetState(vth)
+    return FeFetState(check_real(vth, "vth", params.vth_low, params.vth_high,
+                                 OutOfRangeError))
 
 
 def vth_from_pulse(params: DeviceParams, pulse: WritePulse) -> float:
@@ -135,9 +124,7 @@ def pulse_for_vth(params: DeviceParams, target_vth: float) -> WritePulse:
     the amplitude range can reach within the 1 mV tolerance raise an
     out-of-range error.
     """
-    if not params.vth_low <= target_vth <= params.vth_high:
-        raise OutOfRangeError(
-            f"target vth {target_vth} V outside [{params.vth_low}, {params.vth_high}] V")
+    check_real(target_vth, "target vth", params.vth_low, params.vth_high, OutOfRangeError)
     if abs(target_vth - params.vth_high) <= VTH_SOLVE_TOLERANCE:
         return WritePulse(params.v_erase)
     fraction = (params.vth_high - target_vth) / params.vth_span  # in (0, 1] here
@@ -188,8 +175,7 @@ def apply_variation(params: DeviceParams, vth, sigma_vth: float, seed):
 
     vth may be a scalar or array; the draw is deterministic for a given seed.
     """
-    if not 0 <= sigma_vth < np.inf:  # NaN fails as well
-        raise InvalidParameterError(f"sigma_vth must be finite and >= 0, got {sigma_vth}")
+    check_real(sigma_vth, "sigma_vth", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0, MAX_SEED))
     noisy = np.asarray(vth, dtype=float) + rng.normal(0.0, sigma_vth, np.shape(vth))
     noisy = np.clip(noisy, params.vth_low, params.vth_high)
@@ -215,6 +201,8 @@ def resolvable_levels(params: DeviceParams, sigma_vth: float,
     samples_per_level = check_int(samples_per_level, "samples_per_level", 1,
                                   MAX_DRAWS // level_count)
     seed = check_int(seed, "seed", 0, MAX_SEED - level_count)
+    check_real(sigma_vth, "sigma_vth", 0)
+    check_real(min_accuracy, "min_accuracy", 0, 1)
     for m in range(level_count, 1, -1):
         centers = np.linspace(params.vth_low, params.vth_high, m)
         spacing = params.vth_span / (m - 1)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the finiteness check every
-parameter class runs first, the one test of what counts as an integer, and
-the one check of a bounded integer: every index, count and width.
+parameter class runs first, the one test of what counts as an integer, the
+one check of a bounded integer (`check_int`: every index, count and width)
+and the one check of a bounded real (`check_real`: every scalar voltage,
+time, current and ratio).
 
 Every error carries a stable machine-parsable ``category`` string; the CLI
 prints it as the single-line error code.
@@ -91,3 +93,23 @@ def check_int(value, what: str, lo: int, hi: int,
     except ValueError:  # an int past the digit limit of int-to-str has no repr
         got = f"an int of {value.bit_length()} bits"
     raise error(f"{what} must be an integer in [{lo}, {hi}], got {got}")
+
+
+def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
+               error: type = InvalidParameterError, open: bool = False):
+    """The one bounded-real check: `value`, returned as given, in [lo, hi], or
+    in (lo, hi) when `open` is set.  An infinite end is always open, so NaN
+    and +-inf never pass.  A value outside raises `error`, a value that is not
+    a real number InvalidParameterError, with one message that names `what`."""
+    try:
+        if lo < value < hi or not open and (value == lo or value == hi) and math.isfinite(value):
+            return value  # the in-range cases, first
+    except (TypeError, ValueError):  # no order with a number, or an array
+        error = InvalidParameterError
+    try:
+        got = str(value)
+    except ValueError:  # an int past the digit limit of int-to-str
+        got = f"an int of {value.bit_length()} bits"
+    left = "(" if open or lo == -math.inf else "["
+    right = ")" if open or hi == math.inf else "]"
+    raise error(f"{what} must be in {left}{lo}, {hi}{right}, got {got}")

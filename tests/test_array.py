@@ -604,9 +604,11 @@ class TestConstruction:
 
     @pytest.mark.parametrize("delta", [1.0, 1.5])
     def test_sense_swing_must_fit_the_supply(self, demo_cell, mlp, cfg, params, delta):
-        with pytest.raises(InvalidParameterError, match="delta_v_ml must be below vdd"):
+        with pytest.raises(InvalidParameterError, match=r"delta_v_ml, the drop from vdd, must "
+                           rf"be in \(0, 1\.0\), got {delta}"):
             filled(1, 1, demo_cell, replace(mlp, delta_v_ml=delta), cfg, params)
-        with pytest.raises(InvalidParameterError, match="delta_v_ml must be positive"):
+        with pytest.raises(InvalidParameterError,
+                           match=r"delta_v_ml must be in \(0, inf\), got 0\.0"):
             replace(mlp, delta_v_ml=0.0)
 
     def test_single_mismatch_time_feasibility(self, mlp, cfg, params):
@@ -620,7 +622,7 @@ class TestConstruction:
         # no leakage: a zero sense current, with no warning of 10**5000
         (MatchLineParams(), DeviceParams(i_off=0.0, subthreshold_slope=1e-5))])
     def test_overflowing_single_mismatch_time_names_the_matchline(self, cfg, mlp, params):
-        with pytest.raises(InvalidParameterError, match=r"\[matchline\].* inf s"):
+        with pytest.raises(InvalidParameterError, match=r"\[matchline\].*, got inf$"):
             single_mismatch_sense_time(mlp, params, cfg, 8)
 
 

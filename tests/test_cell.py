@@ -229,7 +229,8 @@ class TestCellConfigValidation:
     @pytest.mark.parametrize("gain", [0.0, -0.0, -6.0, -1e-300])
     def test_inverter_gain_must_be_positive(self, gain):
         # a zero gain makes the smooth inverter tanh(0)/tanh(0): NaN everywhere
-        with pytest.raises(InvalidParameterError, match="inverter_gain must be positive"):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"inverter_gain must be in \(0, inf\), got {gain}$"):
             CellConfig(inverter_gain=gain)
 
     def test_smallest_positive_inverter_gain_accepted(self):

@@ -212,8 +212,8 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--array", str(array),
                              "--queries", str(queries))
         assert (code, out) == (2, "")
-        assert re.fullmatch(r"error: invalid-parameter: the \[matchline\] parameters "
-                            r"give an auto sense time of inf s\n", err)
+        assert re.fullmatch(r"error: invalid-parameter: the auto sense time of the "
+                            r"\[matchline\] parameters must be in \(0, inf\), got inf\n", err)
 
     @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_huge_sense_time_discharges_without_warnings(self, capsys, tmp_path):
@@ -334,7 +334,7 @@ class TestCommandLine:
         code, out, err = run(capsys, "search", "--array", str(array),
                              "--queries", str(queries), "--sense-time=-1e-9")
         assert (code, out) == (2, "")
-        assert err.startswith("error: invalid-parameter: t_sense must be positive")
+        assert err == "error: invalid-parameter: t_sense must be in (0, inf), got -1e-09\n"
 
     def test_help_names_the_joined_form(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -809,7 +809,7 @@ class TestBenchAndConfig:
                              "--array", str(array), "--queries", str(queries))
         assert (code, out) == (2, "")
         assert err.startswith("error: parse-error:")
-        assert "inverter_gain must be positive" in err
+        assert "inverter_gain must be in (0, inf), got 0.0" in err
 
     def test_negative_seed_rejected(self, capsys, tmp_path, demo_files):
         # -1 used to load and end route --verify in a numpy traceback

@@ -195,7 +195,8 @@ class TestFormatFromFields:
         path.write_text("[cell]\nvdd = 1.13\n[matchline]\ndelta_v_ml = 1.0\n")
         assert load_config(path).matchline.delta_v_ml == 1.0
         path.write_text("[cell]\nvdd = 0.9\n[matchline]\ndelta_v_ml = 0.9\n")
-        with pytest.raises(ParseError, match="delta_v_ml must be below vdd"):
+        with pytest.raises(ParseError, match=r"delta_v_ml, the drop from vdd, must be in "
+                           r"\(0, 0\.9\), got 0\.9"):
             load_config(path)
 
     def test_word_sizes_are_not_keys(self, tmp_path):

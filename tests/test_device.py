@@ -228,9 +228,11 @@ class TestVariation:
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, params, sigma):
-        with pytest.raises(InvalidParameterError, match="sigma_vth must be finite"):
+        with pytest.raises(InvalidParameterError, match=rf"sigma_vth must be in \[0, inf\), "
+                           rf"got {sigma}$"):
             apply_variation(params, 0.5, sigma, seed=0)
-        with pytest.raises(InvalidParameterError, match="sigma_vth must be finite"):
+        with pytest.raises(InvalidParameterError, match=rf"sigma_vth must be in \[0, inf\), "
+                           rf"got {sigma}$"):
             resolvable_levels(params, sigma, level_count=3, samples_per_level=10)
 
     def test_separability_decreases_with_sigma(self, params):

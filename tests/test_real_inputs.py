@@ -1,0 +1,309 @@
+"""Every scalar voltage, time, current and ratio of the public API is range
+checked, most through one bounded-real check, `errors.check_real`: NaN, +inf,
+-inf and a finite value out of range each raise the category of its site,
+never a bare numpy or Python error, a hang or a silent result.  The guard
+below keeps the table complete."""
+
+import functools
+import importlib
+import inspect
+import math
+import pkgutil
+import re
+
+import numpy as np
+import pytest
+
+import fecam
+from fecam import (CamKind, CellConfig, CostParams, DeviceParams, EmptyWindowError,
+                   FecamArray, FecamCell, FeFetState, InvalidParameterError,
+                   InvalidPulseError, MatchLineParams, OutOfRangeError, TernaryBit,
+                   WritePlan, WritePulse, apply_variation, batch_search, cell_current,
+                   default_config, drain_current, inverter, match_window, measure_bounds,
+                   ml_energy_estimate, program_analog, program_digital, pulse_for_vth,
+                   resolvable_levels, search, state_for_vth, vth_from_pulse)
+from fecam.array import MAX_SWEEP_STEPS
+from fecam.device import saturated_current, vds_factor
+from fecam.errors import check_real
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@functools.cache
+def setting():
+    """The default config and a 2x1 array of don't-care cells."""
+    c = default_config()
+    wild = program_digital(TernaryBit.DONT_CARE, c.cell, c.device)
+    return c, FecamArray.filled(2, 1, wild, c.matchline, c.cell, c.device)
+
+
+def cfg():
+    return setting()[0]
+
+
+def arr():
+    return setting()[1]
+
+
+def demo_cell():
+    return program_analog(0.4, 0.6, cfg().cell, cfg().device)
+
+
+def of_device(name):
+    return lambda v: DeviceParams(**{name: v})
+
+
+def of_matchline(name):
+    return lambda v: MatchLineParams(**{name: v})
+
+
+def energies(analog):
+    return {CamKind.CMOS_TCAM: 0.59e-15, CamKind.FECAM_DIGITAL: 0.182e-15,
+            CamKind.FECAM_ANALOG: analog}
+
+
+def single_fet_array(vth):
+    c = cfg()
+    cell = FecamCell(FeFetState(vth), FeFetState(c.device.vth_high))
+    return FecamArray([[cell]], c.matchline, c.cell, c.device)
+
+
+# just under the floor of a measure_bounds step at the default 1 V supply
+PAST_SWEEP_CAP = np.nextafter(1.0 / MAX_SWEEP_STEPS, 0.0)
+
+# (qualified name, parameter) -> (call of one value, an accepted value, finite
+# values out of range, the category that every bad value raises)
+TABLE = {
+    ("DeviceParams", "vth_low"): (of_device("vth_low"), 0.2, (1.1, 2.0), InvalidParameterError),
+    ("DeviceParams", "vth_high"): (of_device("vth_high"), 1.2, (0.1, -1.0), InvalidParameterError),
+    ("DeviceParams", "coercive_mu"): (of_device("coercive_mu"), -3.0, (), InvalidParameterError),
+    ("DeviceParams", "coercive_sigma"): (
+        of_device("coercive_sigma"), 0.1, (0.0, -0.4), InvalidParameterError),
+    ("DeviceParams", "subthreshold_slope"): (
+        of_device("subthreshold_slope"), 0.06, (0.0, -0.08), InvalidParameterError),
+    ("DeviceParams", "i_on"): (of_device("i_on"), 1e-3, (25e-9, 1e-9), InvalidParameterError),
+    ("DeviceParams", "i_off"): (of_device("i_off"), 0.0, (-1e-12, 25e-9), InvalidParameterError),
+    ("DeviceParams", "i_threshold"): (
+        of_device("i_threshold"), 1e-8, (1e-12, 1e-5), InvalidParameterError),
+    ("DeviceParams", "v_dsat"): (of_device("v_dsat"), 0.05, (0.0, -0.1), InvalidParameterError),
+    ("DeviceParams", "v_prog_min"): (
+        of_device("v_prog_min"), 2.5, (4.0, 5.0), InvalidParameterError),
+    ("DeviceParams", "v_prog_max"): (
+        of_device("v_prog_max"), 3.5, (2.0, 1.0), InvalidParameterError),
+    ("DeviceParams", "v_erase"): (of_device("v_erase"), -3.0, (0.0, 1.0), InvalidParameterError),
+    ("WritePulse", "amplitude"): (
+        lambda v: vth_from_pulse(cfg().device, WritePulse(v)), 3.0, (1.0, 4.5, -3.0),
+        InvalidPulseError),
+    ("FeFetState", "vth"): (single_fet_array, 0.5, (0.0, 1.2), OutOfRangeError),
+    ("state_for_vth", "vth"): (
+        lambda v: state_for_vth(cfg().device, v), 0.5, (0.0, 1.2), OutOfRangeError),
+    ("pulse_for_vth", "target_vth"): (
+        lambda v: pulse_for_vth(cfg().device, v), 0.5, (0.0, 1.2), OutOfRangeError),
+    ("apply_variation", "sigma_vth"): (
+        lambda v: apply_variation(cfg().device, 0.5, v, 0), 0.0, (-0.1,), InvalidParameterError),
+    # one level: no draw, so only resolvable_levels' own checks see the value; NaN,
+    # 2.0 and -1.0 used to return 1 silently, and at 8 levels -1.0 returned 8
+    ("resolvable_levels", "sigma_vth"): (
+        lambda v: resolvable_levels(cfg().device, v, level_count=1), 0.1, (-0.1,),
+        InvalidParameterError),
+    ("resolvable_levels", "min_accuracy"): (
+        lambda v: resolvable_levels(cfg().device, 0.1, level_count=1, min_accuracy=v), 1.0,
+        (2.0, -1.0, 1.0 + 1e-9), InvalidParameterError),
+    ("CellConfig", "vdd"): (lambda v: CellConfig(vdd=v), 1.2, (0.0, -1.0, 0.85),
+                            InvalidParameterError),
+    ("CellConfig", "level_bounds"): (
+        lambda v: CellConfig(level_bounds=(0.1, 0.5, v)), 1.0, (1.2, 0.5, 0.3),
+        InvalidParameterError),
+    ("CellConfig", "digital_margin"): (
+        lambda v: CellConfig(digital_margin=v), 0.49, (0.0, 0.5, -0.3), InvalidParameterError),
+    ("CellConfig", "inverter_gain"): (
+        lambda v: CellConfig(inverter_gain=v), 1e-300, (0.0, -6.0), InvalidParameterError),
+    ("program_analog", "lower"): (
+        lambda v: program_analog(v, 0.6, cfg().cell, cfg().device), 0.0, (-0.1,),
+        OutOfRangeError),
+    ("program_analog", "upper"): (
+        lambda v: program_analog(0.4, v, cfg().cell, cfg().device), 1.0, (1.2,),
+        OutOfRangeError),
+    # at 1e-16 half a step is below the float spacing, and the bisection never ended
+    ("match_window", "resolution"): (
+        lambda v: match_window(demo_cell(), cfg().cell, cfg().device, v), 1e-12,
+        (1e-16, 0.0, -1e-3, 1.5, 1e300), InvalidParameterError),
+    ("MatchLineParams", "c_pmos"): (of_matchline("c_pmos"), 1e-16, (0.0, -1e-16),
+                                    InvalidParameterError),
+    ("MatchLineParams", "c_drain"): (of_matchline("c_drain"), 1e-16, (0.0, -1e-16),
+                                     InvalidParameterError),
+    ("MatchLineParams", "c_parasitic"): (of_matchline("c_parasitic"), 1e-16, (0.0, -1e-16),
+                                         InvalidParameterError),
+    ("MatchLineParams", "delta_v_ml"): (of_matchline("delta_v_ml"), 0.9, (0.0, -0.5),
+                                        InvalidParameterError),
+    ("MatchLineParams", "i_discharge_avg"): (
+        of_matchline("i_discharge_avg"), 1e-9, (0.0, -25e-9), InvalidParameterError),
+    ("search", "query"): (lambda v: search(arr(), [v]), 1.0, (-0.1, 1.1), OutOfRangeError),
+    ("search", "t_sense"): (
+        lambda v: search(arr(), [0.5], v), 1e-9, (0.0, -1e-9), InvalidParameterError),
+    ("batch_search", "queries"): (
+        lambda v: batch_search(arr(), [[0.5], [v]]), 0.0, (-0.1, 1.1), OutOfRangeError),
+    ("batch_search", "t_sense"): (
+        lambda v: batch_search(arr(), [[0.5]], v), 1e-9, (0.0, -1e-9), InvalidParameterError),
+    ("measure_bounds", "t_sense"): (
+        lambda v: measure_bounds(arr(), 0, v), 1e-9, (0.0, -1e-9), InvalidParameterError),
+    # 1e-300 used to escape as numpy's bare ValueError; a step just past the cap
+    ("measure_bounds", "resolution"): (
+        lambda v: measure_bounds(arr(), 0, resolution=v), 10.0,
+        (1e-300, PAST_SWEEP_CAP, 0.0, -1e-3), InvalidParameterError),
+    ("WritePlan", "source_bias"): (
+        lambda v: WritePlan(0, (None,), (None,), (0.0, v)), -2.0, (1.0, 2.5),
+        InvalidParameterError),
+    ("CostParams", "energy_per_bit"): (
+        lambda v: CostParams(energy_per_bit=energies(v)), 1e-16, (0.0, -1e-15),
+        InvalidParameterError),
+    ("CostParams", "area_per_bit_ratio_analog_vs_cmos"): (
+        lambda v: CostParams(area_per_bit_ratio_analog_vs_cmos=v), 0.5, (0.0, -0.045),
+        InvalidParameterError),
+    ("CostParams", "cmos_cell_area"): (
+        lambda v: CostParams(cmos_cell_area=v), 2.0, (0.0, -1.0), InvalidParameterError),
+    ("CostParams", "reference_routing_area_ratio"): (
+        lambda v: CostParams(reference_routing_area_ratio=v), 0.0, (), InvalidParameterError),
+    # -1 V used to give a negative energy, NaN a NaN one
+    ("ml_energy_estimate", "vdd"): (
+        lambda v: ml_energy_estimate(cfg().matchline, 8, v), 1.2, (0.0, -1.0),
+        InvalidParameterError),
+}
+
+# elementwise evaluators: a NaN in gives NaN out, as numpy does
+EVALUATORS = {
+    ("saturated_current", "v_gs"): lambda v: saturated_current(cfg().device, v, 0.5),
+    ("saturated_current", "vth"): lambda v: saturated_current(cfg().device, 0.5, v),
+    ("vds_factor", "v_ds"): lambda v: vds_factor(cfg().device, v),
+    ("drain_current", "v_gs"): lambda v: drain_current(cfg().device, v, 1.0, 0.5),
+    ("drain_current", "v_ds"): lambda v: drain_current(cfg().device, 0.5, v, 0.5),
+    ("drain_current", "vth"): lambda v: drain_current(cfg().device, 0.5, 1.0, v),
+    ("apply_variation", "vth"): lambda v: apply_variation(cfg().device, v, 0.01, 0),
+    ("inverter", "v_sl"): lambda v: inverter(v, cfg().cell),
+    ("cell_current", "v_sl"): lambda v: cell_current(demo_cell(), v, 1.0, cfg().cell,
+                                                     cfg().device),
+    ("cell_current", "v_ml"): lambda v: cell_current(demo_cell(), 0.5, v, cfg().cell,
+                                                     cfg().device),
+}
+
+# not a value of the caller's choosing, or not a range check
+EXEMPT = {
+    ("sense", "v_ml_at_t"): "a comparator: NaN compares false and reads a mismatch",
+    ("sense", "vdd"): "a comparator: NaN compares false and reads a mismatch",
+    ("MatchLineParams.check_swing", "vdd"): "the bound of the delta_v_ml check, not a value: "
+    "CellConfig checks vdd, test_array.py::test_sense_swing_must_fit_the_supply the bound",
+    ("SearchResult", "sense_time"): "a result of search, whose t_sense was checked",
+    ("check_real", "lo"): "the bounds of the check itself",
+    ("check_real", "hi"): "the bounds of the check itself",
+} | {("ComparisonReport", name): "a result of routing_report" for name in (
+    "cell_reduction_ratio", "area_ratio", "energy_ratio", "ternary_energy_joules",
+    "analog_energy_joules", "reference_area_ratio", "reference_area_gap_percent")}
+
+# unannotated parameters that carry voltages or thresholds
+REAL_NAMES = {"v_gs", "v_ds", "v_sl", "v_ml", "vth", "query", "queries", "level_bounds",
+              "source_bias", "energy_per_bit"}
+
+
+@pytest.mark.parametrize("site", list(TABLE), ids="-".join)
+def test_bad_real_raises_its_category(site):
+    call, _, out_of_range, expected = TABLE[site]
+    for value in NON_FINITE + list(out_of_range):
+        with pytest.raises(expected):
+            call(value)
+
+
+@pytest.mark.parametrize("site", list(TABLE), ids="-".join)
+def test_the_accepted_value_passes(site):
+    call, good, _, _ = TABLE[site]
+    call(good)
+
+
+@pytest.mark.parametrize("site", list(EVALUATORS), ids="-".join)
+def test_evaluator_gives_nan_for_nan(site):
+    assert np.isnan(EVALUATORS[site](math.nan))
+
+
+def public_parameters():
+    """(qualified name, parameter) of every public function, class and public
+    method of fecam whose parameter is annotated float or named as a voltage."""
+    found = set()
+    for info in pkgutil.iter_modules(fecam.__path__):
+        module = importlib.import_module(f"fecam.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [getattr(obj, m) for m in vars(obj) if not m.startswith("_")]
+            for member in filter(callable, members):
+                try:
+                    parameters = inspect.signature(member).parameters.values()
+                except (TypeError, ValueError):
+                    continue
+                found |= {(member.__qualname__, p.name) for p in parameters
+                          if p.name in REAL_NAMES or "float" in str(p.annotation)}
+    return found
+
+
+def test_every_real_parameter_is_in_the_table():
+    covered = TABLE.keys() | EVALUATORS.keys() | EXEMPT.keys()
+    assert public_parameters() - covered == set()
+    assert covered - public_parameters() == set()  # no stale rows
+
+
+class TestCheckReal:
+    def test_in_range_value_returned_as_given(self):
+        for value in (0.5, 1, np.float64(0.25), np.int64(0)):
+            assert check_real(value, "x", 0, 1) is value
+
+    def test_finite_ends_closed_unless_open(self):
+        assert check_real(0.0, "x", 0, 1) == 0.0 and check_real(1.0, "x", 0, 1) == 1.0
+        for end in (0.0, -0.0, 1.0):
+            with pytest.raises(InvalidParameterError):
+                check_real(end, "x", 0, 1, open=True)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_infinite_ends_always_open(self, value):
+        with pytest.raises(OutOfRangeError):
+            check_real(value, "x", error=OutOfRangeError)
+
+    @pytest.mark.parametrize("value", ["0.5", None, 1j, np.array([0.5, 0.6])])
+    def test_non_real_raises_invalid_parameter(self, value):
+        with pytest.raises(InvalidParameterError, match="^x must be in"):
+            check_real(value, "x", 0, 1, OutOfRangeError)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.0, "vth", 0.1, 1.1), "vth must be in [0.1, 1.1], got 2.0"),
+        ((0, "t", 0, math.inf, InvalidParameterError, True), "t must be in (0, inf), got 0"),
+        ((math.nan, "v", -math.inf, 0), "v must be in (-inf, 0], got nan"),
+        ((-10 ** 5000, "v", 0), "v must be in [0, inf), got an int of 16610 bits")])
+    def test_one_message_form(self, args, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            check_real(*args)
+
+
+class TestFormerHoles:
+    def test_match_window_default_result_unchanged(self):
+        c = cfg()
+        for (lo, hi), edges in [((0.4, 0.6), (0.400125, 0.5998749999999999)),
+                                ((0.0, 1.0), (0.00025, 0.99975)),
+                                ((0.1, 0.2), (0.10212500000000001, 0.19787500000000002))]:
+            cell = program_analog(lo, hi, c.cell, c.device)
+            assert match_window(cell, c.cell, c.device) == edges
+        for bit, edges in [(TernaryBit.ZERO, (0.0, 0.299875)),
+                           (TernaryBit.ONE, (0.7001250000000001, 1.0)),
+                           (TernaryBit.DONT_CARE, (0.0, 1.0))]:
+            cell = program_digital(bit, c.cell, c.device)
+            assert match_window(cell, c.cell, c.device) == edges
+
+    def test_measure_bounds_sweeps_at_its_floor(self):
+        # the finest sweep allowed, 2**20 + 1 points, held in memory of its length
+        assert measure_bounds(arr(), 0, resolution=1.0 / MAX_SWEEP_STEPS) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("lower, upper", [(math.inf, 0.6), (0.4, -math.inf)])
+    def test_infinite_window_end_is_out_of_range(self, lower, upper):
+        # both used to read as an empty window; a finite inverted one still does
+        with pytest.raises(OutOfRangeError):
+            program_analog(lower, upper, cfg().cell, cfg().device)
+        with pytest.raises(EmptyWindowError):
+            program_analog(0.6, 0.4, cfg().cell, cfg().device)
