@@ -1,6 +1,8 @@
 """R x C CAM array held as one (R, 2C) array of FeFET thresholds: row-wise
 writes that replace a row, with half-voltage inhibition, precharge plus
-match-line discharge, sensing, and column-adapted search time.
+match-line discharge, sensing, and column-adapted search time.  Every
+array, built or written, comes from `FecamArray.from_vth`, the one place
+that checks the thresholds' shape, size and range.
 
 The match line of each row is modeled as a lumped capacitance discharged by
 the sum of its cells' currents.  Because both FeFETs of a cell share the
@@ -184,8 +186,11 @@ class FecamArray:
     """R x C cells as one state, `vth`, plus the electrical context shared by
     every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
     thresholds, then its lower ones, the current kernel's layout, kept with
-    their `_threshold_factors`.  `FecamArray(cells=...)` gathers a FecamCell
-    grid's thresholds into it, `.cells` views them back; writes return a new array."""
+    their `_threshold_factors`.  `from_vth` is the one constructor that checks
+    and holds this state: `FecamArray(cells=...)` gathers a FecamCell grid's
+    thresholds into it, `filled` repeats one cell's pair, and a write passes
+    its new copy, so a write into an array past SIZE_GUIDELINE warns as
+    building it does.  `.cells` views the thresholds back as cells."""
 
     vth: np.ndarray           # (rows, 2 cols) V, read-only
     ml_params: MatchLineParams
@@ -194,10 +199,29 @@ class FecamArray:
 
     def __init__(self, cells, ml_params, cfg, params):
         grid = [tuple(row) for row in cells]
-        rows, cols = len(grid), len(grid[0]) if grid else 0
-        _check_size(rows, cols)
+        cols = len(grid[0]) if grid else 0
         if any(len(row) != cols for row in grid):
             raise InvalidParameterError("ragged cell grid")
+        vth = [[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row] for row in grid]
+        vars(self).update(vars(self.from_vth(np.reshape(vth, (len(grid), 2 * cols)),
+                                             ml_params, cfg, params)))
+
+    @classmethod
+    def from_vth(cls, vth, ml_params: MatchLineParams, cfg: CellConfig,
+                 params: DeviceParams) -> "FecamArray":
+        """The one checked constructor: an array holding a read-only copy of
+        vth, (rows, 2 cols) V, and its threshold factors.  Checks the shape
+        and size, the sense swing against the supply and every threshold
+        against the device range, and warns past SIZE_GUIDELINE rows or cols."""
+        try:
+            vth = np.array(vth, dtype=float)
+        except (TypeError, ValueError) as exc:  # not numbers, or ragged
+            raise InvalidParameterError(f"thresholds must be numbers: {exc}") from None
+        if vth.ndim != 2 or vth.shape[1] % 2:
+            raise DimensionMismatchError(
+                f"thresholds of shape {vth.shape}, not (rows, 2 cols)")
+        rows, cols = vth.shape[0], vth.shape[1] // 2
+        _check_size(rows, cols)
         ml_params.check_swing(cfg.vdd)
         if rows > SIZE_GUIDELINE:
             warnings.warn(
@@ -207,19 +231,14 @@ class FecamArray:
             warnings.warn(
                 f"{cols} columns exceeds {SIZE_GUIDELINE}; precharging "
                 "the match line would demand a stronger driver", RuntimeWarning)
-        vth = np.array([[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row]
-                        for row in grid], dtype=float)
         if not ((vth >= params.vth_low) & (vth <= params.vth_high)).all():  # NaN fails too
             raise OutOfRangeError(
                 f"cell thresholds must lie in [{params.vth_low}, {params.vth_high}] V")
-        self._hold(vth, ml_params, cfg, params)
-
-    def _hold(self, vth: np.ndarray, ml_params, cfg, params) -> "FecamArray":
-        """Take vth, made read-only, and its factors as the state; returns self."""
         vth.flags.writeable = False
-        self.__dict__.update(vth=vth, ml_params=ml_params, cfg=cfg, params=params,
-                             _factors=_threshold_factors(vth, params, cfg.vdd))
-        return self
+        arr = object.__new__(cls)
+        vars(arr).update(vth=vth, ml_params=ml_params, cfg=cfg, params=params,
+                         _factors=_threshold_factors(vth, params, cfg.vdd))
+        return arr
 
     @property
     def rows(self) -> int:
@@ -252,7 +271,8 @@ class FecamArray:
                ml_params: MatchLineParams, cfg: CellConfig,
                params: DeviceParams) -> "FecamArray":
         _check_size(rows, cols)
-        return cls([[cell] * cols] * rows, ml_params, cfg, params)
+        pair = np.repeat([cell.upper_fet.vth, cell.lower_fet.vth], cols)
+        return cls.from_vth(np.broadcast_to(pair, (rows, 2 * cols)), ml_params, cfg, params)
 
     def auto_sense_time(self) -> float:
         return discharge_time(self.ml_params, self.cols)
@@ -506,7 +526,7 @@ def write_row(arr: FecamArray, plan: WritePlan):
         raise DisturbViolationError(
             f"unselected gate-source magnitude {report.max_unselected:.3g} V "
             f"exceeds {DISTURB_LIMIT} V; write rejected", report=report)
-    return object.__new__(FecamArray)._hold(vth, arr.ml_params, arr.cfg, arr.params), report
+    return FecamArray.from_vth(vth, arr.ml_params, arr.cfg, arr.params), report
 
 
 def inhibition_plans(arr: FecamArray, target_row: int, cells) -> list:

@@ -56,7 +56,10 @@ class CellConfig:
     inverter_gain: float | None = None
 
     def __post_init__(self):
-        bounds = tuple(float(b) for b in self.level_bounds)
+        try:
+            bounds = tuple(float(b) for b in self.level_bounds)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameterError(f"level_bounds must be numbers: {exc}") from None
         object.__setattr__(self, "level_bounds", bounds)
         require_finite(self)
         check_real(self.vdd, "vdd", 0, open=True)

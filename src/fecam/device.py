@@ -85,9 +85,13 @@ class DeviceParams:
 
 def _check_pulse(params: DeviceParams, pulse: WritePulse) -> None:
     a = pulse.amplitude
-    if not abs(a - params.v_erase) <= 1e-9:  # NaN goes on to the check
-        check_real(a, "amplitude, unless v_erase,", params.v_prog_min, params.v_prog_max,
-                   InvalidPulseError)
+    try:
+        if abs(a - params.v_erase) <= 1e-9:  # NaN goes on to the check
+            return
+    except (TypeError, ValueError, OverflowError):  # not one number, or past the float range
+        pass
+    check_real(a, "amplitude, unless v_erase,", params.v_prog_min, params.v_prog_max,
+               InvalidPulseError)
 
 
 def polarization_after_pulse(params: DeviceParams, pulse: WritePulse) -> float:

@@ -9,6 +9,8 @@ prints it as the single-line error code.
 """
 
 import math
+import sys
+from numbers import Real
 from dataclasses import fields
 
 import numpy as np
@@ -61,13 +63,15 @@ class ParseError(FecamError):
 
 
 def require_finite(params) -> None:
-    """Reject NaN and inf anywhere in a parameter dataclass: in its number
-    fields and in the items of its tuple and dict fields.  None means unset."""
+    """Reject NaN, inf and non-numbers anywhere in a parameter dataclass: in
+    its number fields and in the items of its tuple and dict fields.  None
+    means unset."""
     for f in fields(params):
         value = getattr(params, f.name)
         items = (value.values() if isinstance(value, dict)
                  else value if isinstance(value, tuple) else (value,))
-        if not all(x is None or is_int(x) or math.isfinite(x) for x in items):
+        if not all(x is None or is_int(x) or isinstance(x, Real) and math.isfinite(x)
+                   for x in items):
             raise InvalidParameterError(f"{f.name} must be finite, got {value}")
 
 
@@ -99,17 +103,19 @@ def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
                error: type = InvalidParameterError, open: bool = False):
     """The one bounded-real check: `value`, returned as given, in [lo, hi], or
     in (lo, hi) when `open` is set.  An infinite end is always open, so NaN
-    and +-inf never pass.  A value outside raises `error`, a value that is not
-    a real number InvalidParameterError, with one message that names `what`."""
+    and +-inf never pass, nor does an int past the float range.  A value
+    outside raises `error`, a value that is not one real number
+    InvalidParameterError, with one message that names `what`; an int past
+    the float range is shown by its bit length."""
     try:
-        if lo < value < hi or not open and (value == lo or value == hi) and math.isfinite(value):
+        if (lo < value < hi or not open and (value == lo or value == hi)) and math.isfinite(value):
             return value  # the in-range cases, first
     except (TypeError, ValueError):  # no order with a number, or an array
         error = InvalidParameterError
-    try:
-        got = str(value)
-    except ValueError:  # an int past the digit limit of int-to-str
-        got = f"an int of {value.bit_length()} bits"
+    except OverflowError:  # an int past the float range, at an infinite end
+        pass
+    big = is_int(value) and not -sys.float_info.max <= value <= sys.float_info.max
+    got = f"an int of {value.bit_length()} bits" if big else str(value)
     left = "(" if open or lo == -math.inf else "["
     right = ")" if open or hi == math.inf else "]"
     raise error(f"{what} must be in {left}{lo}, {hi}{right}, got {got}")

@@ -7,7 +7,7 @@ it with the flat list of its numbers: once for the whole file, except the
 trace, which fills it once per distinct voltage column and prefixes each
 row's copy with its row number.  The template fields come from
 costmodel.NUMBER_SPEC, the spec of `_fmt`.  An array description programs
-each distinct cell spec once.
+each distinct cell spec once and fills the array's thresholds by index.
 """
 
 from __future__ import annotations
@@ -78,19 +78,23 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
 
     _check_size(rows, cols)
     cfg, params = config.cell, config.device
-    wildcard = program_digital(TernaryBit.DONT_CARE, cfg, params)
-    grid = [[wildcard for _ in range(cols)] for _ in range(rows)]
-    programmed = {}  # (spec, *args) -> programmed cell
+    # the wildcard, then one cell per distinct spec; each grid cell's index into them
+    cells = [program_digital(TernaryBit.DONT_CARE, cfg, params)]
+    index = [0] * (rows * cols)  # row by row
+    programmed = {}  # (spec, *args) -> index of its cell
     for number, r, c, spec, args in cell_specs:
         if not (0 <= r < rows and 0 <= c < cols):
             raise ParseError(f"cell ({r}, {c}) outside {rows}x{cols} array",
                              line=number)
         key = (spec, *args)
-        cell = programmed.get(key)
-        if cell is None:
-            cell = programmed[key] = _program_cell(spec, args, cfg, params, number)
-        grid[r][c] = cell
-    return FecamArray(cells=grid, ml_params=ml_params, cfg=cfg, params=params)
+        k = programmed.get(key)
+        if k is None:
+            cells.append(_program_cell(spec, args, cfg, params, number))
+            k = programmed[key] = len(cells) - 1
+        index[r * cols + c] = k
+    upper, lower = np.array([(c.upper_fet.vth, c.lower_fet.vth) for c in cells])[index].T
+    vth = np.hstack((upper.reshape(rows, cols), lower.reshape(rows, cols)))
+    return FecamArray.from_vth(vth, ml_params, cfg, params)
 
 
 def _program_cell(spec: str, args, cfg, params, number: int):

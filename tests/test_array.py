@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
-                   DisturbViolationError, FecamArray, FecamCell, FeFetState,
-                   InvalidParameterError, MatchLineParams, InvalidPulseError, OutOfRangeError,
+                   DisturbViolationError, FecamArray, InvalidParameterError,
+                   MatchLineParams, InvalidPulseError, OutOfRangeError,
                    TernaryBit, WritePlan, WritePulse, apply_variation, batch_search,
                    cell_current, digital_query_voltage, discharge_time, inhibition_plans,
                    inverter, level_center, match_window, measure_bounds, ml_capacitance,
@@ -228,11 +228,8 @@ def longest_run(grid, flags):
 
 def varied(arr, sigma, seed):
     """arr with apply_variation on every threshold."""
-    vth = apply_variation(arr.params, arr.vth, sigma, seed)
-    return FecamArray(cells=[[FecamCell(FeFetState(u), FeFetState(lo))
-                              for u, lo in zip(row[:arr.cols], row[arr.cols:])]
-                             for row in vth.tolist()],
-                      ml_params=arr.ml_params, cfg=arr.cfg, params=arr.params)
+    return FecamArray.from_vth(apply_variation(arr.params, arr.vth, sigma, seed),
+                               arr.ml_params, arr.cfg, arr.params)
 
 
 @st.composite
@@ -326,7 +323,8 @@ def tiled_arrays(draw):
     """Arrays of up to 12 rows of up to 16 mixed level windows, each row
     drawn in random order from a pool of 1 to rows distinct rows, so that all
     rows are equal, some repeat, or none do; or, after apply_variation, every
-    row distinct.  On either kernel branch, with or without leakage."""
+    row distinct.  Built from the cell grid or again from its thresholds; on
+    either kernel branch, with or without leakage."""
     rows = draw(st.integers(1, 12), label="rows")
     cols = draw(st.integers(1, 16), label="cols")
     pool = draw(st.integers(1, rows), label="pool")
@@ -340,6 +338,8 @@ def tiled_arrays(draw):
                for row in windows]
     grid = [rows_of[i] for i in rng.permutation(np.arange(rows) % pool)]
     arr = FecamArray(cells=grid, ml_params=MatchLineParams(), cfg=cfg, params=params)
+    if draw(st.booleans(), label="from_vth"):
+        arr = FecamArray.from_vth(arr.vth, arr.ml_params, arr.cfg, arr.params)
     if draw(st.booleans(), label="varied"):
         arr = varied(arr, draw(st.floats(1e-3, 0.05), label="sigma"),
                      int(rng.integers(0, 1000)))
@@ -575,6 +575,33 @@ class TestConstruction:
                                           rows, cols):
         with pytest.raises(InvalidParameterError, match="at most"):
             filled(rows, cols, demo_cell, mlp, cfg, params)
+
+    @pytest.mark.parametrize("shape", [(2,), (0,), (1, 1, 2), (1, 3), (2, 1)])
+    def test_from_vth_takes_rows_of_two_cols(self, mlp, cfg, params, shape):
+        with pytest.raises(DimensionMismatchError, match=r"not \(rows, 2 cols\)"):
+            FecamArray.from_vth(np.full(shape, 0.5), mlp, cfg, params)
+
+    @pytest.mark.parametrize("shape", [(MAX_CELLS + 1, 2), (1, 2 * MAX_CELLS + 2), (0, 2)])
+    def test_from_vth_size_checked(self, mlp, cfg, params, shape):
+        with pytest.raises(InvalidParameterError, match="at most"):
+            FecamArray.from_vth(np.broadcast_to(0.5, shape), mlp, cfg, params)
+
+    def test_from_vth_holds_its_own_copy(self, demo_cell, mlp, cfg, params):
+        vth = np.array([[0.6, 0.6], [0.3, 0.8]])
+        arr = FecamArray.from_vth(vth, mlp, cfg, params)
+        before = search(arr, [0.5]).matches
+        vth[:] = 0.1
+        assert arr.vth.tolist() == [[0.6, 0.6], [0.3, 0.8]]
+        assert not arr.vth.flags.writeable
+        assert search(arr, [0.5]).matches == before == (True, False)
+        assert arr.cells[0][0] == demo_cell
+
+    def test_write_into_an_oversized_array_warns(self, demo_cell, mlp, cfg, params):
+        with pytest.warns(RuntimeWarning, match="65 rows"):
+            arr = filled(65, 1, demo_cell, mlp, cfg, params)
+        with pytest.warns(RuntimeWarning, match="65 rows"):
+            written, _ = write_cells(arr, 64, [demo_cell])
+        assert written.vth == pytest.approx(arr.vth, abs=1e-3)
 
     def test_empty_grid_rejected(self, mlp, cfg, params):
         with pytest.raises(InvalidParameterError, match=r"must be an integer in \[1, "):

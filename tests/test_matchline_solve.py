@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fecam import (FecamArray, FecamCell, FeFetState, apply_variation, default_config,
-                   discharge_time, level_center, ml_capacitance, program_level_window,
-                   search, sense, single_mismatch_sense_time)
+from fecam import (FecamArray, apply_variation, default_config, discharge_time,
+                   level_center, ml_capacitance, program_level_window, search, sense,
+                   single_mismatch_sense_time)
 from fecam.array import _ml_voltage, _static_row_currents
 
 RK4_STEPS = 1000
@@ -74,10 +74,8 @@ def level_rows(levels):
 
 
 def varied(arr, sigma, seed):
-    vth = apply_variation(arr.params, arr.vth, sigma, seed)
-    cells = [[FecamCell(FeFetState(u), FeFetState(lo))
-              for u, lo in zip(row[:arr.cols], row[arr.cols:])] for row in vth.tolist()]
-    return FecamArray(cells=cells, ml_params=arr.ml_params, cfg=arr.cfg, params=arr.params)
+    return FecamArray.from_vth(apply_variation(arr.params, arr.vth, sigma, seed),
+                               arr.ml_params, arr.cfg, arr.params)
 
 
 REPEATED = [0, 3, 3, 5, 0, 7, 3, 0, 5, 1, 1, 3]

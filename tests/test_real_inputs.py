@@ -95,6 +95,9 @@ TABLE = {
         lambda v: vth_from_pulse(cfg().device, WritePulse(v)), 3.0, (1.0, 4.5, -3.0),
         InvalidPulseError),
     ("FeFetState", "vth"): (single_fet_array, 0.5, (0.0, 1.2), OutOfRangeError),
+    ("FecamArray.from_vth", "vth"): (
+        lambda v: FecamArray.from_vth([[v, 0.6]], cfg().matchline, cfg().cell, cfg().device),
+        0.6, (0.05, 5.0), OutOfRangeError),
     ("state_for_vth", "vth"): (
         lambda v: state_for_vth(cfg().device, v), 0.5, (0.0, 1.2), OutOfRangeError),
     ("pulse_for_vth", "target_vth"): (
@@ -276,7 +279,9 @@ class TestCheckReal:
         ((2.0, "vth", 0.1, 1.1), "vth must be in [0.1, 1.1], got 2.0"),
         ((0, "t", 0, math.inf, InvalidParameterError, True), "t must be in (0, inf), got 0"),
         ((math.nan, "v", -math.inf, 0), "v must be in (-inf, 0], got nan"),
-        ((-10 ** 5000, "v", 0), "v must be in [0, inf), got an int of 16610 bits")])
+        ((-10 ** 5000, "v", 0), "v must be in [0, inf), got an int of 16610 bits"),
+        ((10 ** 400, "t", 0, math.inf, InvalidParameterError, True),
+         "t must be in (0, inf), got an int of 1329 bits")])
     def test_one_message_form(self, args, message):
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             check_real(*args)
@@ -299,6 +304,28 @@ class TestFormerHoles:
     def test_measure_bounds_sweeps_at_its_floor(self):
         # the finest sweep allowed, 2**20 + 1 points, held in memory of its length
         assert measure_bounds(arr(), 0, resolution=1.0 / MAX_SWEEP_STEPS) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: DeviceParams(vth_low="x"),
+        lambda: MatchLineParams(c_pmos="x"),
+        lambda: CellConfig(level_bounds=("a", "b")),
+        lambda: vth_from_pulse(cfg().device, WritePulse("x")),
+        lambda: FecamArray.from_vth([["x", 0.6]], cfg().matchline, cfg().cell, cfg().device)],
+        ids=["DeviceParams", "MatchLineParams", "CellConfig", "vth_from_pulse", "from_vth"])
+    def test_non_number_is_an_invalid_parameter(self, call):
+        # each used to raise a bare TypeError or ValueError
+        with pytest.raises(InvalidParameterError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: search(arr(), [0.5], 10 ** 400),
+        lambda: measure_bounds(arr(), 0, None, 10 ** 400),
+        lambda: apply_variation(cfg().device, 0.5, 10 ** 400, 0)],
+        ids=["search", "measure_bounds", "apply_variation"])
+    def test_int_past_the_float_range_is_refused(self, call):
+        # each passed its check at the infinite end, then raised a bare OverflowError
+        with pytest.raises(InvalidParameterError, match=r"got an int of 1329 bits$"):
+            call()
 
     @pytest.mark.parametrize("lower, upper", [(math.inf, 0.6), (0.4, -math.inf)])
     def test_infinite_window_end_is_out_of_range(self, lower, upper):
