@@ -31,13 +31,14 @@ i_threshold at the auto time, the weighted sum ends on the boundary, which
 `sense` reads as a mismatch.
 
 The static part is factored: a subthreshold term i_th 10^((v - vth)/S) is
-(i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array keeps its threshold
-factors e^(-k vth) and each query takes one factor per search line, leaving
-one product per FeFET.  Queries go through in blocks of about BLOCK_CELLS
-FeFET currents in one reused buffer, so a batch search needs memory that
-grows with queries x (rows + cols), not queries x rows x cols.  Where a
-factor could overflow exp (slopes of a few mV/decade), the same blocks take
-the direct form e^(k (v - vth)).
+(i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array computes its
+threshold factors e^(-k vth) on its first search and keeps them, and each
+query takes one factor per search line, leaving one product per FeFET.
+Queries go through in blocks of about BLOCK_CELLS FeFET currents in one
+reused buffer, so a batch search needs memory that grows with
+queries x (rows + cols), not queries x rows x cols.  Where a factor could
+overflow exp (slopes below about 7 mV/decade), the same blocks evaluate
+`device.saturated_current` per FeFET, the law the factored form reproduces.
 """
 
 from __future__ import annotations
@@ -185,12 +186,13 @@ def _check_size(rows: int, cols: int) -> None:
 class FecamArray:
     """R x C cells as one state, `vth`, plus the electrical context shared by
     every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
-    thresholds, then its lower ones, the current kernel's layout, kept with
-    their `_threshold_factors`.  `from_vth` is the one constructor that checks
-    and holds this state: `FecamArray(cells=...)` gathers a FecamCell grid's
-    thresholds into it, `filled` repeats one cell's pair, and a write passes
-    its new copy, so a write into an array past SIZE_GUIDELINE warns as
-    building it does.  `.cells` views the thresholds back as cells."""
+    thresholds, then its lower ones, the current kernel's layout; their
+    `_threshold_factors` are computed on the first search.  `from_vth` is the
+    one constructor that checks and holds this state: `FecamArray(cells=...)`
+    gathers a FecamCell grid's thresholds into it, `filled` repeats one
+    cell's pair, and a write passes its new copy, so a write into an array
+    past SIZE_GUIDELINE warns as building it does.  `.cells` views the
+    thresholds back as cells."""
 
     vth: np.ndarray           # (rows, 2 cols) V, read-only
     ml_params: MatchLineParams
@@ -210,9 +212,9 @@ class FecamArray:
     def from_vth(cls, vth, ml_params: MatchLineParams, cfg: CellConfig,
                  params: DeviceParams) -> "FecamArray":
         """The one checked constructor: an array holding a read-only copy of
-        vth, (rows, 2 cols) V, and its threshold factors.  Checks the shape
-        and size, the sense swing against the supply and every threshold
-        against the device range, and warns past SIZE_GUIDELINE rows or cols."""
+        vth, (rows, 2 cols) V.  Checks the shape and size, the sense swing
+        against the supply and every threshold against the device range, and
+        warns past SIZE_GUIDELINE rows or cols."""
         try:
             vth = np.array(vth, dtype=float)
         except (TypeError, ValueError) as exc:  # not numbers, or ragged
@@ -236,8 +238,7 @@ class FecamArray:
                 f"cell thresholds must lie in [{params.vth_low}, {params.vth_high}] V")
         vth.flags.writeable = False
         arr = object.__new__(cls)
-        vars(arr).update(vth=vth, ml_params=ml_params, cfg=cfg, params=params,
-                         _factors=_threshold_factors(vth, params, cfg.vdd))
+        vars(arr).update(vth=vth, ml_params=ml_params, cfg=cfg, params=params)
         return arr
 
     @property
@@ -255,6 +256,12 @@ class FecamArray:
         rows = [list(zip(row[:self.cols], row[self.cols:])) for row in self.vth.tolist()]
         made = {pair: FecamCell(*map(FeFetState, pair)) for pair in set().union(*rows)}
         return tuple(tuple(map(made.__getitem__, row)) for row in rows)
+
+    @cached_property
+    def _factors(self):
+        """`_threshold_factors` of `vth`: computed on the first search, once
+        per array, so a write, which returns a new array, computes none."""
+        return _threshold_factors(self.vth, self.params, self.cfg.vdd)
 
     @cached_property
     def _distinct_rows(self):
@@ -289,7 +296,7 @@ class FecamArray:
 def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
     """e^(-k vth) with k = ln10 / subthreshold slope, or None when a factor
     or the product of one with a query factor e^(k v), 0 <= v <= vdd, could
-    overflow exp; the kernel then takes the direct form."""
+    overflow exp; the kernel then evaluates `device.saturated_current`."""
     k = np.log(10.0) / params.subthreshold_slope
     if not k * (vdd + np.abs(vth).max()) < EXP_LIMIT:
         return None
@@ -301,11 +308,12 @@ def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
                          counts=None) -> np.ndarray:
     """Summed full-drive cell currents per (query, row); shape (S, R).
 
-    vth and factors are as held by `FecamArray`.  Each FeFET adds
-    i_off + min(i_th e^(k (v - vth)), i_on - i_off), which is
-    `device.saturated_current`, times its column's entry of counts (all
-    ones by default); the queries go through in blocks of about
-    BLOCK_CELLS FeFET currents, at least one query each.
+    vth and factors are as held by `FecamArray`.  Each FeFET adds its
+    `device.saturated_current`, i_off + min(i_th e^(k (v - vth)), i_on - i_off),
+    times its column's entry of counts (all ones by default): as the product
+    of its threshold factor and the query's factor, or, where factors is
+    None, through `saturated_current` itself.  The queries go through in
+    blocks of about BLOCK_CELLS FeFET currents, at least one query each.
     """
     k = np.log(10.0) / params.subthreshold_slope
     cap = params.i_on - params.i_off
@@ -320,15 +328,8 @@ def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
         cells = buf[:len(q)]
         if factors is not None:
             np.multiply(params.i_threshold * np.exp(k * v), factors, out=cells)
-        else:  # exponent clamped at the on-current; exp overflows only when
-            # i_on / i_threshold itself passes the float range, and then the
-            # inf it gives saturates at the on-current below
-            np.subtract(v, vth, out=cells)
-            cells *= k
-            np.minimum(cells, np.log(cap) - np.log(params.i_threshold), out=cells)
-            with np.errstate(over="ignore"):
-                np.exp(cells, out=cells)
-            cells *= params.i_threshold
+        else:
+            np.subtract(device.saturated_current(params, v, vth), params.i_off, out=cells)
         np.minimum(cells, cap, out=cells)
         np.matmul(cells, weights, out=out[start:start + len(q)])
     out += weights.sum() * params.i_off
@@ -397,12 +398,7 @@ def _search_rows(arr: FecamArray, queries, t_sense, trace=False):
     answer.  Returns the flags (S, R), t_sense, the times as
     `_solve_and_sense`, and V_ML (T, S, R) when trace is set, else None."""
     q, t = _checked(arr, queries, t_sense)
-    distinct = arr._distinct_rows
-    if distinct is None:  # the rows as held, with no views to take or gather
-        static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params, q)
-        flags, times, v = _solve_and_sense(arr, static, t, trace)
-        return flags, t, times, v if trace else None
-    first, rows = distinct
+    first, rows = arr._distinct_rows or (slice(None), slice(None))
     factors = None if arr._factors is None else arr._factors[first]
     static = _static_row_currents(arr.vth[first], factors, arr.cfg, arr.params, q)
     flags, times, v = _solve_and_sense(arr, static, t, trace)

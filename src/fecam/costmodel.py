@@ -47,9 +47,10 @@ class CostParams:
     figures are ratios and do not depend on it.  reference_routing_area_ratio
     is the headline figure the routing case study is calibrated against,
     kept for the cross-check note in reports (it exceeds the value derivable
-    from the per-bit ratio by about 1%).  bits_per_cell is the calibrated
-    design point that turns per-bit constants into per-cell cost and word
-    sizes; the configured cell's levels are CellConfig.level_count.
+    from the per-bit ratio by about 1%); 0 means no reference, whose gap
+    reads 0.  bits_per_cell is the calibrated design point that turns
+    per-bit constants into per-cell cost and word sizes; the configured
+    cell's levels are CellConfig.level_count.
     """
 
     energy_per_bit: dict = field(default_factory=_default_energy)       # J
@@ -67,6 +68,7 @@ class CostParams:
                       1, MAX_RULE_WIDTH)
         for name in ("area_per_bit_ratio_analog_vs_cmos", "cmos_cell_area"):
             check_real(getattr(self, name), name, 0, open=True)
+        check_real(self.reference_routing_area_ratio, "reference_routing_area_ratio", 0)
 
     @property
     def word_cells(self) -> dict:

@@ -63,16 +63,20 @@ class ParseError(FecamError):
 
 
 def require_finite(params) -> None:
-    """Reject NaN, inf and non-numbers anywhere in a parameter dataclass: in
-    its number fields and in the items of its tuple and dict fields.  None
-    means unset."""
+    """Reject NaN, inf, ints past the float range and non-numbers anywhere in
+    a parameter dataclass: in its number fields and in the items of its tuple
+    and dict fields.  None means unset."""
     for f in fields(params):
         value = getattr(params, f.name)
         items = (value.values() if isinstance(value, dict)
                  else value if isinstance(value, tuple) else (value,))
-        if not all(x is None or is_int(x) or isinstance(x, Real) and math.isfinite(x)
-                   for x in items):
-            raise InvalidParameterError(f"{f.name} must be finite, got {value}")
+        for x in items:
+            try:
+                if x is None or isinstance(x, Real) and math.isfinite(x):
+                    continue
+            except OverflowError:  # an int past the float range
+                pass
+            raise InvalidParameterError(f"{f.name} must be finite, got {_shown(x)}")
 
 
 def is_int(x) -> bool:
@@ -114,8 +118,14 @@ def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
         error = InvalidParameterError
     except OverflowError:  # an int past the float range, at an infinite end
         pass
-    big = is_int(value) and not -sys.float_info.max <= value <= sys.float_info.max
-    got = f"an int of {value.bit_length()} bits" if big else str(value)
     left = "(" if open or lo == -math.inf else "["
     right = ")" if open or hi == math.inf else "]"
-    raise error(f"{what} must be in {left}{lo}, {hi}{right}, got {got}")
+    raise error(f"{what} must be in {left}{lo}, {hi}{right}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """str(value), but an int past the float range by its bit length, since
+    str of an int past the digit limit raises ValueError."""
+    if is_int(value) and not -sys.float_info.max <= value <= sys.float_info.max:
+        return f"an int of {value.bit_length()} bits"
+    return str(value)

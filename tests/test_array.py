@@ -419,6 +419,14 @@ class TestDistinctRows:
 
 
 class TestWrite:
+    def test_factors_wait_for_the_first_search(self, demo_cell, mlp, cfg, params):
+        # a write used to factor every threshold of the array it returned
+        arr = filled(4, 4, demo_cell, mlp, cfg, params)
+        written, _ = write_cells(arr, 1, [program_level_window(2, 2, cfg, params)] * 4)
+        assert "_factors" not in vars(written)
+        batch_search(written, [[0.5] * 4])
+        assert "_factors" in vars(written)
+
     def test_half_voltage_plan_passes_at_limit(self, demo_cell, mlp, cfg, params):
         arr = filled(4, 2, demo_cell, mlp, cfg, params)
         plan = WritePlan(target_row=1,

@@ -811,6 +811,16 @@ class TestBenchAndConfig:
         assert err.startswith("error: parse-error:")
         assert "inverter_gain must be in (0, inf), got 0.0" in err
 
+    def test_negative_reference_ratio_rejected(self, capsys, tmp_path, demo_files):
+        # -60.5 used to print a negative reference_area_gap_percent
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cost]\nreference_routing_area_ratio = -60.5\n")
+        code, out, err = run(capsys, "--config", str(ini), "route",
+                             "--rules", str(demo_files[3]))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse-error:")
+        assert "reference_routing_area_ratio must be in [0, inf), got -60.5" in err
+
     def test_negative_seed_rejected(self, capsys, tmp_path, demo_files):
         # -1 used to load and end route --verify in a numpy traceback
         ini = tmp_path / "fecam.ini"

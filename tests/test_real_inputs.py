@@ -166,7 +166,8 @@ TABLE = {
     ("CostParams", "cmos_cell_area"): (
         lambda v: CostParams(cmos_cell_area=v), 2.0, (0.0, -1.0), InvalidParameterError),
     ("CostParams", "reference_routing_area_ratio"): (
-        lambda v: CostParams(reference_routing_area_ratio=v), 0.0, (), InvalidParameterError),
+        lambda v: CostParams(reference_routing_area_ratio=v), 0.0, (-60.5,),
+        InvalidParameterError),
     # -1 V used to give a negative energy, NaN a NaN one
     ("ml_energy_estimate", "vdd"): (
         lambda v: ml_energy_estimate(cfg().matchline, 8, v), 1.2, (0.0, -1.0),
@@ -320,10 +321,13 @@ class TestFormerHoles:
     @pytest.mark.parametrize("call", [
         lambda: search(arr(), [0.5], 10 ** 400),
         lambda: measure_bounds(arr(), 0, None, 10 ** 400),
-        lambda: apply_variation(cfg().device, 0.5, 10 ** 400, 0)],
-        ids=["search", "measure_bounds", "apply_variation"])
+        lambda: apply_variation(cfg().device, 0.5, 10 ** 400, 0),
+        lambda: drain_current(DeviceParams(i_on=10 ** 400), 0.5, 1.0, 0.5),
+        lambda: vth_from_pulse(DeviceParams(coercive_mu=10 ** 400), WritePulse(3.0))],
+        ids=["search", "measure_bounds", "apply_variation", "drain_current", "vth_from_pulse"])
     def test_int_past_the_float_range_is_refused(self, call):
-        # each passed its check at the infinite end, then raised a bare OverflowError
+        # each passed its check at the infinite end, or the parameter class's
+        # finiteness check, then raised a bare OverflowError
         with pytest.raises(InvalidParameterError, match=r"got an int of 1329 bits$"):
             call()
 
