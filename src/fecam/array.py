@@ -16,10 +16,25 @@ Rows that hold the same thresholds draw the same current under any query, so
 every search, traced or not, solves each distinct row once and gives each row
 the flags and trace of its distinct row.  The distinct rows are found from
 the threshold bytes of each row on an array's first search and cached with
-the array; a write returns a new array, which finds its own.  Each row's
-current is summed by one matmul over a block of distinct rows, and its
-rounding depends on that block's shape: a row's current can differ in the
-last bits with the number of distinct rows, and so can its flag at an exact
+the array; a write returns a new array, which finds its own.
+
+A search sums the distinct rows' currents in one of two forms.  The direct
+form takes one clamped current per (query, distinct row, FeFET) and sums
+each row in a matmul.  As a FeFET's current depends only on its column's
+search line and its threshold, the table form takes one per query and
+distinct (FeFET column, threshold) pair, and a matmul with a 0/1 matrix of
+(pairs, distinct rows) sums the pairs into rows.  Per query they cost about
+R_d 2C and P (1 + R_d / BLAS_GAIN) elementwise currents, for P pairs and
+R_d distinct rows of 2C FeFETs; the first search takes the cheaper form,
+the table one only while its matrix fits TABLE_ENTRIES.  Banks of quantized
+windows or ternary bits take the table form; one distinct row, a few rows
+of many levels, or rows after `apply_variation` do not.  BLAS sums a
+product in an order set by its shape, so each product has one shape
+whatever the batch, one query in the direct form and GEMM_GROUP queries in
+the table form: a query reads the same alone as in any batch.  But the
+order also follows the number of distinct rows, and the forms add in
+different orders: a row's current can differ in the last bits with the
+number of distinct rows and with the form, and so can its flag at an exact
 sense tie.
 
 `measure_bounds` applies one voltage to every column, so it sums each
@@ -62,6 +77,9 @@ EXP_LIMIT = 700.0         # largest exponent the factored kernel may form
 SIZE_GUIDELINE = 64       # beyond this, drivers need resizing; warn only
 MAX_CELLS = 1 << 20       # largest array built, checked before the grid exists
 MAX_SWEEP_STEPS = 1 << 20 # most resolution steps of vdd a measure_bounds sweep takes
+TABLE_ENTRIES = 1 << 18   # most entries of a cached pair-to-row matrix (2 MB)
+BLAS_GAIN = 16            # BLAS multiply-adds that cost one elementwise current
+GEMM_GROUP = 2            # queries per matrix product of the table form
 DISTURB_LIMIT = 2.0       # V, max tolerable unselected gate-source magnitude
 
 
@@ -216,7 +234,7 @@ class FecamArray:
         against the supply and every threshold against the device range, and
         warns past SIZE_GUIDELINE rows or cols."""
         try:
-            vth = np.array(vth, dtype=float)
+            vth = np.array(vth, dtype=float, order="C")
         except (TypeError, ValueError) as exc:  # not numbers, or ragged
             raise InvalidParameterError(f"thresholds must be numbers: {exc}") from None
         if vth.ndim != 2 or vth.shape[1] % 2:
@@ -267,11 +285,32 @@ class FecamArray:
     def _distinct_rows(self):
         """(first, rows): the first row of each distinct row of `vth`, keyed on
         its bytes, and each row's index into them; None when every row is
-        distinct.  Computed on the first search, once per array."""
-        keys = np.ascontiguousarray(self.vth).view(
-            np.dtype((np.void, self.vth.itemsize * self.vth.shape[1])))[:, 0]
+        distinct.  A wrapping sum of each row's threshold bits, each times a
+        fixed odd multiplier, is equal for equal rows and settles that when no
+        two sums collide; else the rows' bytes are sorted.  Computed on the
+        first search, once per array."""
+        bits = self.vth.view(np.uint64)
+        odd = np.arange(1, 2 * bits.shape[1], 2, dtype=np.uint64)
+        sums = np.sort(bits @ (odd * np.uint64(0x9E3779B97F4A7C15)))
+        if (sums[1:] != sums[:-1]).all():
+            return None
+        keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1])))[:, 0]
         _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
         return None if len(first) == self.rows else (first, rows)
+
+    @cached_property
+    def _column_tables(self):
+        """`_pair_tables` of the distinct rows where the table form costs
+        less than the direct one and its matrix fits TABLE_ENTRIES, else
+        None.  Computed on the first search, once per array."""
+        first = self._distinct_rows[0] if self._distinct_rows else slice(None)
+        vth = self.vth[first]
+        rows, fets = vth.shape
+        # per query the table form costs about pairs (1 + rows / BLAS_GAIN)
+        # elementwise currents and the direct form rows x fets
+        pays = BLAS_GAIN * rows * fets // (BLAS_GAIN + rows)
+        factors = None if self._factors is None else self._factors[first]
+        return _pair_tables(vth, factors, min(pays, TABLE_ENTRIES // rows))
 
     @classmethod
     def filled(cls, rows: int, cols: int, cell: FecamCell,
@@ -303,36 +342,80 @@ def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
     return np.exp(-k * vth)
 
 
+def _pair_tables(vth: np.ndarray, factors, max_pairs: int):
+    """The table form of the rows vth (R, 2C), or None when they hold more
+    than max_pairs distinct (FeFET column, threshold) pairs: the pairs'
+    thresholds, their factors taken from factors (None when factors is
+    None), their search lines, the (pairs, R) 0/1 matrix that marks the pair
+    each row holds in each column, and 2C, as `_summed_currents` takes them."""
+    rows, fets = vth.shape
+    if max_pairs < fets:  # every column holds at least one pair
+        return None
+    # each column sorted, as row and flat indices; a new pair where it steps
+    order = np.argsort(vth.T, axis=1)
+    at = order * fets + np.arange(fets)[:, None]
+    held = vth.ravel()[at]
+    new = np.empty(held.shape, bool)
+    new[:, 0] = True
+    np.not_equal(held[:, 1:], held[:, :-1], out=new[:, 1:])
+    n_pairs = np.count_nonzero(new)
+    if n_pairs > max_pairs:
+        return None
+    matrix = np.zeros((n_pairs, rows))
+    matrix[np.cumsum(new, dtype=np.intp).reshape(new.shape) - 1, order] = 1.0
+    return (held[new], None if factors is None else factors.ravel()[at[new]],
+            np.nonzero(new)[0], matrix, fets)
+
+
 def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
                          params: DeviceParams, queries: np.ndarray,
                          counts=None) -> np.ndarray:
-    """Summed full-drive cell currents per (query, row); shape (S, R).
+    """Summed full-drive cell currents per (query, row) in the direct form;
+    shape (S, R).  vth and factors are as held by `FecamArray`; each FeFET
+    counts its column's entry of counts, all ones by default."""
+    weights = np.ones(vth.shape[1]) if counts is None else np.tile(counts, 2).astype(float)
+    return _summed_currents(vth, factors, None, weights, weights.sum(), cfg, params, queries)
 
-    vth and factors are as held by `FecamArray`.  Each FeFET adds its
-    `device.saturated_current`, i_off + min(i_th e^(k (v - vth)), i_on - i_off),
-    times its column's entry of counts (all ones by default): as the product
-    of its threshold factor and the query's factor, or, where factors is
-    None, through `saturated_current` itself.  The queries go through in
-    blocks of about BLOCK_CELLS FeFET currents, at least one query each.
+
+def _summed_currents(vth: np.ndarray, factors, lines, weights: np.ndarray, n_fets,
+                     cfg: CellConfig, params: DeviceParams,
+                     queries: np.ndarray) -> np.ndarray:
+    """Weighted sums of full-drive FeFET currents per query; shape (S, R).
+
+    Each FeFET of vth (..., F), at the search line that `lines` picks from a
+    query's 2C, draws its `device.saturated_current`: the product of its
+    factor and the line's, clamped, or, where factors is None, the law
+    itself.  The clamped terms meet the weights in a matmul, plus n_fets
+    i_off floors a row.  The direct form passes vth (R, 2C), lines None
+    (all 2C, in order) and weights (2C,); the table form `_pair_tables`.
+    The queries go through in blocks of about BLOCK_CELLS FeFET currents,
+    at least one query each; the matmul takes one query at a time in the
+    direct form and GEMM_GROUP in the table form, the last group padded.
     """
     k = np.log(10.0) / params.subthreshold_slope
     cap = params.i_on - params.i_off
-    rows, fets = vth.shape
-    block = max(1, BLOCK_CELLS // (rows * fets))
-    buf = np.empty((min(block, len(queries)), rows, fets))
-    out = np.empty((len(queries), rows))
-    weights = np.ones(fets) if counts is None else np.tile(counts, 2).astype(float)
+    group = 1 if weights.ndim == 1 else GEMM_GROUP
+    block = group * max(1, BLOCK_CELLS // (group * vth.size))
+    padded = -(-len(queries) // group) * group
+    # the padding rows of a last group must hold finite currents
+    buf = (np.empty if group == 1 else np.zeros)((min(block, padded),) + vth.shape)
+    out = np.empty((padded,) + vth.shape[:-1] + weights.shape[1:])
+    buf_groups = buf.reshape((-1, group) + vth.shape)
+    out_groups = out.reshape((-1, group) + out.shape[1:])
     for start in range(0, len(queries), block):
         q = queries[start:start + block]
-        v = np.concatenate((q, inverter(q, cfg)), axis=1)[:, None, :]
+        v = np.concatenate((q, inverter(q, cfg)), axis=1)
         cells = buf[:len(q)]
         if factors is not None:
-            np.multiply(params.i_threshold * np.exp(k * v), factors, out=cells)
+            np.multiply((params.i_threshold * np.exp(k * v))[:, lines], factors, out=cells)
         else:
-            np.subtract(device.saturated_current(params, v, vth), params.i_off, out=cells)
+            np.subtract(device.saturated_current(params, v[:, lines], vth), params.i_off,
+                        out=cells)
         np.minimum(cells, cap, out=cells)
-        np.matmul(cells, weights, out=out[start:start + len(q)])
-    out += weights.sum() * params.i_off
+        first, n = start // group, -(-len(q) // group)
+        np.matmul(buf_groups[:n], weights, out=out_groups[first:first + n])
+    out = out[:len(queries)]
+    out += n_fets * params.i_off
     return out
 
 
@@ -399,8 +482,11 @@ def _search_rows(arr: FecamArray, queries, t_sense, trace=False):
     `_solve_and_sense`, and V_ML (T, S, R) when trace is set, else None."""
     q, t = _checked(arr, queries, t_sense)
     first, rows = arr._distinct_rows or (slice(None), slice(None))
-    factors = None if arr._factors is None else arr._factors[first]
-    static = _static_row_currents(arr.vth[first], factors, arr.cfg, arr.params, q)
+    if arr._column_tables is not None:
+        static = _summed_currents(*arr._column_tables, arr.cfg, arr.params, q)
+    else:
+        factors = None if arr._factors is None else arr._factors[first]
+        static = _static_row_currents(arr.vth[first], factors, arr.cfg, arr.params, q)
     flags, times, v = _solve_and_sense(arr, static, t, trace)
     return flags[:, rows], t, times, v[..., rows] if trace else None
 

@@ -34,11 +34,14 @@ NEGATIVE_VALUES = ("A negative number in exponent form, or -inf, reads as an "
                    "or write it as a plain decimal.")
 
 
-def _write_out(path, text: str) -> None:
+def _write_out(path, text: str, suffix: str = "") -> None:
+    """Write text to stdout when path is None or "-", else to path with the
+    suffix put before its extension."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        path = Path(path)
+        path.with_name(f"{path.stem}{suffix}{path.suffix}").write_text(text)
 
 
 def _read(path) -> str:
@@ -96,10 +99,8 @@ def cmd_search(args) -> int:
     for index, query in enumerate(queries):
         result = array_mod.search(arr, query, t_sense)
         if args.out:
-            out = Path(args.out)
-            if len(queries) > 1:
-                out = out.with_name(f"{out.stem}_q{index}{out.suffix}")
-            _write_out(out, fileio.trace_csv(result))
+            _write_out(args.out, fileio.trace_csv(result),
+                       f"_q{index}" if len(queries) > 1 else "")
         summary.append(f"query_{index}_matches = "
                        + ",".join(str(m).lower() for m in result.matches))
         summary.append(f"query_{index}_sense_time_seconds = "
@@ -168,10 +169,7 @@ def cmd_route(args) -> int:
             out_lines.append(f"{name}_entries = {table.n_entries}")
             out_lines.append(f"{name}_cells = {table.n_cells}")
         if args.out:
-            path = Path(args.out)
-            if len(want) > 1:
-                path = path.with_name(f"{path.stem}_{name}{path.suffix}")
-            _write_out(path, encoder.table_text(table))
+            _write_out(args.out, encoder.table_text(table), f"_{name}" if len(want) > 1 else "")
     if len(want) > 1:
         report = costmodel.routing_report(config.cost, tables["ternary"],
                                           tables["analog"])
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="query file, one per line")
     p.add_argument("--sense-time", default="auto",
                    help="sense time in seconds, or 'auto'")
-    p.add_argument("--out", help="trace CSV path (multi-query runs get _qN)")
+    p.add_argument("--out", help="trace CSV path, - for stdout (multi-query runs get _qN)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="bounds and timing vs array size or v_sl",
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", help="compile range rules into CAM tables")
     p.add_argument("--rules", required=True, help="rule file: lo hi width action")
     p.add_argument("--mode", default="both", choices=["ternary", "analog", "both"])
-    p.add_argument("--out", help="table listing path (both modes get suffixes)")
+    p.add_argument("--out", help="table listing path, - for stdout (both modes get suffixes)")
     p.add_argument("--verify", action="store_true",
                    help="run the sampled membership check")
     p.add_argument("--samples", type=int, default=1_000_000,

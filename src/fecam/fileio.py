@@ -20,7 +20,7 @@ from . import cell as cell_mod
 from .array import FecamArray, SearchResult, _check_size
 from .cell import TernaryBit, program_analog, program_digital
 from .config import GlobalConfig, parse_floats
-from .costmodel import NUMBER_SPEC, _fmt
+from .costmodel import NUMBER_SPEC
 from .encoder import RangeRule
 from .errors import FecamError, InconsistentInputError, ParseError
 
@@ -139,11 +139,13 @@ def parse_rules_file(text: str):
 
 
 def trace_csv(result: SearchResult) -> str:
-    """Per-row match-line transient: row,t_seconds,v_ml_volts.  Each distinct
-    voltage column is formatted once, keyed on its bytes (so -0.0 and 0.0
-    stay apart), then copied for each of its rows with the row number in
-    front of every line."""
-    template = "".join(f"\n{_fmt(t)},{NUMBER}" for t in result.times)
+    """Per-row match-line transient: row,t_seconds,v_ml_volts.  The times go
+    into one template by a single "%", which leaves a voltage field on each
+    line; each distinct voltage column fills it once, keyed on its bytes (so
+    -0.0 and 0.0 stay apart), and is copied for each of its rows with the
+    row number in front of every line."""
+    times = result.times.tolist()
+    template = (("\n" + NUMBER + ",%" + NUMBER) * len(times)) % tuple(times)
     texts = {}  # column bytes -> its lines, each after a newline
     blocks = ["row,t_seconds,v_ml_volts"]
     for row, column in enumerate(result.ml_voltages.T):

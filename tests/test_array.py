@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    DisturbViolationError, FecamArray, InvalidParameterError,
-                   MatchLineParams, InvalidPulseError, OutOfRangeError,
-                   TernaryBit, WritePlan, WritePulse, apply_variation, batch_search,
-                   cell_current, digital_query_voltage, discharge_time, inhibition_plans,
-                   inverter, level_center, match_window, measure_bounds, ml_capacitance,
+                   MatchLineParams, InvalidPulseError, OutOfRangeError, RangeRule,
+                   TableMode, TernaryBit, WritePlan, WritePulse, apply_variation,
+                   batch_search, cell_current, compile_table, digital_query_voltage,
+                   discharge_time, entry_to_cells, inhibition_plans, inverter,
+                   level_center, match_window, measure_bounds, ml_capacitance,
                    program_analog, program_digital, program_level_window, search, sense,
                    single_mismatch_sense_time, write_cells, write_row)
-from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, MAX_CELLS, _ml_voltage,
-                         _static_row_currents, _threshold_factors)
+from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, MAX_CELLS, TABLE_ENTRIES,
+                         _ml_voltage, _pair_tables, _static_row_currents,
+                         _summed_currents, _threshold_factors)
 from fecam.device import saturated_current, vth_from_pulse
 
 
@@ -323,17 +325,21 @@ def tiled_arrays(draw):
     """Arrays of up to 12 rows of up to 16 mixed level windows, each row
     drawn in random order from a pool of 1 to rows distinct rows, so that all
     rows are equal, some repeat, or none do; or, after apply_variation, every
-    row distinct.  Built from the cell grid or again from its thresholds; on
-    either kernel branch, with or without leakage."""
+    row distinct.  Windows span the lowest 1 to 8 levels, so that arrays
+    with few thresholds per column, which take the table form, are drawn
+    beside those that take the direct form.  Built from the cell grid or
+    again from its thresholds; on either kernel branch, with or without
+    leakage."""
     rows = draw(st.integers(1, 12), label="rows")
     cols = draw(st.integers(1, 16), label="cols")
     pool = draw(st.integers(1, rows), label="pool")
+    levels = draw(st.integers(1, 8), label="levels")
     slope = 10.0 ** draw(st.floats(-5.0, 0.0), label="log10 slope")
     params = DeviceParams(subthreshold_slope=slope,
                           i_off=draw(st.sampled_from([0.0, 1e-12]), label="i_off"))
     cfg = CellConfig(inverter_gain=draw(st.none() | st.floats(0.5, 10.0), label="gain"))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    windows = np.sort(rng.integers(0, 8, (pool, cols, 2)), axis=2)
+    windows = np.sort(rng.integers(0, levels, (pool, cols, 2)), axis=2)
     rows_of = [[program_level_window(int(lo), int(hi), cfg, params) for lo, hi in row]
                for row in windows]
     grid = [rows_of[i] for i in rng.permutation(np.arange(rows) % pool)]
@@ -350,10 +356,11 @@ class TestDistinctRows:
     @settings(max_examples=150)
     @given(arr=tiled_arrays(), data=st.data())
     def test_every_row_reads_its_own_solve(self, arr, data):
-        """A search solves each distinct row once; each row must still read
-        the solve of its own current in the full array, but for a line that
-        ends within rounding of the sense boundary, since the kernel's row
-        sums round by the shape of the block they are taken in."""
+        """A search solves each distinct row once, in the direct or the table
+        form; each row must still read the solve of its own current summed
+        directly in the full array, but for a line that ends within rounding
+        of the sense boundary, since the kernel's row sums round by the form
+        and the shape of the block they are taken in."""
         t_sense = data.draw(st.none() | st.floats(-12.0, -3.0).map(lambda x: 10.0 ** x)
                             | st.sampled_from([0.5, 10.0]).map(lambda f: f * arr._quiet_time),
                             label="t_sense")
@@ -386,6 +393,21 @@ class TestDistinctRows:
             traces = {}
             for key, trace in zip(keys, result.ml_voltages.T):
                 assert traces.setdefault(key, trace.tobytes()) == trace.tobytes()
+
+    def test_signed_zeros_are_distinct_bytes(self, mlp, cfg):
+        """Rows apart only in the sign of a zero threshold differ in their
+        bytes, so they are distinct rows, though they draw the same current."""
+        params = DeviceParams(vth_low=-0.1)
+        zero, negative = [0.0, 0.5, 0.3, 0.0], [0.0, 0.5, 0.3, -0.0]
+        apart = FecamArray.from_vth([zero, negative], mlp, cfg, params)
+        assert apart._distinct_rows is None
+        tiled = FecamArray.from_vth([zero, negative, zero, negative], mlp, cfg, params)
+        first, rows = tiled._distinct_rows
+        assert len(first) == 2 and rows.tolist() in ([0, 1, 0, 1], [1, 0, 1, 0])
+        queries = np.array([[0.2, 0.7], [0.5, 0.5]])
+        for arr in (apart, tiled):
+            flags = batch_search(arr, queries)
+            assert (flags == flags[:, :1]).all()
 
     def test_writes_do_not_share_the_index(self, mlp, cfg, params):
         """write_cells returns a new array with its own distinct-row index:
@@ -661,6 +683,91 @@ class TestConstruction:
             single_mismatch_sense_time(mlp, params, cfg, 8)
 
 
+def table_bank(mode, mlp, cfg, params):
+    """64 rows of a seeded 24-bit table, as the benchmark's cam-program banks
+    hold them: each analog digit's window in a cell, or one ternary bit."""
+    rng = np.random.default_rng(1)
+    starts, lengths = rng.integers(0, 1 << 23, 40), rng.integers(1, 1 << 16, 40)
+    rules = [RangeRule(int(a), int(a + n), 24, f"r{i}")
+             for i, (a, n) in enumerate(zip(starts, lengths))]
+    entries = [t.entry for t in compile_table(rules, mode).entries[:64]]
+    if mode is TableMode.TERNARY:
+        grid = [[program_digital(TernaryBit(b), cfg, params) for b in e.bits] for e in entries]
+    else:
+        grid = [[program_analog(*window, cfg, params) for window in entry_to_cells(e, cfg)]
+                for e in entries]
+    return FecamArray(cells=grid, ml_params=mlp, cfg=cfg, params=params)
+
+
+class TestColumnTables:
+    def test_form_follows_the_benchmark_shapes(self, demo_cell, mlp, cfg, params):
+        """Banks of a compiled table, in either mode, take the table form;
+        the 64x64 array of level rows, a filled array and a varied bank,
+        each with many thresholds per column for its distinct rows, do not."""
+        for mode, most in ((TableMode.ANALOG3B, 9), (TableMode.TERNARY, 2)):
+            bank = table_bank(mode, mlp, cfg, params)
+            assert bank.rows == 64 and bank._distinct_rows is None
+            held, _, _, matrix, fets = bank._column_tables
+            assert fets == 2 * bank.cols and len(held) <= most * fets
+            assert matrix.shape == (len(held), 64)
+        levels = np.random.default_rng(1).integers(0, 8, 64)
+        level_rows = FecamArray(cells=[[program_level_window(k, k, cfg, params)] * 64
+                                       for k in levels.tolist()],
+                                ml_params=mlp, cfg=cfg, params=params)
+        assert len(level_rows._distinct_rows[0]) == 8
+        for arr in (level_rows, filled(64, 8, demo_cell, mlp, cfg, params),
+                    varied(table_bank(TableMode.ANALOG3B, mlp, cfg, params), 0.01, seed=5)):
+            assert arr._column_tables is None
+
+    def test_a_query_reads_the_same_in_any_batch(self, mlp, cfg):
+        """At 10 uV/decade without leakage, a query on the window edges of a
+        row has one FeFET of each cell draw exactly i_threshold, so lines end
+        on the sense boundary, where the last bit of a row's sum decides its
+        flag.  Every product has one shape whatever the batch, so a query
+        reads the same flags alone and at any place in a batch, in either
+        form."""
+        params = DeviceParams(subthreshold_slope=1e-5, i_off=0.0)
+        edges = np.array(cfg.level_bounds)
+        rng = np.random.default_rng(3)
+        forms = set()
+        for _ in range(20):
+            rows, cols = int(rng.integers(2, 40)), int(rng.integers(1, 32))
+            windows = np.sort(rng.integers(0, rng.integers(1, 4), (rows, cols, 2)), axis=2)
+            arr = FecamArray(cells=[[program_level_window(int(lo), int(hi), cfg, params)
+                                     for lo, hi in row] for row in windows],
+                             ml_params=mlp, cfg=cfg, params=params)
+            held = windows[rng.integers(0, rows, 12)]
+            queries = np.where(rng.integers(0, 2, (12, cols)), edges[held[..., 0]],
+                               edges[held[..., 1] + 1])
+            flags = batch_search(arr, queries)
+            forms.add(arr._column_tables is None)
+            for i, query in enumerate(queries):
+                assert search(arr, query).matches == tuple(flags[i].tolist())
+            for part in (slice(0, 5), slice(3, None)):
+                assert (batch_search(arr, queries[part]) == flags[part]).all()
+        assert forms == {True, False}
+
+    @pytest.mark.parametrize("rows, tabled", [(256, True), (1024, False)])
+    def test_matrix_is_capped(self, mlp, cfg, params, rows, tabled):
+        """Rows of two thresholds per FeFET column would take the table form
+        at any row count, but past TABLE_ENTRIES matrix entries they are
+        summed directly."""
+        rng = np.random.default_rng(rows)
+        pairs = [[program_level_window(k, k, cfg, params) for k in rng.choice(8, 2, replace=False)]
+                 for _ in range(128)]
+        vth = np.array([[(c.upper_fet.vth, c.lower_fet.vth) for c in column] for column in pairs])
+        bits = rng.integers(0, 2, (rows, 128))
+        held = vth[np.arange(128), bits]  # (rows, 128, 2)
+        with pytest.warns(RuntimeWarning):
+            arr = FecamArray.from_vth(np.concatenate((held[..., 0], held[..., 1]), axis=1),
+                                      mlp, cfg, params)
+        assert arr._distinct_rows is None
+        tables = arr._column_tables
+        assert (tables is not None) == tabled == (512 * rows <= TABLE_ENTRIES)
+        if tabled:
+            assert len(tables[0]) == 512
+
+
 def reference_row_currents(up, lo, cfg, params, queries, counts=1):
     """The per-cell sum of `saturated_current`, each column's cell weighted
     by its count, that the factored kernel replaced; (queries, rows)."""
@@ -695,6 +802,40 @@ class TestCurrentKernel:
         assert got.shape == want.shape == (n, rows)
         assert (np.abs(got - want) <= 1e-12 * want).all()
 
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_table_form_agrees_with_per_cell_sum(self, data):
+        """The table form, one current per distinct (column, threshold) pair
+        summed into rows by its 0/1 matrix, is the per-cell sum."""
+        rows = data.draw(st.integers(1, 70), label="rows")
+        cols = data.draw(st.integers(1, 70), label="cols")
+        slope = 10.0 ** data.draw(st.floats(-5.0, 0.0), label="log10 slope")
+        gain = data.draw(st.none() | st.floats(0.5, 10.0), label="inverter_gain")
+        params = DeviceParams(subthreshold_slope=slope)
+        cfg = CellConfig(inverter_gain=gain)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # each FeFET column holds 1 to 8 thresholds, drawn row by row
+        levels = rng.integers(1, 9, 2 * cols)
+        pool = rng.uniform(params.vth_low, params.vth_high, (8, 2 * cols))
+        vth = pool[rng.integers(0, levels, (rows, 2 * cols)), np.arange(2 * cols)]
+        factors = _threshold_factors(vth, params, cfg.vdd)
+        n_pairs = sum(len(set(column)) for column in vth.T.tolist())
+        assert _pair_tables(vth, factors, n_pairs - 1) is None
+        tables = _pair_tables(vth, factors, n_pairs)
+        held, held_factors, lines, matrix, fets = tables
+        assert held.shape == lines.shape == (n_pairs,) and fets == 2 * cols
+        assert matrix.shape == (n_pairs, rows) and (matrix.sum(axis=0) == fets).all()
+        assert (held[:, None] == vth.T[lines]).sum(axis=1).tolist() == matrix.sum(axis=1).tolist()
+        if factors is not None:  # bit-equal to a holder's own factor
+            assert all(f in factors[:, line] for f, line in zip(held_factors, lines))
+        block = max(1, BLOCK_CELLS // n_pairs)  # queries per block
+        n = data.draw(st.sampled_from([0, 1, block, block + 1]), label="queries")
+        queries = rng.uniform(0.0, cfg.vdd, (n, cols))
+        got = _summed_currents(*tables, cfg, params, queries)
+        want = reference_row_currents(vth[:, :cols], vth[:, cols:], cfg, params, queries)
+        assert got.shape == want.shape == (n, rows)
+        assert (np.abs(got - want) <= 1e-12 * want).all()
+
     def test_direct_form_saturates_without_overflow(self, cfg):
         # 10 ** (0.9 V / 2 mV) overflows; the kernel clamps at i_on instead
         params = DeviceParams(subthreshold_slope=0.002)
@@ -707,12 +848,19 @@ class TestCurrentKernel:
     def test_batch_search_memory_is_bounded(self, demo_cell, mlp, cfg, params):
         # (queries, rows, cols) float temporaries would trace ~250 MB here;
         # the filled array is one distinct row, so the varied one, whose rows
-        # all differ, is the one that runs the kernel on every row
+        # all differ, is the one that runs the kernel on every row; the rows
+        # of two levels per column also all differ, in the table form
         arr = filled(64, 64, demo_cell, mlp, cfg, params)
         distinct = varied(arr, 0.01, seed=5)
         assert distinct._distinct_rows is None
+        rng = np.random.default_rng(6)
+        two = [[program_level_window(k, k, cfg, params) for k in rng.choice(8, 2, replace=False)]
+               for _ in range(64)]
+        tabled = FecamArray(cells=[[two[c][b] for c, b in enumerate(bits)]
+                                   for bits in rng.integers(0, 2, (64, 64))],
+                            ml_params=mlp, cfg=cfg, params=params)
         queries = np.random.default_rng(5).uniform(0.0, cfg.vdd, (2000, 64))
-        for arr in (arr, distinct):
+        for arr in (arr, distinct, tabled):
             tracemalloc.start()
             try:
                 batch_search(arr, queries)
@@ -720,3 +868,4 @@ class TestCurrentKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 8e6
+        assert tabled._distinct_rows is None and tabled._column_tables is not None

@@ -141,6 +141,20 @@ class TestSearch:
         per_query = tmp_path / "trace_q0.csv"
         assert per_query.read_text().splitlines()[0] == "row,t_seconds,v_ml_volts"
 
+    def test_dash_out_writes_the_traces_to_stdout(self, capsys, demo_files, monkeypatch):
+        """--out - prints each query's trace, in order, ahead of the summary,
+        as a file per query would hold it, and creates no file."""
+        tmp_path, array, queries, _ = demo_files
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "search", "--array", str(array),
+                           "--queries", str(queries), "--out", "-")
+        assert code == 0
+        assert not list(tmp_path.glob("-*"))
+        _, summary, _ = run(capsys, "search", "--array", str(array),
+                            "--queries", str(queries), "--out", "trace.csv")
+        traces = "".join((tmp_path / f"trace_q{i}.csv").read_text() for i in range(3))
+        assert out == traces + summary
+
     def test_rerun_byte_identical(self, capsys, demo_files):
         _, array, queries, _ = demo_files
         argv = ("search", "--array", str(array), "--queries", str(queries))
@@ -360,6 +374,21 @@ class TestRoute:
         analog_lines = (tmp_path / "table_analog.txt").read_text().splitlines()
         assert len(analog_lines) == 10
         assert analog_lines[0].endswith("\tportA")
+
+    def test_dash_out_writes_the_tables_to_stdout(self, capsys, demo_files, monkeypatch):
+        """--out - prints both listings, ternary first, ahead of the report,
+        as the per-mode files would hold them, and creates no file."""
+        tmp_path, _, _, rules = demo_files
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "route", "--rules", str(rules), "--mode", "both",
+                           "--out", "-")
+        assert code == 0
+        assert not list(tmp_path.glob("-*"))
+        _, report, _ = run(capsys, "route", "--rules", str(rules), "--mode", "both",
+                           "--out", "table.txt")
+        tables = "".join((tmp_path / f"table_{m}.txt").read_text()
+                         for m in ("ternary", "analog"))
+        assert out == tables + report
 
     def test_verify_passes(self, capsys, demo_files):
         _, _, _, rules = demo_files
