@@ -46,14 +46,19 @@ i_threshold at the auto time, the weighted sum ends on the boundary, which
 `sense` reads as a mismatch.
 
 The static part is factored: a subthreshold term i_th 10^((v - vth)/S) is
-(i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array computes its
-threshold factors e^(-k vth) on its first search and keeps them, and each
-query takes one factor per search line, leaving one product per FeFET.
-Queries go through in blocks of about BLOCK_CELLS FeFET currents in one
-reused buffer, so a batch search needs memory that grows with
-queries x (rows + cols), not queries x rows x cols.  Where a factor could
-overflow exp (slopes below about 7 mV/decade), the same blocks evaluate
-`device.saturated_current` per FeFET, the law the factored form reproduces.
+(i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array computes the
+threshold factors e^(-k vth) on its first search, for the thresholds its
+search sums, and keeps them, and each query takes one factor per search
+line, leaving one product per FeFET.  Queries go through in blocks of about
+BLOCK_CELLS FeFET currents in one reused buffer, so a batch search needs
+memory that grows with queries x (rows + cols), not queries x rows x cols.
+Where a factor of a threshold in the device range could overflow exp, the
+same blocks evaluate `device.saturated_current` per FeFET, the law the
+factored form reproduces.  The range, not the thresholds held, sets that
+edge, so a search and `measure_bounds` of one array take the same branch:
+at the default range and vdd it lies near 6.9 mV/decade for every array,
+also one whose thresholds stay at or below 0.9 V, such as a bank of level
+rows, whose own thresholds would allow factors down to 6.25 mV/decade.
 """
 
 from __future__ import annotations
@@ -204,8 +209,8 @@ def _check_size(rows: int, cols: int) -> None:
 class FecamArray:
     """R x C cells as one state, `vth`, plus the electrical context shared by
     every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
-    thresholds, then its lower ones, the current kernel's layout; their
-    `_threshold_factors` are computed on the first search.  `from_vth` is the
+    thresholds, then its lower ones, the current kernel's layout; the first
+    search builds the `_row_terms` of its distinct rows.  `from_vth` is the
     one constructor that checks and holds this state: `FecamArray(cells=...)`
     gathers a FecamCell grid's thresholds into it, `filled` repeats one
     cell's pair, and a write passes its new copy, so a write into an array
@@ -276,12 +281,6 @@ class FecamArray:
         return tuple(tuple(map(made.__getitem__, row)) for row in rows)
 
     @cached_property
-    def _factors(self):
-        """`_threshold_factors` of `vth`: computed on the first search, once
-        per array, so a write, which returns a new array, computes none."""
-        return _threshold_factors(self.vth, self.params, self.cfg.vdd)
-
-    @cached_property
     def _distinct_rows(self):
         """(first, rows): the first row of each distinct row of `vth`, keyed on
         its bytes, and each row's index into them; None when every row is
@@ -299,18 +298,11 @@ class FecamArray:
         return None if len(first) == self.rows else (first, rows)
 
     @cached_property
-    def _column_tables(self):
-        """`_pair_tables` of the distinct rows where the table form costs
-        less than the direct one and its matrix fits TABLE_ENTRIES, else
-        None.  Computed on the first search, once per array."""
+    def _terms(self):
+        """`_row_terms` of the distinct rows: built on the first search, once
+        per array, so a write, which returns a new array, builds none."""
         first = self._distinct_rows[0] if self._distinct_rows else slice(None)
-        vth = self.vth[first]
-        rows, fets = vth.shape
-        # per query the table form costs about pairs (1 + rows / BLAS_GAIN)
-        # elementwise currents and the direct form rows x fets
-        pays = BLAS_GAIN * rows * fets // (BLAS_GAIN + rows)
-        factors = None if self._factors is None else self._factors[first]
-        return _pair_tables(vth, factors, min(pays, TABLE_ENTRIES // rows))
+        return _row_terms(self.vth[first], self.params, self.cfg.vdd)
 
     @classmethod
     def filled(cls, rows: int, cols: int, cell: FecamCell,
@@ -333,28 +325,28 @@ class FecamArray:
 
 
 def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
-    """e^(-k vth) with k = ln10 / subthreshold slope, or None when a factor
-    or the product of one with a query factor e^(k v), 0 <= v <= vdd, could
-    overflow exp; the kernel then evaluates `device.saturated_current`."""
+    """e^(-k vth) with k = ln10 / subthreshold slope, or None when, for some
+    threshold of the device range, a factor or the product of one with a
+    query factor e^(k v), 0 <= v <= vdd, could overflow exp; the kernel then
+    evaluates `device.saturated_current`.  The range, not vth, decides, so
+    every sum over an array's thresholds takes the same branch."""
     k = np.log(10.0) / params.subthreshold_slope
-    if not k * (vdd + np.abs(vth).max()) < EXP_LIMIT:
+    if not k * (vdd + max(abs(params.vth_low), abs(params.vth_high))) < EXP_LIMIT:
         return None
     return np.exp(-k * vth)
 
 
-def _pair_tables(vth: np.ndarray, factors, max_pairs: int):
+def _pair_tables(vth: np.ndarray, weights: np.ndarray, max_pairs: int):
     """The table form of the rows vth (R, 2C), or None when they hold more
     than max_pairs distinct (FeFET column, threshold) pairs: the pairs'
-    thresholds, their factors taken from factors (None when factors is
-    None), their search lines, the (pairs, R) 0/1 matrix that marks the pair
-    each row holds in each column, and 2C, as `_summed_currents` takes them."""
+    thresholds, their search lines, and the (pairs, R) matrix that holds, at
+    the pair each row holds in each column, that column's weight."""
     rows, fets = vth.shape
     if max_pairs < fets:  # every column holds at least one pair
         return None
     # each column sorted, as row and flat indices; a new pair where it steps
     order = np.argsort(vth.T, axis=1)
-    at = order * fets + np.arange(fets)[:, None]
-    held = vth.ravel()[at]
+    held = vth.ravel()[order * fets + np.arange(fets)[:, None]]
     new = np.empty(held.shape, bool)
     new[:, 0] = True
     np.not_equal(held[:, 1:], held[:, :-1], out=new[:, 1:])
@@ -362,19 +354,25 @@ def _pair_tables(vth: np.ndarray, factors, max_pairs: int):
     if n_pairs > max_pairs:
         return None
     matrix = np.zeros((n_pairs, rows))
-    matrix[np.cumsum(new, dtype=np.intp).reshape(new.shape) - 1, order] = 1.0
-    return (held[new], None if factors is None else factors.ravel()[at[new]],
-            np.nonzero(new)[0], matrix, fets)
+    matrix[np.cumsum(new, dtype=np.intp).reshape(new.shape) - 1, order] = weights[:, None]
+    return held[new], np.nonzero(new)[0], matrix
 
 
-def _static_row_currents(vth: np.ndarray, factors, cfg: CellConfig,
-                         params: DeviceParams, queries: np.ndarray,
-                         counts=None) -> np.ndarray:
-    """Summed full-drive cell currents per (query, row) in the direct form;
-    shape (S, R).  vth and factors are as held by `FecamArray`; each FeFET
-    counts its column's entry of counts, all ones by default."""
-    weights = np.ones(vth.shape[1]) if counts is None else np.tile(counts, 2).astype(float)
-    return _summed_currents(vth, factors, None, weights, weights.sum(), cfg, params, queries)
+def _row_terms(vth: np.ndarray, params: DeviceParams, vdd: float, counts=None):
+    """What `_summed_currents` sums into the rows vth (R, 2C), each FeFET
+    weighted by its column's entry of counts, all ones by default.  The table
+    form where it costs less than the direct one and its matrix fits
+    TABLE_ENTRIES, which it never does for one row, else the direct form;
+    either carries the `_threshold_factors` of just the thresholds it reads."""
+    rows, fets = vth.shape
+    weights = np.ones(fets) if counts is None else np.concatenate((counts, counts), dtype=float)
+    # per query the table form costs about pairs (1 + rows / BLAS_GAIN)
+    # elementwise currents and the direct form rows x fets
+    pays = BLAS_GAIN * rows * fets // (BLAS_GAIN + rows)
+    tables = _pair_tables(vth, weights, min(pays, TABLE_ENTRIES // rows))
+    n_fets = weights.sum()
+    held, lines, weights = (vth, None, weights) if tables is None else tables
+    return held, _threshold_factors(held, params, vdd), lines, weights, n_fets
 
 
 def _summed_currents(vth: np.ndarray, factors, lines, weights: np.ndarray, n_fets,
@@ -386,8 +384,9 @@ def _summed_currents(vth: np.ndarray, factors, lines, weights: np.ndarray, n_fet
     query's 2C, draws its `device.saturated_current`: the product of its
     factor and the line's, clamped, or, where factors is None, the law
     itself.  The clamped terms meet the weights in a matmul, plus n_fets
-    i_off floors a row.  The direct form passes vth (R, 2C), lines None
-    (all 2C, in order) and weights (2C,); the table form `_pair_tables`.
+    i_off floors a row.  `_row_terms` builds the first five arguments: in
+    the direct form vth (R, 2C), lines None (all 2C, in order) and weights
+    (2C,); in the table form the pairs of `_pair_tables`.
     The queries go through in blocks of about BLOCK_CELLS FeFET currents,
     at least one query each; the matmul takes one query at a time in the
     direct form and GEMM_GROUP in the table form, the last group padded.
@@ -481,12 +480,8 @@ def _search_rows(arr: FecamArray, queries, t_sense, trace=False):
     answer.  Returns the flags (S, R), t_sense, the times as
     `_solve_and_sense`, and V_ML (T, S, R) when trace is set, else None."""
     q, t = _checked(arr, queries, t_sense)
-    first, rows = arr._distinct_rows or (slice(None), slice(None))
-    if arr._column_tables is not None:
-        static = _summed_currents(*arr._column_tables, arr.cfg, arr.params, q)
-    else:
-        factors = None if arr._factors is None else arr._factors[first]
-        static = _static_row_currents(arr.vth[first], factors, arr.cfg, arr.params, q)
+    rows = arr._distinct_rows[1] if arr._distinct_rows else slice(None)
+    static = _summed_currents(*arr._terms, arr.cfg, arr.params, q)
     flags, times, v = _solve_and_sense(arr, static, t, trace)
     return flags[:, rows], t, times, v[..., rows] if trace else None
 
@@ -532,10 +527,9 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
     upper, lower = arr.vth[row, :arr.cols], arr.vth[row, arr.cols:]
     _, first, counts = np.unique(upper + 1j * lower, return_index=True, return_counts=True)
     fets = np.concatenate((first, arr.cols + first))
-    factors = None if arr._factors is None else arr._factors[row, fets][None]
-    static = _static_row_currents(arr.vth[row, fets][None], factors, arr.cfg, arr.params,
-                                  np.broadcast_to(grid[:, None], (len(grid), len(first))),
-                                  counts)
+    terms = _row_terms(arr.vth[row, fets][None], arr.params, vdd, counts)
+    static = _summed_currents(*terms, arr.cfg, arr.params,
+                              np.broadcast_to(grid[:, None], (len(grid), len(first))))
     matching = _solve_and_sense(arr, static, t)[0][:, 0]
     if not matching.any():
         return None

@@ -43,14 +43,15 @@ def _default_bits() -> dict:
 class CostParams:
     """Calibration constants for the three CAM technologies.
 
-    cmos_cell_area is a free unit (feature-size normalized); reported area
-    figures are ratios and do not depend on it.  reference_routing_area_ratio
-    is the headline figure the routing case study is calibrated against,
-    kept for the cross-check note in reports (it exceeds the value derivable
-    from the per-bit ratio by about 1%); 0 means no reference, whose gap
-    reads 0.  bits_per_cell is the calibrated design point that turns
-    per-bit constants into per-cell cost and word sizes; the configured
-    cell's levels are CellConfig.level_count.
+    cmos_cell_area is the area of one CMOS TCAM cell in a free unit (feature
+    size normalized).  Absolute area figures, such as `fecam bench`'s
+    area_per_bit_cmos_tcam, scale with it; only area ratios do not depend on
+    it.  reference_routing_area_ratio is the headline figure the routing case
+    study is calibrated against, kept for the cross-check note in reports
+    (it exceeds the value derivable from the per-bit ratio by about 1%); 0
+    means no reference, whose gap reads 0.  bits_per_cell is the calibrated
+    design point that turns per-bit constants into per-cell cost and word
+    sizes; the configured cell's levels are CellConfig.level_count.
     """
 
     energy_per_bit: dict = field(default_factory=_default_energy)       # J
@@ -77,7 +78,7 @@ class CostParams:
                 for kind, bits in self.bits_per_cell.items()}
 
     def cell_area(self, kind: CamKind) -> float:
-        """Cell area in cmos_cell_area units.
+        """Cell area, in the unit of cmos_cell_area, so it scales with it.
 
         The analog cell packs its bits_per_cell bits at the calibrated per-bit
         ratio; the digital cell is the same 2-FeFET structure storing one bit.
@@ -100,7 +101,8 @@ def search_energy(p: CostParams, kind: CamKind, n_cells: int) -> float:
 
 
 def area(p: CostParams, kind: CamKind, n_cells: int) -> float:
-    """Array area of n_cells cells, in cmos_cell_area units."""
+    """Array area of n_cells cells, in the unit of cmos_cell_area, so it
+    scales with it."""
     n_cells = check_int(n_cells, "n_cells", 0, MAX_PRICED_CELLS)
     return n_cells * p.cell_area(kind)
 

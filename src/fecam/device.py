@@ -48,8 +48,10 @@ class DeviceParams:
 
     The coercive-voltage distribution is Gaussian(coercive_mu, coercive_sigma);
     the default 2-4 V programming window then spans ~1%-99% domain switching.
-    i_threshold is the drain current that defines "turned on" and equals the
-    average per-cell match-line discharge current used for sense timing.
+    i_threshold is the drain current that defines "turned on".  The auto
+    sense time reads a different key, the average per-cell discharge current
+    `MatchLineParams.i_discharge_avg` ([matchline] i_discharge_avg); the two
+    are equal, 25 nA, only by default.
     """
 
     vth_low: float = 0.1              # V, fully programmed threshold
@@ -199,6 +201,10 @@ def resolvable_levels(params: DeviceParams, sigma_vth: float,
     with at least min_accuracy.  Returns the largest resolvable m (>= 1), for
     at most one level per VTH_SOLVE_TOLERANCE of the threshold range and
     MAX_DRAWS samples per count; seed + m seeds the draws of m levels.
+
+    This is a bound in threshold space only: it classifies the noisy
+    thresholds themselves, with no match line, sense time or leakage summed
+    over a row, so an array searched at the same spread can resolve fewer.
     """
     most = 1 + int(params.vth_span / VTH_SOLVE_TOLERANCE)
     level_count = check_int(level_count, "level_count", 1, most)

@@ -46,7 +46,8 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
         cell <row> <col> level <k>
         cell <row> <col> digital 0|1|X
 
-    Cells not mentioned default to digital X (match-anything).
+    Cells not mentioned default to digital X (match-anything).  A statement
+    of a known kind must have exactly the tokens of its form.
     """
     rows = cols = None
     ml_overrides = {}
@@ -56,11 +57,12 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
         kind = tokens[0].lower()
         try:
             if kind == "rows":
-                rows = int(tokens[1])
+                rows = int(_exact(tokens, "rows R", number)[1])
             elif kind == "cols":
-                cols = int(tokens[1])
+                cols = int(_exact(tokens, "cols C", number)[1])
             elif kind == "matchline":
-                ml_overrides[tokens[1]] = float(tokens[2])
+                _, field, value = _exact(tokens, "matchline <field> <value>", number)
+                ml_overrides[field] = float(value)
             elif kind == "cell":
                 cell_specs.append((number, int(tokens[1]), int(tokens[2]),
                                    tokens[3].lower(), tokens[4:]))
@@ -97,18 +99,27 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
     return FecamArray.from_vth(vth, ml_params, cfg, params)
 
 
+def _exact(tokens, form: str, number: int):
+    """tokens, when there are as many as in form; else a ParseError."""
+    if len(tokens) != len(form.split()):
+        raise ParseError(f"expected {form!r}, got {' '.join(tokens)!r}", line=number)
+    return tokens
+
+
 def _program_cell(spec: str, args, cfg, params, number: int):
+    forms = {"analog": "analog <lo> <hi>", "level": "level <k>", "digital": "digital 0|1|X"}
+    if spec not in forms:
+        raise ParseError(f"unknown cell spec {spec!r}", line=number)
+    _exact([spec, *args], forms[spec], number)
     try:
         if spec == "analog":
             return program_analog(float(args[0]), float(args[1]), cfg, params)
         if spec == "level":
             k = int(args[0])
             return cell_mod.program_level_window(k, k, cfg, params)
-        if spec == "digital":
-            return program_digital(TernaryBit.from_char(args[0]), cfg, params)
-    except (IndexError, ValueError, FecamError) as exc:
+        return program_digital(TernaryBit.from_char(args[0]), cfg, params)
+    except (ValueError, FecamError) as exc:
         raise ParseError(f"bad cell spec: {exc}", line=number)
-    raise ParseError(f"unknown cell spec {spec!r}", line=number)
 
 
 def parse_query_file(text: str):

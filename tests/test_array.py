@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    DisturbViolationError, FecamArray, InvalidParameterError,
@@ -15,9 +15,10 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    level_center, match_window, measure_bounds, ml_capacitance,
                    program_analog, program_digital, program_level_window, search, sense,
                    single_mismatch_sense_time, write_cells, write_row)
-from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, MAX_CELLS, TABLE_ENTRIES,
-                         _ml_voltage, _pair_tables, _static_row_currents,
-                         _summed_currents, _threshold_factors)
+from fecam import device
+from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, EXP_LIMIT, GEMM_GROUP, MAX_CELLS,
+                         TABLE_ENTRIES, _ml_voltage, _pair_tables, _row_terms,
+                         _summed_currents)
 from fecam.device import saturated_current, vth_from_pulse
 
 
@@ -207,6 +208,49 @@ class TestMeasureBounds:
             assert lo == pytest.approx(0.4, abs=0.02)
             assert hi == pytest.approx(0.6, abs=0.02)
 
+    def test_bounds_build_no_search_state(self, mlp, cfg, params):
+        """measure_bounds sums its row's distinct cells itself: an array
+        that was never searched holds no distinct-row index or terms after
+        it, and its first search builds them."""
+        arr = FecamArray(cells=[[program_level_window(k, k, cfg, params)] * 8
+                                for k in (0, 3, 3, 5)],
+                         ml_params=mlp, cfg=cfg, params=params)
+        held = set(vars(arr))
+        assert measure_bounds(arr, 1) is not None
+        assert set(vars(arr)) - held <= {"_quiet_time"}
+        batch_search(arr, [[0.5] * 8])
+        assert {"_distinct_rows", "_terms"} <= set(vars(arr))
+
+    @pytest.mark.parametrize("slope", [5e-3, 5.8e-3, 6.5e-3, 8e-3])
+    def test_bounds_take_the_search_branch(self, mlp, cfg, slope, monkeypatch):
+        """A search and measure_bounds of one array sum through the same
+        kernel branch, the law or the factored form, in either order.  At
+        5.8 mV/decade the thresholds of the whole array (up to 0.9 V) could
+        overflow a factor and those of row 1 (up to 0.6 V) could not; at 6.5
+        neither could, but the device range (up to 1.1 V) could."""
+        params = DeviceParams(subthreshold_slope=slope)
+        law = []
+        real = device.saturated_current
+        monkeypatch.setattr(device, "saturated_current",
+                            lambda *args: law.append(True) or real(*args))
+
+        def law_taken(run):
+            law.clear()
+            run()
+            return bool(law)
+
+        level_rows = [[program_level_window(k, k, cfg, params)] * 8 for k in (0, 3, 3, 7)]
+        bank = table_bank(TableMode.ANALOG3B, mlp, cfg, params)
+        assert np.abs(bank.vth).max() <= 0.9 + 1e-12
+        for arr in (FecamArray(cells=level_rows, ml_params=mlp, cfg=cfg, params=params), bank):
+            fresh = FecamArray.from_vth(arr.vth, mlp, cfg, params)
+            query = [[0.5] * arr.cols]
+            taken = {law_taken(lambda: batch_search(arr, query)),
+                     law_taken(lambda: measure_bounds(arr, 1)),
+                     law_taken(lambda: measure_bounds(fresh, 1)),
+                     law_taken(lambda: batch_search(fresh, query))}
+            assert len(taken) == 1, taken
+
     def test_no_match_returns_none(self, mlp, cfg, params):
         from fecam import FecamCell
         from fecam.device import state_for_vth
@@ -286,8 +330,8 @@ class TestBoundsAreTheSweep:
             got = measure_bounds(arr, row, t_sense)
             if got == longest_run(grid, flags[:, row]):
                 continue
-            factors = None if arr._factors is None else arr._factors[[row]]
-            static = _static_row_currents(arr.vth[[row]], factors, arr.cfg, arr.params, queries)
+            static = _summed_currents(*_row_terms(arr.vth[[row]], arr.params, vdd),
+                                      arr.cfg, arr.params, queries)
             with np.errstate(over="ignore"):
                 v = _ml_voltage(arr.ml_params, vdd, arr.params.v_dsat, arr.cols,
                                 static[:, 0], np.array([t]))[-1]
@@ -378,7 +422,8 @@ class TestDistinctRows:
         flags = batch_search(arr, queries, t_sense)
         t = arr.auto_sense_time() if t_sense is None else t_sense
         vdd, boundary = arr.cfg.vdd, arr.cfg.vdd - arr.ml_params.delta_v_ml
-        static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params, queries)
+        static = np.hstack([_summed_currents(*_row_terms(row[None], arr.params, vdd),
+                                             arr.cfg, arr.params, queries) for row in arr.vth])
         with np.errstate(over="ignore"):
             v = _ml_voltage(arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static,
                             np.array([t]))[-1]
@@ -445,9 +490,9 @@ class TestWrite:
         # a write used to factor every threshold of the array it returned
         arr = filled(4, 4, demo_cell, mlp, cfg, params)
         written, _ = write_cells(arr, 1, [program_level_window(2, 2, cfg, params)] * 4)
-        assert "_factors" not in vars(written)
+        assert "_terms" not in vars(written)
         batch_search(written, [[0.5] * 4])
-        assert "_factors" in vars(written)
+        assert "_terms" in vars(written)
 
     def test_half_voltage_plan_passes_at_limit(self, demo_cell, mlp, cfg, params):
         arr = filled(4, 2, demo_cell, mlp, cfg, params)
@@ -699,7 +744,49 @@ def table_bank(mode, mlp, cfg, params):
     return FecamArray(cells=grid, ml_params=mlp, cfg=cfg, params=params)
 
 
+def assert_factors_of(factors, held, lines, vth, k):
+    """factors are bit-equal to e^(-k vth) of each threshold that holds them:
+    every FeFET of vth in the direct form (lines None), else every FeFET of
+    a pair's column whose threshold is the pair's."""
+    full = np.exp(-k * vth)
+    if lines is None:
+        assert factors.tobytes() == full.tobytes()
+    else:
+        marks = held[:, None] == vth.T[lines]
+        assert marks.any(axis=1).all()
+        assert (full.T[lines] == factors[:, None])[marks].all()
+
+
 class TestColumnTables:
+    def test_factors_are_those_of_the_summed_thresholds(self, demo_cell, mlp, cfg, params):
+        """After a search, an array holds one factor per threshold its form
+        sums: one per (column, threshold) pair in the table form, one per
+        FeFET of its distinct rows in the direct form, each that of its
+        threshold; on the law's branch, none."""
+        k = np.log(10.0) / params.subthreshold_slope
+        level_rows = FecamArray(cells=[[program_level_window(level, level, cfg, params)] * 64
+                                       for level in (0, 3, 3, 5, 7, 0)],
+                                ml_params=mlp, cfg=cfg, params=params)
+        arrays = [table_bank(TableMode.ANALOG3B, mlp, cfg, params),
+                  table_bank(TableMode.TERNARY, mlp, cfg, params), level_rows,
+                  filled(64, 8, demo_cell, mlp, cfg, params),
+                  varied(table_bank(TableMode.ANALOG3B, mlp, cfg, params), 0.01, seed=5)]
+        for arr, tabled, distinct in zip(arrays, [True, True, False, False, False],
+                                         [64, 64, 4, 1, 64]):
+            batch_search(arr, np.full((3, arr.cols), 0.5))
+            first = arr._distinct_rows[0] if arr._distinct_rows else np.arange(arr.rows)
+            assert len(first) == distinct
+            vth = arr.vth[first]
+            held, factors, lines, _, _ = arr._terms
+            assert (lines is not None) == tabled
+            n_pairs = sum(len(set(column)) for column in vth.T.tolist())
+            assert factors.shape == held.shape == ((n_pairs,) if tabled else vth.shape)
+            assert_factors_of(factors, held, lines, vth, k)
+        steep = DeviceParams(subthreshold_slope=5e-3)
+        arr = FecamArray.from_vth(level_rows.vth, mlp, cfg, steep)
+        batch_search(arr, [[0.5] * 64])
+        assert arr._terms[1] is None
+
     def test_form_follows_the_benchmark_shapes(self, demo_cell, mlp, cfg, params):
         """Banks of a compiled table, in either mode, take the table form;
         the 64x64 array of level rows, a filled array and a varied bank,
@@ -707,7 +794,8 @@ class TestColumnTables:
         for mode, most in ((TableMode.ANALOG3B, 9), (TableMode.TERNARY, 2)):
             bank = table_bank(mode, mlp, cfg, params)
             assert bank.rows == 64 and bank._distinct_rows is None
-            held, _, _, matrix, fets = bank._column_tables
+            held, _, lines, matrix, fets = bank._terms
+            assert lines is not None
             assert fets == 2 * bank.cols and len(held) <= most * fets
             assert matrix.shape == (len(held), 64)
         levels = np.random.default_rng(1).integers(0, 8, 64)
@@ -717,7 +805,7 @@ class TestColumnTables:
         assert len(level_rows._distinct_rows[0]) == 8
         for arr in (level_rows, filled(64, 8, demo_cell, mlp, cfg, params),
                     varied(table_bank(TableMode.ANALOG3B, mlp, cfg, params), 0.01, seed=5)):
-            assert arr._column_tables is None
+            assert arr._terms[2] is None
 
     def test_a_query_reads_the_same_in_any_batch(self, mlp, cfg):
         """At 10 uV/decade without leakage, a query on the window edges of a
@@ -740,7 +828,7 @@ class TestColumnTables:
             queries = np.where(rng.integers(0, 2, (12, cols)), edges[held[..., 0]],
                                edges[held[..., 1] + 1])
             flags = batch_search(arr, queries)
-            forms.add(arr._column_tables is None)
+            forms.add(arr._terms[2] is None)
             for i, query in enumerate(queries):
                 assert search(arr, query).matches == tuple(flags[i].tolist())
             for part in (slice(0, 5), slice(3, None)):
@@ -762,10 +850,9 @@ class TestColumnTables:
             arr = FecamArray.from_vth(np.concatenate((held[..., 0], held[..., 1]), axis=1),
                                       mlp, cfg, params)
         assert arr._distinct_rows is None
-        tables = arr._column_tables
-        assert (tables is not None) == tabled == (512 * rows <= TABLE_ENTRIES)
-        if tabled:
-            assert len(tables[0]) == 512
+        held, _, lines, _, _ = arr._terms
+        assert (lines is not None) == tabled == (512 * rows <= TABLE_ENTRIES)
+        assert held.shape == ((512,) if tabled else arr.vth.shape)
 
 
 def reference_row_currents(up, lo, cfg, params, queries, counts=1):
@@ -777,71 +864,66 @@ def reference_row_currents(up, lo, cfg, params, queries, counts=1):
 
 
 class TestCurrentKernel:
-    @settings(max_examples=80)
+    @settings(max_examples=160)
     @given(data=st.data())
     def test_agrees_with_per_cell_sum(self, data):
+        """The terms `_row_terms` builds sum, in either form, to the per-cell
+        sum, each column weighted by its count: the table form one current
+        per distinct (column, threshold) pair summed into rows by its matrix,
+        the direct form one per FeFET; their factors are those of the
+        thresholds they read, or None on the law's branch."""
         rows = data.draw(st.integers(1, 70), label="rows")
         cols = data.draw(st.integers(1, 70), label="cols")
-        block = max(1, BLOCK_CELLS // (rows * 2 * cols))  # queries per block
-        n = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1,
-                                       2 * block + 1]), label="queries")
-        # 10 uV/decade to 1 V/decade: the direct form below about 7 mV/decade
+        # 10 uV/decade to 1 V/decade: the law below about 6.9 mV/decade
         slope = 10.0 ** data.draw(st.floats(-5.0, 0.0), label="log10 slope")
         gain = data.draw(st.none() | st.floats(0.5, 10.0), label="inverter_gain")
         params = DeviceParams(subthreshold_slope=slope)
         cfg = CellConfig(inverter_gain=gain)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        up, lo = rng.uniform(params.vth_low, params.vth_high, (2, rows, cols))
-        queries = rng.uniform(0.0, cfg.vdd, (n, cols))
+        # each FeFET column holds 1 to 8 thresholds, drawn row by row, or
+        # every threshold is drawn anew
+        if data.draw(st.booleans(), label="few per column"):
+            pool = rng.uniform(params.vth_low, params.vth_high, (8, 2 * cols))
+            vth = pool[rng.integers(0, rng.integers(1, 9, 2 * cols), (rows, 2 * cols)),
+                       np.arange(2 * cols)]
+        else:
+            vth = rng.uniform(params.vth_low, params.vth_high, (rows, 2 * cols))
         counts = data.draw(st.none() | st.just(rng.integers(1, 65, cols)), label="counts")
-        vth = np.concatenate((up, lo), axis=1)
-        factors = _threshold_factors(vth, params, cfg.vdd)
-        got = _static_row_currents(vth, factors, cfg, params, queries, counts)
-        want = reference_row_currents(up, lo, cfg, params, queries,
-                                      1 if counts is None else counts)
-        assert got.shape == want.shape == (n, rows)
-        assert (np.abs(got - want) <= 1e-12 * want).all()
-
-    @settings(max_examples=80)
-    @given(data=st.data())
-    def test_table_form_agrees_with_per_cell_sum(self, data):
-        """The table form, one current per distinct (column, threshold) pair
-        summed into rows by its 0/1 matrix, is the per-cell sum."""
-        rows = data.draw(st.integers(1, 70), label="rows")
-        cols = data.draw(st.integers(1, 70), label="cols")
-        slope = 10.0 ** data.draw(st.floats(-5.0, 0.0), label="log10 slope")
-        gain = data.draw(st.none() | st.floats(0.5, 10.0), label="inverter_gain")
-        params = DeviceParams(subthreshold_slope=slope)
-        cfg = CellConfig(inverter_gain=gain)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        # each FeFET column holds 1 to 8 thresholds, drawn row by row
-        levels = rng.integers(1, 9, 2 * cols)
-        pool = rng.uniform(params.vth_low, params.vth_high, (8, 2 * cols))
-        vth = pool[rng.integers(0, levels, (rows, 2 * cols)), np.arange(2 * cols)]
-        factors = _threshold_factors(vth, params, cfg.vdd)
+        weights = np.tile(np.ones(cols) if counts is None else counts, 2)
+        held, factors, lines, matrix, n_fets = _row_terms(vth, params, cfg.vdd, counts)
         n_pairs = sum(len(set(column)) for column in vth.T.tolist())
-        assert _pair_tables(vth, factors, n_pairs - 1) is None
-        tables = _pair_tables(vth, factors, n_pairs)
-        held, held_factors, lines, matrix, fets = tables
-        assert held.shape == lines.shape == (n_pairs,) and fets == 2 * cols
-        assert matrix.shape == (n_pairs, rows) and (matrix.sum(axis=0) == fets).all()
-        assert (held[:, None] == vth.T[lines]).sum(axis=1).tolist() == matrix.sum(axis=1).tolist()
-        if factors is not None:  # bit-equal to a holder's own factor
-            assert all(f in factors[:, line] for f, line in zip(held_factors, lines))
-        block = max(1, BLOCK_CELLS // n_pairs)  # queries per block
-        n = data.draw(st.sampled_from([0, 1, block, block + 1]), label="queries")
+        event("direct form" if lines is None else "table form")
+        if lines is None:
+            assert held is vth and (matrix == weights).all()
+        else:
+            assert rows > 1 and _pair_tables(vth, weights, n_pairs - 1) is None
+            assert held.shape == lines.shape == (n_pairs,) and matrix.shape == (n_pairs, rows)
+            marks = held[:, None] == vth.T[lines]  # (pairs, rows): who holds each pair
+            assert (matrix == np.where(marks, weights[lines][:, None], 0.0)).all()
+        assert n_fets == weights.sum()
+        k = np.log(10.0) / slope
+        if k * (cfg.vdd + params.vth_high) < EXP_LIMIT:
+            assert factors.shape == held.shape
+            assert_factors_of(factors, held, lines, vth, k)
+        else:
+            assert factors is None
+        group = 1 if lines is None else GEMM_GROUP
+        block = group * max(1, BLOCK_CELLS // (group * held.size))  # queries per block
+        n = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]),
+                      label="queries")
         queries = rng.uniform(0.0, cfg.vdd, (n, cols))
-        got = _summed_currents(*tables, cfg, params, queries)
-        want = reference_row_currents(vth[:, :cols], vth[:, cols:], cfg, params, queries)
+        got = _summed_currents(held, factors, lines, matrix, n_fets, cfg, params, queries)
+        want = reference_row_currents(vth[:, :cols], vth[:, cols:], cfg, params, queries,
+                                      1 if counts is None else counts)
         assert got.shape == want.shape == (n, rows)
         assert (np.abs(got - want) <= 1e-12 * want).all()
 
     def test_direct_form_saturates_without_overflow(self, cfg):
         # 10 ** (0.9 V / 2 mV) overflows; the kernel clamps at i_on instead
         params = DeviceParams(subthreshold_slope=0.002)
-        vth = np.array([[0.1, 0.1]])
-        assert _threshold_factors(vth, params, cfg.vdd) is None
-        got = _static_row_currents(vth, None, cfg, params, np.array([[1.0]]))
+        terms = _row_terms(np.array([[0.1, 0.1]]), params, cfg.vdd)
+        assert terms[1] is None
+        got = _summed_currents(*terms, cfg, params, np.array([[1.0]]))
         want = params.i_on + params.i_off + params.i_threshold * 10.0 ** -50
         assert got[0, 0] == pytest.approx(want, rel=1e-12)
 
@@ -868,4 +950,4 @@ class TestCurrentKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 8e6
-        assert tabled._distinct_rows is None and tabled._column_tables is not None
+        assert tabled._distinct_rows is None and tabled._terms[2] is not None

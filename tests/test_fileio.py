@@ -130,6 +130,16 @@ class TestArrayFile:
         with pytest.raises(ParseError, match="line 4"):
             parse_array_file(text, config)
 
+    @pytest.mark.parametrize("statement", [
+        "rows 1 5", "cols 1 5", "matchline c_pmos 1e-16 5", "cell 0 0 analog 0.4 0.6 0.9",
+        "cell 0 0 level 3 4", "cell 0 0 digital 1 0", "rows", "matchline c_pmos",
+        "cell 0 0 analog 0.4", "cell 0 0 level"])
+    def test_wrong_token_count_names_line(self, config, statement):
+        # extra tokens used to be ignored: "analog 0.4 0.6 0.9" read as 0.4-0.6 V
+        text = "rows 1\ncols 1\ncell 0 0 level 2\n"
+        with pytest.raises(ParseError, match=r"line 4.*expected '"):
+            parse_array_file(text + statement + "\n", config)
+
     def test_unknown_cell_spec_names_line(self, config):
         with pytest.raises(ParseError, match="line 3.*unknown cell spec"):
             parse_array_file("rows 1\ncols 1\ncell 0 0 fuzzy 1\n", config)

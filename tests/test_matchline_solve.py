@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fecam import (FecamArray, apply_variation, default_config, discharge_time,
                    level_center, ml_capacitance, program_level_window, search, sense,
                    single_mismatch_sense_time)
-from fecam.array import _ml_voltage, _static_row_currents
+from fecam.array import _ml_voltage, _row_terms, _summed_currents
 
 RK4_STEPS = 1000
 TOLERANCE = 1e-6  # V
@@ -91,8 +91,9 @@ def test_traced_search_is_the_solve_of_every_row(case):
     query = [level_center(3, arr.cfg)] * arr.cols
     t = 10 * arr._quiet_time if case == "past quiet time" else None
     result = search(arr, query, t)
-    static = _static_row_currents(arr.vth, arr._factors, arr.cfg, arr.params,
-                                  np.array([query]))[0]
+    static = np.hstack([_summed_currents(*_row_terms(row[None], arr.params, arr.cfg.vdd),
+                                         arr.cfg, arr.params, np.array([query]))[0]
+                        for row in arr.vth])
     assert (len(np.unique(static)) == arr.rows) == (case == "all rows distinct")
     with np.errstate(over="ignore"):
         full = _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols,
