@@ -18,7 +18,7 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
 from fecam import device
 from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, EXP_LIMIT, GEMM_GROUP, MAX_CELLS,
                          TABLE_ENTRIES, _ml_voltage, _pair_tables, _row_terms,
-                         _summed_currents)
+                         _summed_currents, _threshold_factors)
 from fecam.device import saturated_current, vth_from_pulse
 
 
@@ -915,6 +915,42 @@ class TestCurrentKernel:
         got = _summed_currents(held, factors, lines, matrix, n_fets, cfg, params, queries)
         want = reference_row_currents(vth[:, :cols], vth[:, cols:], cfg, params, queries,
                                       1 if counts is None else counts)
+        assert got.shape == want.shape == (n, rows)
+        assert (np.abs(got - want) <= 1e-12 * want).all()
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_table_form_agrees_with_per_cell_sum(self, data):
+        """The table form, one current per distinct (column, threshold) pair
+        summed into rows by its 0/1 matrix, is the per-cell sum, also where
+        `_row_terms` would choose the direct form."""
+        rows = data.draw(st.integers(1, 70), label="rows")
+        cols = data.draw(st.integers(1, 70), label="cols")
+        slope = 10.0 ** data.draw(st.floats(-5.0, 0.0), label="log10 slope")
+        gain = data.draw(st.none() | st.floats(0.5, 10.0), label="inverter_gain")
+        params = DeviceParams(subthreshold_slope=slope)
+        cfg = CellConfig(inverter_gain=gain)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # each FeFET column holds 1 to 8 thresholds, drawn row by row
+        levels = rng.integers(1, 9, 2 * cols)
+        pool = rng.uniform(params.vth_low, params.vth_high, (8, 2 * cols))
+        vth = pool[rng.integers(0, levels, (rows, 2 * cols)), np.arange(2 * cols)]
+        ones = np.ones(2 * cols)
+        n_pairs = sum(len(set(column)) for column in vth.T.tolist())
+        assert _pair_tables(vth, ones, n_pairs - 1) is None
+        held, lines, matrix = _pair_tables(vth, ones, n_pairs)
+        fets = 2 * cols
+        assert held.shape == lines.shape == (n_pairs,)
+        assert matrix.shape == (n_pairs, rows) and (matrix.sum(axis=0) == fets).all()
+        assert (held[:, None] == vth.T[lines]).sum(axis=1).tolist() == matrix.sum(axis=1).tolist()
+        factors = _threshold_factors(held, params, cfg.vdd)
+        if factors is not None:  # bit-equal to a holder's own factor
+            assert_factors_of(factors, held, lines, vth, np.log(10.0) / slope)
+        block = GEMM_GROUP * max(1, BLOCK_CELLS // (GEMM_GROUP * n_pairs))  # queries per block
+        n = data.draw(st.sampled_from([0, 1, block, block + 1]), label="queries")
+        queries = rng.uniform(0.0, cfg.vdd, (n, cols))
+        got = _summed_currents(held, factors, lines, matrix, fets, cfg, params, queries)
+        want = reference_row_currents(vth[:, :cols], vth[:, cols:], cfg, params, queries)
         assert got.shape == want.shape == (n, rows)
         assert (np.abs(got - want) <= 1e-12 * want).all()
 
