@@ -9,7 +9,9 @@ line) only when the search voltage falls outside the stored window.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,8 +19,6 @@ from . import device
 from .device import DeviceParams, FeFetState
 from .errors import (EmptyWindowError, InvalidParameterError, OutOfRangeError,
                      check_int, check_real, require_finite)
-
-MIN_RESOLUTION = 1e-12  # of vdd: far above the float spacing a bisection reaches
 
 
 class TernaryBit(enum.Enum):
@@ -46,14 +46,13 @@ class CellConfig:
     windows, at least two, so L = level_count = len(level_bounds) - 1.  vdd is
     the one supply: search lines and match-line precharge.  digital_margin
     sets the closed edge of the digital one/zero windows so the 0 V / vdd
-    query voltages sit well inside or outside them.  inverter_gain selects an optional smooth inverted-SL
-    transfer curve; the default None is the ideal complement vdd - v_sl.
+    query voltages sit well inside or outside them.  The inverted search line
+    is the ideal complement vdd - v_sl, as program_analog assumes.
     """
 
     vdd: float = 1.0
     level_bounds: tuple = field(default_factory=_default_level_bounds)
     digital_margin: float = 0.3
-    inverter_gain: float | None = None
 
     def __post_init__(self):
         try:
@@ -70,8 +69,6 @@ class CellConfig:
         for end in (bounds[0], bounds[-1]):
             check_real(end, "level bounds", 0, self.vdd)
         check_real(self.digital_margin, "digital_margin", 0, self.vdd / 2, open=True)
-        if self.inverter_gain is not None:
-            check_real(self.inverter_gain, "inverter_gain", 0, open=True)
 
     @property
     def level_count(self) -> int:
@@ -87,18 +84,8 @@ class FecamCell:
 
 
 def inverter(v_sl, cfg: CellConfig):
-    """Inverted search-line voltage.
-
-    Ideal complement by default; with inverter_gain set, a smooth monotone
-    curve with the same endpoints (steeper around vdd/2 for higher gain).
-    """
-    v = np.asarray(v_sl, dtype=float)
-    if cfg.inverter_gain is None:
-        out = cfg.vdd - v
-    else:
-        g = cfg.inverter_gain
-        half = cfg.vdd / 2.0
-        out = half - half * np.tanh(g * (v - half)) / np.tanh(g * half)
+    """Inverted search-line voltage: the ideal complement vdd - v_sl."""
+    out = cfg.vdd - np.asarray(v_sl, dtype=float)
     if np.ndim(v_sl) == 0:
         return float(out)
     return out
@@ -155,41 +142,43 @@ def cell_current(cell: FecamCell, v_sl, v_ml, cfg: CellConfig,
                                    cell.lower_fet.vth))
 
 
-def match_window(cell: FecamCell, cfg: CellConfig, params: DeviceParams,
-                 resolution: float = 1e-3):
-    """Measured matching interval: v_sl where the cell current stays below
-    the turn-on criterion at full match-line voltage.
+def match_window(cell: FecamCell, cfg: CellConfig, params: DeviceParams):
+    """Measured matching interval: the span of the search voltages where the
+    cell current at full match-line voltage stays below i_threshold.
 
-    Scans the search range, then bisects each edge down to the resolution,
-    from MIN_RESOLUTION * vdd to vdd.  Returns (lower, upper) in volts, or
-    None when no search voltage matches (a valid outcome for degenerate
+    In x = 10**((v_sl - u) / S), u the upper threshold and S the slope, the
+    cell matches where min(x, X) + min(c / x, X) < a: c = 10**((w - u) / S)
+    with w = vdd - the lower threshold, X the on-current clamp in x, and
+    a = 1 / vds_factor(vdd) - 2 i_off / i_threshold.  Every edge is a root of
+    one branch of that sum (x**2 - a x + c = 0, x = X, c / x = X, x = a - X,
+    c / x = a - X), so the law is read once between consecutive roots.
+    Returns (lower, upper) in volts, the ends of the first and last pieces
+    that match, or None when none does (a valid outcome for degenerate
     programming).
     """
-    check_real(resolution, "resolution", MIN_RESOLUTION * cfg.vdd, cfg.vdd)
-    grid = np.arange(0.0, cfg.vdd + resolution / 2, 2e-3)
-    currents = cell_current(cell, grid, cfg.vdd, cfg, params)
-    matching = np.flatnonzero(currents < params.i_threshold)
-    if matching.size == 0:
+    u, s, vdd = cell.upper_fet.vth, params.subthreshold_slope, cfg.vdd
+    a = max(params.v_dsat / vdd, 1.0) - 2.0 * params.i_off / params.i_threshold
+    clamp = (params.i_on - params.i_off) / params.i_threshold  # X
+    # a - X exactly: near a = X their float difference cancels, and a 0 there
+    # would drop the whole quiet piece below x = a - X
+    v_dsat, v_dd, i_on, i_off, i_t = (Fraction(float(x)) for x in (
+        params.v_dsat, vdd, params.i_on, params.i_off, params.i_threshold))
+    gap = max(v_dsat / v_dd, 1) - (i_on + i_off) / i_t
+    with np.errstate(all="ignore"):  # roots past the float range fall outside [0, vdd]
+        log_c = np.float64(vdd - cell.lower_fet.vth - u) / s
+        log_x = [np.log10(clamp)]
+        if gap > 0:  # x + X = a; its log from integers, as its float can overflow
+            log_x.append(math.log10(gap.numerator) - math.log10(gap.denominator))
+        if a > 0 and log_c <= 2.0 * np.log10(a / 2.0):  # x**2 - a x + c has real roots
+            log_x.append(np.log10((a + np.sqrt(a * a - 4.0 * 10.0 ** log_c)) / 2.0))
+        log_x += [log_c - t for t in log_x]  # the same branches in c / x
+        roots = u + s * np.array(log_x)
+    edges = np.unique(np.concatenate(([0.0, vdd], np.clip(roots[~np.isnan(roots)], 0.0, vdd))))
+    middles = (edges[:-1] + edges[1:]) / 2.0
+    quiet = np.flatnonzero(cell_current(cell, middles, vdd, cfg, params) < params.i_threshold)
+    if quiet.size == 0:
         return None
-
-    def matches(v):
-        return cell_current(cell, v, cfg.vdd, cfg, params) < params.i_threshold
-
-    def bisect(lo, hi, want_inside_high):
-        # invariant: exactly one endpoint matches; shrink to the resolution
-        while hi - lo > resolution / 2:
-            mid = 0.5 * (lo + hi)
-            if matches(mid) == want_inside_high:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    first, last = grid[matching[0]], grid[matching[-1]]
-    lower = 0.0 if matches(0.0) else bisect(max(first - 2e-3, 0.0), first, True)
-    upper = (cfg.vdd if matches(cfg.vdd)
-             else bisect(last, min(last + 2e-3, cfg.vdd), False))
-    return lower, upper
+    return float(edges[quiet[0]]), float(edges[quiet[-1] + 1])
 
 
 def quantized_levels(cfg: CellConfig):

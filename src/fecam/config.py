@@ -2,8 +2,8 @@
 
 The format is read off the dataclasses: each parameter-class field of
 GlobalConfig is a section, its other fields form [general], and each field
-is one key, typed by its default (a tuple is a list of floats, None holds a
-float, a CamKind-keyed dict is one key <field>_<kind> per kind).  Missing
+is one key, typed by its default (a tuple is a list of floats, a
+CamKind-keyed dict is one key <field>_<kind> per kind).  Missing
 keys keep the defaults; unknown sections and keys are rejected by name.
 """
 
@@ -63,7 +63,7 @@ def _keys(cls) -> dict:
         elif isinstance(value, tuple):
             keys[f.name] = (f.name, None, parse_floats)
         elif not is_dataclass(value):
-            keys[f.name] = (f.name, None, float if value is None else type(value))
+            keys[f.name] = (f.name, None, type(value))
     return keys
 
 
@@ -115,7 +115,7 @@ def config_text(config: GlobalConfig) -> str:
                 value = value[kind]
             if isinstance(value, tuple):
                 lines.append(f"{key} = " + " ".join(map(str, value)))
-            elif value is not None:
+            else:
                 lines.append(f"{key} = {value}")
         lines.append("")
     return "\n".join(lines)

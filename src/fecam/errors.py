@@ -65,14 +65,14 @@ class ParseError(FecamError):
 def require_finite(params) -> None:
     """Reject NaN, inf, ints past the float range and non-numbers anywhere in
     a parameter dataclass: in its number fields and in the items of its tuple
-    and dict fields.  None means unset."""
+    and dict fields.  No field defaults to None, so None is refused too."""
     for f in fields(params):
         value = getattr(params, f.name)
         items = (value.values() if isinstance(value, dict)
                  else value if isinstance(value, tuple) else (value,))
         for x in items:
             try:
-                if x is None or isinstance(x, Real) and math.isfinite(x):
+                if isinstance(x, Real) and math.isfinite(x):
                     continue
             except OverflowError:  # an int past the float range
                 pass

@@ -47,29 +47,35 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
         cell <row> <col> digital 0|1|X
 
     Cells not mentioned default to digital X (match-anything).  A statement
-    of a known kind must have exactly the tokens of its form.
+    of a known kind must have exactly the tokens of its form, and `rows`,
+    `cols`, each matchline field and each cell may be set only once.
     """
     rows = cols = None
     ml_overrides = {}
     cell_specs = []
+    seen = {}  # what a rows, cols or matchline statement sets -> its line
     for number, line in _content_lines(text):
         tokens = line.split()
         kind = tokens[0].lower()
         try:
             if kind == "rows":
-                rows = int(_exact(tokens, "rows R", number)[1])
+                key, rows = "rows", int(_exact(tokens, "rows R", number)[1])
             elif kind == "cols":
-                cols = int(_exact(tokens, "cols C", number)[1])
+                key, cols = "cols", int(_exact(tokens, "cols C", number)[1])
             elif kind == "matchline":
                 _, field, value = _exact(tokens, "matchline <field> <value>", number)
-                ml_overrides[field] = float(value)
+                key, ml_overrides[field] = f"matchline {field}", float(value)
             elif kind == "cell":
                 cell_specs.append((number, int(tokens[1]), int(tokens[2]),
                                    tokens[3].lower(), tokens[4:]))
+                continue  # a repeated cell is found as the grid fills
             else:
                 raise ParseError(f"unknown statement {kind!r}", line=number)
         except (IndexError, ValueError) as exc:
             raise ParseError(f"bad statement {line!r}: {exc}", line=number)
+        if key in seen:
+            raise ParseError(f"{key} repeats line {seen[key]}", line=number)
+        seen[key] = number
     if rows is None or cols is None:
         raise ParseError("array description needs both rows and cols")
 
@@ -83,6 +89,7 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
     # the wildcard, then one cell per distinct spec; each grid cell's index into them
     cells = [program_digital(TernaryBit.DONT_CARE, cfg, params)]
     index = [0] * (rows * cols)  # row by row
+    first = [0] * (rows * cols)  # the line that set each grid cell, or 0
     programmed = {}  # (spec, *args) -> index of its cell
     for number, r, c, spec, args in cell_specs:
         if not (0 <= r < rows and 0 <= c < cols):
@@ -93,7 +100,10 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
         if k is None:
             cells.append(_program_cell(spec, args, cfg, params, number))
             k = programmed[key] = len(cells) - 1
-        index[r * cols + c] = k
+        at = r * cols + c
+        if first[at]:
+            raise ParseError(f"cell {r} {c} repeats line {first[at]}", line=number)
+        index[at], first[at] = k, number
     upper, lower = np.array([(c.upper_fet.vth, c.lower_fet.vth) for c in cells])[index].T
     vth = np.hstack((upper.reshape(rows, cols), lower.reshape(rows, cols)))
     return FecamArray.from_vth(vth, ml_params, cfg, params)

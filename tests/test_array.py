@@ -282,7 +282,7 @@ def varied(arr, sigma, seed):
 def bounds_arrays(draw):
     """Arrays of up to 4x64 cells: each row one level in every cell, mixed
     level windows, digital cells, or level rows after apply_variation; on
-    either kernel branch, with or without an inverter curve and leakage."""
+    either kernel branch, with or without leakage."""
     kind = draw(st.sampled_from(["uniform", "mixed", "digital", "varied"]), label="kind")
     rows = draw(st.integers(1, 4), label="rows")
     cols = draw(st.integers(1, 64), label="cols")
@@ -290,7 +290,7 @@ def bounds_arrays(draw):
                  | st.sampled_from([1e-5, 0.08]), label="slope")
     params = DeviceParams(subthreshold_slope=slope,
                           i_off=draw(st.sampled_from([0.0, 1e-12]), label="i_off"))
-    cfg = CellConfig(inverter_gain=draw(st.none() | st.floats(0.5, 10.0), label="gain"))
+    cfg = CellConfig()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if kind == "digital":
         bits = list(TernaryBit)
@@ -381,7 +381,7 @@ def tiled_arrays(draw):
     slope = 10.0 ** draw(st.floats(-5.0, 0.0), label="log10 slope")
     params = DeviceParams(subthreshold_slope=slope,
                           i_off=draw(st.sampled_from([0.0, 1e-12]), label="i_off"))
-    cfg = CellConfig(inverter_gain=draw(st.none() | st.floats(0.5, 10.0), label="gain"))
+    cfg = CellConfig()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     windows = np.sort(rng.integers(0, levels, (pool, cols, 2)), axis=2)
     rows_of = [[program_level_window(int(lo), int(hi), cfg, params) for lo, hi in row]
@@ -876,9 +876,8 @@ class TestCurrentKernel:
         cols = data.draw(st.integers(1, 70), label="cols")
         # 10 uV/decade to 1 V/decade: the law below about 6.9 mV/decade
         slope = 10.0 ** data.draw(st.floats(-5.0, 0.0), label="log10 slope")
-        gain = data.draw(st.none() | st.floats(0.5, 10.0), label="inverter_gain")
         params = DeviceParams(subthreshold_slope=slope)
-        cfg = CellConfig(inverter_gain=gain)
+        cfg = CellConfig()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         # each FeFET column holds 1 to 8 thresholds, drawn row by row, or
         # every threshold is drawn anew
@@ -927,9 +926,8 @@ class TestCurrentKernel:
         rows = data.draw(st.integers(1, 70), label="rows")
         cols = data.draw(st.integers(1, 70), label="cols")
         slope = 10.0 ** data.draw(st.floats(-5.0, 0.0), label="log10 slope")
-        gain = data.draw(st.none() | st.floats(0.5, 10.0), label="inverter_gain")
         params = DeviceParams(subthreshold_slope=slope)
-        cfg = CellConfig(inverter_gain=gain)
+        cfg = CellConfig()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         # each FeFET column holds 1 to 8 thresholds, drawn row by row
         levels = rng.integers(1, 9, 2 * cols)

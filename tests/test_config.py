@@ -22,7 +22,7 @@ def float_slots():
     for cls in (DeviceParams, MatchLineParams, CellConfig, CostParams):
         default = cls()
         for f in fields(cls):
-            if isinstance(getattr(default, f.name), float) or f.name == "inverter_gain":
+            if isinstance(getattr(default, f.name), float):
                 slots.append((f"{cls.__name__}.{f.name}", cls, f.name,
                               lambda bad: bad))
     bounds = CellConfig().level_bounds
@@ -130,13 +130,12 @@ class TestFiniteParameters:
 @st.composite
 def configs(draw):
     """Valid configs away from the defaults: cell level counts 2, 4 and 8
-    from 3, 5 and 9 bounds, inverter gain set or not, per-kind cost entries."""
+    from 3, 5 and 9 bounds, per-kind cost entries."""
     levels = draw(st.sampled_from([2, 4, 8]))
     bounds = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=levels + 1,
                                   max_size=levels + 1, unique=True)))
     cell = CellConfig(level_bounds=tuple(bounds),
-                      digital_margin=draw(st.floats(0.01, 0.49)),
-                      inverter_gain=draw(st.none() | st.floats(0.1, 50.0)))
+                      digital_margin=draw(st.floats(0.01, 0.49)))
     kinds = list(CamKind)
     energies = draw(st.lists(st.floats(1e-18, 1e-12), min_size=3, max_size=3))
     bits = draw(st.lists(st.integers(1, 8), min_size=3, max_size=3))
@@ -160,8 +159,6 @@ class TestFormatFromFields:
         assert load_config(path) == config
 
     def test_every_field_is_a_key(self):
-        config = default_config()
-        gain = replace(config, cell=replace(config.cell, inverter_gain=4.0))
         expected = {"general": {"rng_seed"}}
         for section, cls in PARAM_SECTIONS.items():
             expected[section] = set()
@@ -171,12 +168,20 @@ class TestFormatFromFields:
                 else:
                     expected[section].add(f.name)
         parser = configparser.ConfigParser()
-        parser.read_string(config_text(gain))
+        parser.read_string(config_text(default_config()))
         assert {s: set(parser[s]) for s in parser.sections()} == expected
-        # unset, the optional gain is left out rather than written as None
-        parser = configparser.ConfigParser()
-        parser.read_string(config_text(config))
-        assert set(parser["cell"]) == expected["cell"] - {"inverter_gain"}
+
+    def test_every_default_is_numbers(self):
+        # so a key's type is its default's, and no finiteness check skips an
+        # unset field: a number, a tuple of numbers or a CamKind-keyed dict
+        for cls in PARAM_SECTIONS.values():
+            for f in fields(cls):
+                value = getattr(cls(), f.name)
+                if isinstance(value, dict):
+                    assert set(value) == set(CamKind), f.name
+                    value = tuple(value.values())
+                items = value if isinstance(value, tuple) else (value,)
+                assert all(type(x) in (int, float) for x in items), f.name
 
     def test_level_count_and_second_supply_are_not_keys(self, tmp_path):
         # both used to be keys: a bound count to match, a supply to keep equal

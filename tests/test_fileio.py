@@ -140,6 +140,18 @@ class TestArrayFile:
         with pytest.raises(ParseError, match=r"line 4.*expected '"):
             parse_array_file(text + statement + "\n", config)
 
+    @pytest.mark.parametrize("text, first", [
+        ("rows 2\ncols 2\n# a comment\nrows 3\n", 1),
+        ("cols 2\nrows 2\n\ncols 2\n", 1),
+        ("rows 2\ncols 2\nmatchline c_pmos 1e-16\nmatchline c_pmos 2e-16\n", 3),
+        ("rows 2\ncols 2\ncell 0 0 level 1\ncell 0 0 level 5\n", 3),
+        ("rows 2\ncols 2\ncell 1 1 level 1\ncell 01 1 digital X\n", 3)],
+        ids=["rows", "cols", "matchline", "cell", "cell-spelled-apart"])
+    def test_repeated_statement_names_both_lines(self, config, text, first):
+        # the last one used to win without a word: rows 2, rows 3 built 3 rows
+        with pytest.raises(ParseError, match=rf"^line 4: .* repeats line {first}$"):
+            parse_array_file(text, config)
+
     def test_unknown_cell_spec_names_line(self, config):
         with pytest.raises(ParseError, match="line 3.*unknown cell spec"):
             parse_array_file("rows 1\ncols 1\ncell 0 0 fuzzy 1\n", config)

@@ -119,18 +119,12 @@ TABLE = {
         InvalidParameterError),
     ("CellConfig", "digital_margin"): (
         lambda v: CellConfig(digital_margin=v), 0.49, (0.0, 0.5, -0.3), InvalidParameterError),
-    ("CellConfig", "inverter_gain"): (
-        lambda v: CellConfig(inverter_gain=v), 1e-300, (0.0, -6.0), InvalidParameterError),
     ("program_analog", "lower"): (
         lambda v: program_analog(v, 0.6, cfg().cell, cfg().device), 0.0, (-0.1,),
         OutOfRangeError),
     ("program_analog", "upper"): (
         lambda v: program_analog(0.4, v, cfg().cell, cfg().device), 1.0, (1.2,),
         OutOfRangeError),
-    # at 1e-16 half a step is below the float spacing, and the bisection never ended
-    ("match_window", "resolution"): (
-        lambda v: match_window(demo_cell(), cfg().cell, cfg().device, v), 1e-12,
-        (1e-16, 0.0, -1e-3, 1.5, 1e300), InvalidParameterError),
     ("MatchLineParams", "c_pmos"): (of_matchline("c_pmos"), 1e-16, (0.0, -1e-16),
                                     InvalidParameterError),
     ("MatchLineParams", "c_drain"): (of_matchline("c_drain"), 1e-16, (0.0, -1e-16),
@@ -289,18 +283,23 @@ class TestCheckReal:
 
 
 class TestFormerHoles:
-    def test_match_window_default_result_unchanged(self):
+    def test_match_window_edges_are_the_laws(self):
+        # three analog windows and the three digital bits: the law reads quiet
+        # 1 nV inside each closed-form edge and not 1 nV outside, unless the
+        # edge ends the search range
         c = cfg()
-        for (lo, hi), edges in [((0.4, 0.6), (0.400125, 0.5998749999999999)),
-                                ((0.0, 1.0), (0.00025, 0.99975)),
-                                ((0.1, 0.2), (0.10212500000000001, 0.19787500000000002))]:
-            cell = program_analog(lo, hi, c.cell, c.device)
-            assert match_window(cell, c.cell, c.device) == edges
-        for bit, edges in [(TernaryBit.ZERO, (0.0, 0.299875)),
-                           (TernaryBit.ONE, (0.7001250000000001, 1.0)),
-                           (TernaryBit.DONT_CARE, (0.0, 1.0))]:
-            cell = program_digital(bit, c.cell, c.device)
-            assert match_window(cell, c.cell, c.device) == edges
+        cells = [program_analog(lo, hi, c.cell, c.device)
+                 for lo, hi in ((0.4, 0.6), (0.0, 1.0), (0.1, 0.2))]
+        cells += [program_digital(bit, c.cell, c.device) for bit in TernaryBit]
+
+        def quiet(cell, v):
+            return cell_current(cell, v, 1.0, c.cell, c.device) < c.device.i_threshold
+
+        for cell in cells:
+            lo, hi = match_window(cell, c.cell, c.device)
+            assert quiet(cell, lo + 1e-9) and quiet(cell, hi - 1e-9)
+            assert lo == 0.0 or not quiet(cell, lo - 1e-9)
+            assert hi == 1.0 or not quiet(cell, hi + 1e-9)
 
     def test_measure_bounds_sweeps_at_its_floor(self):
         # the finest sweep allowed, 2**20 + 1 points, held in memory of its length
@@ -311,10 +310,16 @@ class TestFormerHoles:
         lambda: MatchLineParams(c_pmos="x"),
         lambda: CellConfig(level_bounds=("a", "b")),
         lambda: vth_from_pulse(cfg().device, WritePulse("x")),
-        lambda: FecamArray.from_vth([["x", 0.6]], cfg().matchline, cfg().cell, cfg().device)],
-        ids=["DeviceParams", "MatchLineParams", "CellConfig", "vth_from_pulse", "from_vth"])
+        lambda: FecamArray.from_vth([["x", 0.6]], cfg().matchline, cfg().cell, cfg().device),
+        lambda: DeviceParams(i_on=None),
+        lambda: DeviceParams(vth_low=None),
+        lambda: DeviceParams(v_prog_min=None),
+        lambda: DeviceParams(coercive_mu=None)],
+        ids=["DeviceParams", "MatchLineParams", "CellConfig", "vth_from_pulse", "from_vth",
+             "i_on-None", "vth_low-None", "v_prog_min-None", "coercive_mu-None"])
     def test_non_number_is_an_invalid_parameter(self, call):
-        # each used to raise a bare TypeError or ValueError
+        # each used to raise a bare TypeError or ValueError; None passed the
+        # finiteness check as "unset", so coercive_mu=None built a device
         with pytest.raises(InvalidParameterError):
             call()
 
