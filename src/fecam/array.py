@@ -64,6 +64,7 @@ rows, whose own thresholds would allow factors down to 6.25 mV/decade.
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -107,6 +108,8 @@ class MatchLineParams:
         require_finite(self)
         for f in fields(self):
             check_real(getattr(self, f.name), f.name, 0, open=True)
+        for name in ("c_pmos", "c_drain", "c_parasitic"):  # a subnormal one overflows I / C
+            check_real(getattr(self, name), name, np.finfo(float).tiny)
 
     def check_swing(self, vdd: float) -> None:
         """Refuse a sense boundary vdd - delta_v_ml at or below 0 V."""
@@ -320,18 +323,19 @@ class FecamArray:
         """Sense times below this cannot overflow the match-line solve: no row
         draws more than 2 cols i_on, and the solve divides by v_dsat."""
         room = 1e300 * min(self.params.v_dsat, 1.0) - 2 * self.cfg.vdd
-        most = 2 * self.cols * self.params.i_on
-        return room * ml_capacitance(self.ml_params, self.cols) / most
+        rate = 2 * self.cols * self.params.i_on / ml_capacitance(self.ml_params, self.cols)
+        return room / rate if rate < 1e300 else 0.0  # 0 where the rate may overflow
 
 
 def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
     """e^(-k vth) with k = ln10 / subthreshold slope, or None when, for some
     threshold of the device range, a factor or the product of one with a
-    query factor e^(k v), 0 <= v <= vdd, could overflow exp; the kernel then
+    query term i_th e^(k v), 0 <= v <= vdd, could overflow; the kernel then
     evaluates `device.saturated_current`.  The range, not vth, decides, so
     every sum over an array's thresholds takes the same branch."""
     k = np.log(10.0) / params.subthreshold_slope
-    if not k * (vdd + max(abs(params.vth_low), abs(params.vth_high))) < EXP_LIMIT:
+    reach = k * (vdd + max(abs(params.vth_low), abs(params.vth_high)))
+    if not reach + max(np.log(params.i_threshold), 0.0) < EXP_LIMIT:
         return None
     return np.exp(-k * vth)
 
@@ -401,25 +405,27 @@ def _summed_currents(vth: np.ndarray, factors, lines, weights: np.ndarray, n_fet
     out = np.empty((padded,) + vth.shape[:-1] + weights.shape[1:])
     buf_groups = buf.reshape((-1, group) + vth.shape)
     out_groups = out.reshape((-1, group) + out.shape[1:])
-    for start in range(0, len(queries), block):
-        q = queries[start:start + block]
-        v = np.concatenate((q, inverter(q, cfg)), axis=1)
-        cells = buf[:len(q)]
-        if factors is not None:
-            np.multiply((params.i_threshold * np.exp(k * v))[:, lines], factors, out=cells)
-        else:
-            np.subtract(device.saturated_current(params, v[:, lines], vth), params.i_off,
-                        out=cells)
-        np.minimum(cells, cap, out=cells)
-        first, n = start // group, -(-len(q) // group)
-        np.matmul(buf_groups[:n], weights, out=out_groups[first:first + n])
-    out = out[:len(queries)]
-    out += n_fets * params.i_off
+    # no row draws more than n_fets i_on; past the float range it draws inf
+    with np.errstate(over="ignore") if params.i_on >= 1e300 / n_fets else nullcontext():
+        for start in range(0, len(queries), block):
+            q = queries[start:start + block]
+            v = np.concatenate((q, inverter(q, cfg)), axis=1)
+            cells = buf[:len(q)]
+            if factors is not None:
+                np.multiply((params.i_threshold * np.exp(k * v))[:, lines], factors, out=cells)
+            else:
+                np.subtract(device.saturated_current(params, v[:, lines], vth), params.i_off,
+                            out=cells)
+            np.minimum(cells, cap, out=cells)
+            first, n = start // group, -(-len(q) // group)
+            np.matmul(buf_groups[:n], weights, out=out_groups[first:first + n])
+        out = out[:len(queries)]
+        out += n_fets * params.i_off
     return out
 
 
 def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
-                static_currents: np.ndarray, times: np.ndarray) -> np.ndarray:
+                static_currents: np.ndarray, times: np.ndarray, quiet=True) -> np.ndarray:
     """Exact V_ML(times) for C_ML dV/dt = -I_static min(V/v_dsat, 1), V(0) = vdd,
     shaped times.shape + static_currents.shape.  Nothing divides by the
     current, so a row whose current underflows to 0 stays at vdd.
@@ -428,8 +434,16 @@ def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
     knee e^((lin - knee)/v_dsat).  Before the knee (lin >= knee) that term,
     exponent capped at 0, is knee <= lin; past it, e^x >= 1 + x and
     knee <= v_dsat keep it at or above lin.  So the larger of the two is the
-    solution on both branches."""
-    lin = np.multiply.outer(times, static_currents / ml_capacitance(p, n_cols))
+    solution on both branches.
+
+    Unless quiet (the caller silences overflow and 0 inf), a row whose I / C
+    overflows falls by (I t) / C, and an inf current too starts at vdd."""
+    c_ml = ml_capacitance(p, n_cols)
+    lin = np.multiply.outer(times, static_currents / c_ml)
+    if not quiet:
+        fast = np.isinf(static_currents / c_ml)
+        lin[:, fast] = np.multiply.outer(times, static_currents[fast]) / c_ml
+        lin[times == 0.0] = 0.0
     np.subtract(vdd, lin, out=lin)
     knee = min(vdd, v_dsat)
     decayed = lin - knee
@@ -469,8 +483,8 @@ def _solve_and_sense(arr: FecamArray, static: np.ndarray, t: float, trace=False)
     if t < arr._quiet_time:
         v = _ml_voltage(*solve)
     else:  # the line discharges fully, and rightly, but numpy warns of the overflow
-        with np.errstate(over="ignore"):
-            v = _ml_voltage(*solve)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _ml_voltage(*solve, quiet=False)
     return sense(v[-1], arr.ml_params, vdd), times, v
 
 

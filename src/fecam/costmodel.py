@@ -3,8 +3,9 @@
 Pure calibration: per-bit search energies and the analog-vs-CMOS per-bit
 area ratio are fixed constants (45 nm reference design point), so every
 result is homogeneous in cell count and only ratios are meaningful for
-area.  A cross-check helper estimates match-line dynamic energy from the
-transient model's capacitances for comparison, without gating anything.
+area, which is therefore counted in CMOS TCAM cells.  A cross-check helper
+estimates match-line dynamic energy from the transient model's capacitances
+for comparison, without gating anything.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import InconsistentInputError, check_int, check_real, is_int, requi
 
 WORD_BITS = 64  # word size of the word-level figures
 MAX_PRICED_CELLS = 1 << 53  # the largest cell count a float holds exactly
+REFERENCE_ROUTING_AREA_RATIO = 60.5  # the paper's routing headline, ~1% over the derivable
 
 
 class CamKind(enum.Enum):
@@ -33,43 +35,36 @@ def _default_energy() -> dict:
             CamKind.FECAM_ANALOG: 0.069e-15}
 
 
-def _default_bits() -> dict:
-    return {CamKind.CMOS_TCAM: 1,
-            CamKind.FECAM_DIGITAL: 1,
-            CamKind.FECAM_ANALOG: 3}
-
-
 @dataclass(frozen=True)
 class CostParams:
     """Calibration constants for the three CAM technologies.
 
-    cmos_cell_area is the area of one CMOS TCAM cell in a free unit (feature
-    size normalized).  Absolute area figures, such as `fecam bench`'s
-    area_per_bit_cmos_tcam, scale with it; only area ratios do not depend on
-    it.  reference_routing_area_ratio is the headline figure the routing case
-    study is calibrated against, kept for the cross-check note in reports
-    (it exceeds the value derivable from the per-bit ratio by about 1%); 0
-    means no reference, whose gap reads 0.  bits_per_cell is the calibrated
-    design point that turns per-bit constants into per-cell cost and word
-    sizes; the configured cell's levels are CellConfig.level_count.
+    Areas are in CMOS TCAM cells: only area ratios mean anything, so the
+    CMOS cell is the unit.  The CMOS and digital FeFET cells store one bit by
+    construction; bits_per_cell_fecam_analog is the calibrated design point
+    of the analog cell, which turns per-bit constants into per-cell cost and
+    word sizes.  The configured cell's levels are CellConfig.level_count.
     """
 
     energy_per_bit: dict = field(default_factory=_default_energy)       # J
-    bits_per_cell: dict = field(default_factory=_default_bits)
+    bits_per_cell_fecam_analog: int = 3
     area_per_bit_ratio_analog_vs_cmos: float = 0.045
-    cmos_cell_area: float = 1.0
-    reference_routing_area_ratio: float = 60.5
 
     def __post_init__(self):
         require_finite(self)
         for kind in CamKind:
             check_real(self.energy_per_bit.get(kind), f"energy_per_bit_{kind.value}",
                        0, open=True)
-            check_int(self.bits_per_cell.get(kind), f"bits_per_cell_{kind.value}",
-                      1, MAX_RULE_WIDTH)
-        for name in ("area_per_bit_ratio_analog_vs_cmos", "cmos_cell_area"):
-            check_real(getattr(self, name), name, 0, open=True)
-        check_real(self.reference_routing_area_ratio, "reference_routing_area_ratio", 0)
+        check_int(self.bits_per_cell_fecam_analog, "bits_per_cell_fecam_analog",
+                  1, MAX_RULE_WIDTH)
+        check_real(self.area_per_bit_ratio_analog_vs_cmos,
+                   "area_per_bit_ratio_analog_vs_cmos", 0, open=True)
+
+    @property
+    def bits_per_cell(self) -> dict:
+        """Bits each kind of cell stores."""
+        return {CamKind.CMOS_TCAM: 1, CamKind.FECAM_DIGITAL: 1,
+                CamKind.FECAM_ANALOG: self.bits_per_cell_fecam_analog}
 
     @property
     def word_cells(self) -> dict:
@@ -78,17 +73,14 @@ class CostParams:
                 for kind, bits in self.bits_per_cell.items()}
 
     def cell_area(self, kind: CamKind) -> float:
-        """Cell area, in the unit of cmos_cell_area, so it scales with it.
+        """Cell area, in CMOS TCAM cells.
 
-        The analog cell packs its bits_per_cell bits at the calibrated per-bit
-        ratio; the digital cell is the same 2-FeFET structure storing one bit.
+        The analog cell packs bits_per_cell_fecam_analog bits at the calibrated
+        per-bit ratio; the digital cell is the same 2-FeFET cell storing one bit.
         """
         if kind is CamKind.CMOS_TCAM:
-            return self.cmos_cell_area
-        analog_cell = (self.bits_per_cell[CamKind.FECAM_ANALOG]
-                       * self.area_per_bit_ratio_analog_vs_cmos
-                       * self.cmos_cell_area)
-        return analog_cell
+            return 1.0
+        return self.bits_per_cell_fecam_analog * self.area_per_bit_ratio_analog_vs_cmos
 
     def area_per_bit(self, kind: CamKind) -> float:
         return self.cell_area(kind) / self.bits_per_cell[kind]
@@ -101,8 +93,7 @@ def search_energy(p: CostParams, kind: CamKind, n_cells: int) -> float:
 
 
 def area(p: CostParams, kind: CamKind, n_cells: int) -> float:
-    """Array area of n_cells cells, in the unit of cmos_cell_area, so it
-    scales with it."""
+    """Array area of n_cells cells, in CMOS TCAM cells."""
     n_cells = check_int(n_cells, "n_cells", 0, MAX_PRICED_CELLS)
     return n_cells * p.cell_area(kind)
 
@@ -178,19 +169,18 @@ def routing_report(p: CostParams, ternary: RoutingTable,
         raise InconsistentInputError("expected one ternary and one analog table")
     if ternary.rules != analog.rules:
         raise InconsistentInputError("tables compiled from different rule sets")
-    if analog.bits_per_cell != p.bits_per_cell[CamKind.FECAM_ANALOG]:
+    if analog.bits_per_cell != p.bits_per_cell_fecam_analog:
         raise InconsistentInputError(
             f"analog table stores {analog.bits_per_cell} bits per cell, the cost "
-            f"calibration prices {p.bits_per_cell[CamKind.FECAM_ANALOG]}")
+            f"calibration prices {p.bits_per_cell_fecam_analog}")
     t_cells, a_cells = ternary.n_cells, analog.n_cells
     t_energy = search_energy(p, CamKind.CMOS_TCAM, t_cells)
     a_energy = search_energy(p, CamKind.FECAM_ANALOG, a_cells)
     t_area = area(p, CamKind.CMOS_TCAM, t_cells)
     a_area = area(p, CamKind.FECAM_ANALOG, a_cells)
     area_ratio = t_area / a_area if a_area else float("inf")
-    gap = (abs(area_ratio - p.reference_routing_area_ratio)
-           / p.reference_routing_area_ratio * 100.0
-           if p.reference_routing_area_ratio else 0.0)
+    gap = (abs(area_ratio - REFERENCE_ROUTING_AREA_RATIO)
+           / REFERENCE_ROUTING_AREA_RATIO * 100.0)
     return ComparisonReport(
         ternary_entries=ternary.n_entries,
         analog_entries=analog.n_entries,
@@ -201,6 +191,6 @@ def routing_report(p: CostParams, ternary: RoutingTable,
         energy_ratio=t_energy / a_energy if a_energy else float("inf"),
         ternary_energy_joules=t_energy,
         analog_energy_joules=a_energy,
-        reference_area_ratio=p.reference_routing_area_ratio,
+        reference_area_ratio=REFERENCE_ROUTING_AREA_RATIO,
         reference_area_gap_percent=gap,
     )

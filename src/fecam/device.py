@@ -20,7 +20,6 @@ from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError,
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 MAX_SEED = (1 << 128) - 1   # numpy's SeedSequence pools 128 bits of entropy
-MAX_DRAWS = 1 << 24         # noisy thresholds resolvable_levels draws per count
 
 
 @dataclass(frozen=True)
@@ -148,15 +147,15 @@ def saturated_current(params: DeviceParams, v_gs, vth):
     """Drain current at full drain drive (v_ds >= v_dsat); array friendly.
 
     The exponent is clamped a decade past the on-current before the power,
-    so a clamped FeFET reads i_on.  The power overflows only when
-    i_on / i_threshold itself passes the float range; the inf it gives then
-    reads i_on as well."""
+    so a clamped FeFET reads i_on.  The power, or its product with
+    i_threshold, overflows only when that decade past i_on itself passes the
+    float range; the inf it gives then reads i_on as well."""
     ceiling = np.log10(params.i_on - params.i_off) - np.log10(params.i_threshold) + 1.0
     exponent = np.minimum((np.asarray(v_gs, dtype=float) - vth) / params.subthreshold_slope,
                           ceiling)
     with np.errstate(over="ignore"):
-        power = 10.0 ** exponent
-    return np.minimum(params.i_off + params.i_threshold * power, params.i_on)
+        subthreshold = params.i_threshold * 10.0 ** exponent
+    return np.minimum(params.i_off + subthreshold, params.i_on)
 
 
 def vds_factor(params: DeviceParams, v_ds):
@@ -191,16 +190,18 @@ def apply_variation(params: DeviceParams, vth, sigma_vth: float, seed):
 
 
 def resolvable_levels(params: DeviceParams, sigma_vth: float,
-                      level_count: int = 8, samples_per_level: int = 2000,
-                      min_accuracy: float = 0.99, seed: int = 0) -> int:
+                      level_count: int = 8, min_accuracy: float = 0.99) -> int:
     """Largest number of equally spaced vth levels readable despite variation.
 
-    For each candidate count m (from level_count down), programs m levels
-    spanning the vth range, draws noisy samples, and classifies each sample to
-    the nearest level; m is resolvable when every level classifies correctly
-    with at least min_accuracy.  Returns the largest resolvable m (>= 1), for
-    at most one level per VTH_SOLVE_TOLERANCE of the threshold range and
-    MAX_DRAWS samples per count; seed + m seeds the draws of m levels.
+    m levels span the vth range; a noisy threshold, clipped to the range as
+    apply_variation clips it, reads as its nearest level.  With h half the
+    level spacing and Phi the normal CDF, an end level reads correctly with
+    probability Phi(h / sigma_vth), since the clip keeps its noise on its own
+    side, and an inner level with 2 Phi(h / sigma_vth) - 1, which is
+    erf(h / (sigma_vth sqrt 2)); sigma_vth = 0 reads 1.  m is resolvable
+    when every level reads at least min_accuracy.  Returns the largest
+    resolvable m (>= 1) up to level_count, for at most one level per
+    VTH_SOLVE_TOLERANCE of the threshold range.
 
     This is a bound in threshold space only: it classifies the noisy
     thresholds themselves, with no match line, sense time or leakage summed
@@ -208,18 +209,10 @@ def resolvable_levels(params: DeviceParams, sigma_vth: float,
     """
     most = 1 + int(params.vth_span / VTH_SOLVE_TOLERANCE)
     level_count = check_int(level_count, "level_count", 1, most)
-    samples_per_level = check_int(samples_per_level, "samples_per_level", 1,
-                                  MAX_DRAWS // level_count)
-    seed = check_int(seed, "seed", 0, MAX_SEED - level_count)
     check_real(sigma_vth, "sigma_vth", 0)
     check_real(min_accuracy, "min_accuracy", 0, 1)
     for m in range(level_count, 1, -1):
-        centers = np.linspace(params.vth_low, params.vth_high, m)
-        spacing = params.vth_span / (m - 1)
-        targets = np.repeat(centers, samples_per_level)
-        noisy = apply_variation(params, targets, sigma_vth, seed + m)
-        idx = np.clip(np.rint((noisy - params.vth_low) / spacing), 0, m - 1)
-        correct = idx.reshape(m, samples_per_level) == np.arange(m)[:, None]
-        if correct.mean(axis=1).min() >= min_accuracy:
+        end = NormalDist().cdf(params.vth_span / (2 * (m - 1)) / sigma_vth) if sigma_vth else 1.0
+        if (2 * end - 1 if m > 2 else end) >= min_accuracy:
             return m
     return 1

@@ -141,6 +141,23 @@ class TestSearch:
         per_query = tmp_path / "trace_q0.csv"
         assert per_query.read_text().splitlines()[0] == "row,t_seconds,v_ml_volts"
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_subnormal_capacitance_override_refused(self, capsys, tmp_path):
+        # it used to exit 0 and print the trace 0,0,nan
+        array = tmp_path / "array.txt"
+        array.write_text("rows 2\ncols 2\n"
+                         + "".join(f"matchline {name} 5e-320\n"
+                                   for name in ("c_pmos", "c_drain", "c_parasitic"))
+                         + "".join(f"cell {r} {c} analog 0.4 0.6\n"
+                                   for r in range(2) for c in range(2)))
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0.5 0.5\n")
+        code, out, err = run(capsys, "search", "--array", str(array),
+                             "--queries", str(queries), "--out", "-")
+        assert (code, out) == (2, "")
+        assert err == ("error: parse-error: bad matchline override: c_pmos must be in "
+                       "[2.2250738585072014e-308, inf), got 5e-320\n")
+
     def test_dash_out_writes_the_traces_to_stdout(self, capsys, demo_files, monkeypatch):
         """--out - prints each query's trace, in order, ahead of the summary,
         as a file per query would hold it, and creates no file."""
@@ -260,6 +277,17 @@ class TestSweep:
         lines = err.splitlines()
         assert len(lines) == 2 and lines[0].startswith("warning: 65 rows exceeds 64")
         assert lines[1].startswith("error: dimension-mismatch:")
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_row_current_past_the_float_range_prints_no_warning(self, capsys, tmp_path):
+        # it used to print "warning: overflow encountered in matmul"
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[device]\ni_on = 1e307\nsubthreshold_slope = 1e-3\n")
+        code, out, err = run(capsys, "--config", str(ini), "sweep", "--axis", "cols",
+                             "--values", "8,64")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[1:3] for line in out.splitlines()[1:]] == [
+            ["0.401", "0.599"]] * 2
 
     def test_rows_axis_constant_bounds(self, capsys):
         code, out, _ = run(capsys, "sweep", "--axis", "rows",
@@ -626,7 +654,7 @@ IN_RANGE = st.sampled_from(["0", "0.3", "0.5", "0.95", "1"])
 VOLTS = IN_RANGE | st.sampled_from(["1.13", "2", "-0.1", "nan", "x"])
 
 # config lines (section, key, value) that load, and ones that do not or that
-# break what uses them: the three removed keys, the sense swing at or above
+# break what uses them: removed keys, the sense swing at or above
 # the supply, bad supplies and bound lists, bad currents and costs
 GOOD_CONFIG = st.sampled_from([
     ("cell", "vdd", "1.13"), ("cell", "vdd", "1.0"),
@@ -634,15 +662,18 @@ GOOD_CONFIG = st.sampled_from([
     ("matchline", "delta_v_ml", "0.4"), ("matchline", "delta_v_ml", "0.9"),
     ("matchline", "c_pmos", "1e-16"), ("device", "subthreshold_slope", "1e-5"),
     ("device", "subthreshold_slope", "1"), ("device", "i_off", "0"),
-    ("device", "i_on", "1e-3"), ("cost", "energy_per_bit_cmos_tcam", "1e-300"),
-    ("cost", "bits_per_cell_fecam_analog", "4"), ("cost", "cmos_cell_area", "1e300")])
+    ("device", "i_on", "1e-3"), ("device", "i_on", "1e307"),
+    ("cost", "energy_per_bit_cmos_tcam", "1e-300"),
+    ("cost", "bits_per_cell_fecam_analog", "4"),
+    ("cost", "area_per_bit_ratio_analog_vs_cmos", "1e300")])
 BAD_CONFIG = st.sampled_from([
     ("cell", "level_count", "8"), ("matchline", "vdd", "1.0"), ("cell", "inverter_gain", "5"),
     ("matchline", "delta_v_ml", "1.0"), ("matchline", "delta_v_ml", "1.13"),
     ("matchline", "delta_v_ml", "-1"), ("cell", "vdd", "0.5"), ("cell", "vdd", "x"),
     ("cell", "level_bounds", "0.5"), ("matchline", "i_discharge_avg", "0"),
     ("device", "i_off", "-1e-12"), ("device", "subthreshold_slope", "0"),
-    ("cost", "bits_per_cell_cmos_tcam", "0"), ("cost", "energy_per_bit_fecam_digital", "-1")])
+    ("cost", "bits_per_cell_cmos_tcam", "0"), ("cost", "energy_per_bit_fecam_digital", "-1"),
+    ("cost", "cmos_cell_area", "1e300")])
 
 
 @st.composite
@@ -677,7 +708,7 @@ def search_files(draw):
     # overrides that load, the extreme ones stretching the auto sense time
     overrides = ["delta_v_ml 0.4", "c_drain 3e-16", "c_pmos 1e300", "i_discharge_avg 1e-300"]
     if fault == "override":
-        overrides = ["vdd 1.0", "delta_v_ml 1.0", "bogus 1", "c_drain x"]
+        overrides = ["vdd 1.0", "delta_v_ml 1.0", "bogus 1", "c_drain x", "c_drain 5e-320"]
     lines += ["matchline " + o for o in draw(st.lists(st.sampled_from(overrides),
                                                       min_size=fault == "override",
                                                       max_size=1))]
@@ -843,14 +874,15 @@ class TestBenchAndConfig:
         assert "unknown field [cell] inverter_gain" in err
 
     def test_negative_reference_ratio_rejected(self, capsys, tmp_path, demo_files):
-        # -60.5 used to print a negative reference_area_gap_percent
+        # -60.5 used to print a negative reference_area_gap_percent; the
+        # reference is now a constant of the cost model, not a key
         ini = tmp_path / "fecam.ini"
         ini.write_text("[cost]\nreference_routing_area_ratio = -60.5\n")
         code, out, err = run(capsys, "--config", str(ini), "route",
                              "--rules", str(demo_files[3]))
         assert (code, out) == (2, "")
         assert err.startswith("error: parse-error:")
-        assert "reference_routing_area_ratio must be in [0, inf), got -60.5" in err
+        assert "unknown field [cost] reference_routing_area_ratio" in err
 
     def test_negative_seed_rejected(self, capsys, tmp_path, demo_files):
         # -1 used to load and end route --verify in a numpy traceback

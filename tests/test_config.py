@@ -136,12 +136,10 @@ def configs(draw):
                                   max_size=levels + 1, unique=True)))
     cell = CellConfig(level_bounds=tuple(bounds),
                       digital_margin=draw(st.floats(0.01, 0.49)))
-    kinds = list(CamKind)
     energies = draw(st.lists(st.floats(1e-18, 1e-12), min_size=3, max_size=3))
-    bits = draw(st.lists(st.integers(1, 8), min_size=3, max_size=3))
-    cost = CostParams(energy_per_bit=dict(zip(kinds, energies)),
-                      bits_per_cell=dict(zip(kinds, bits)),
-                      cmos_cell_area=draw(st.floats(0.1, 10.0)))
+    cost = CostParams(energy_per_bit=dict(zip(CamKind, energies)),
+                      bits_per_cell_fecam_analog=draw(st.integers(1, 8)),
+                      area_per_bit_ratio_analog_vs_cmos=draw(st.floats(0.01, 1.0)))
     device = DeviceParams(coercive_mu=draw(st.floats(2.0, 4.0)))
     matchline = MatchLineParams(delta_v_ml=draw(st.floats(0.05, 0.95)))
     return replace(default_config(), device=device, cell=cell,
@@ -171,6 +169,25 @@ class TestFormatFromFields:
         parser.read_string(config_text(default_config()))
         assert {s: set(parser[s]) for s in parser.sections()} == expected
 
+    def test_the_key_set_is_pinned(self):
+        # 26 settable values: a new knob has to be added here as well
+        expected = {
+            "device": {"vth_low", "vth_high", "coercive_mu", "coercive_sigma",
+                       "subthreshold_slope", "i_on", "i_off", "i_threshold", "v_dsat",
+                       "v_prog_min", "v_prog_max", "v_erase"},
+            "cell": {"vdd", "level_bounds", "digital_margin"},
+            "matchline": {"c_pmos", "c_drain", "c_parasitic", "delta_v_ml",
+                          "i_discharge_avg"},
+            "cost": {"energy_per_bit_cmos_tcam", "energy_per_bit_fecam_digital",
+                     "energy_per_bit_fecam_analog", "bits_per_cell_fecam_analog",
+                     "area_per_bit_ratio_analog_vs_cmos"},
+            "general": {"rng_seed"},
+        }
+        parser = configparser.ConfigParser()
+        parser.read_string(config_text(default_config()))
+        assert {s: set(parser[s]) for s in parser.sections()} == expected
+        assert sum(map(len, expected.values())) == 26
+
     def test_every_default_is_numbers(self):
         # so a key's type is its default's, and no finiteness check skips an
         # unset field: a number, a tuple of numbers or a CamKind-keyed dict
@@ -194,6 +211,16 @@ class TestFormatFromFields:
             path.write_text(f"[{section}]\n{key} = 1\n")
             with pytest.raises(ParseError, match=rf"unknown field \[{section}\] {key}"):
                 load_config(path)
+
+    @pytest.mark.parametrize("key", ["bits_per_cell_cmos_tcam", "bits_per_cell_fecam_digital",
+                                     "cmos_cell_area", "reference_routing_area_ratio"])
+    def test_single_valued_cost_settings_are_not_keys(self, tmp_path, key):
+        # each used to be a key with one meaningful value: one-bit cells, the
+        # CMOS cell as the area unit, the routing study's headline ratio
+        path = tmp_path / "fecam.ini"
+        path.write_text(f"[cost]\n{key} = 1\n")
+        with pytest.raises(ParseError, match=rf"unknown field \[cost\] {key}"):
+            load_config(path)
 
     def test_sense_swing_checked_against_the_cell_supply(self, tmp_path):
         path = tmp_path / "fecam.ini"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from fecam import (CamKind, CostParams, InconsistentInputError, RangeRule,
@@ -64,6 +62,11 @@ class TestArea:
             CamKind.FECAM_ANALOG)
         assert ratio == pytest.approx(1 / (3 * 0.045), rel=1e-9)
 
+    def test_counted_in_cmos_cells(self, cost):
+        assert area(cost, CamKind.CMOS_TCAM, 648) == 648
+        assert area(cost, CamKind.FECAM_ANALOG, 80) == pytest.approx(80 * 3 * 0.045,
+                                                                     rel=1e-12)
+
     def test_homogeneous_in_cell_count(self, cost):
         assert area(cost, CamKind.CMOS_TCAM, 30) == pytest.approx(
             3 * area(cost, CamKind.CMOS_TCAM, 10), rel=1e-12)
@@ -82,8 +85,10 @@ class TestPerBitRatios:
         assert cost.word_cells == {CamKind.CMOS_TCAM: 64,
                                    CamKind.FECAM_DIGITAL: 64,
                                    CamKind.FECAM_ANALOG: 22}
-        two_bit = CostParams(bits_per_cell={**cost.bits_per_cell,
-                                            CamKind.FECAM_ANALOG: 2})
+        two_bit = CostParams(bits_per_cell_fecam_analog=2)
+        assert two_bit.bits_per_cell == {CamKind.CMOS_TCAM: 1,
+                                         CamKind.FECAM_DIGITAL: 1,
+                                         CamKind.FECAM_ANALOG: 2}
         assert two_bit.word_cells[CamKind.FECAM_ANALOG] == 32
 
     def test_word_energies_use_calibrated_word_sizes(self, cost):
@@ -102,13 +107,6 @@ class TestRoutingReport:
         # the reference headline exceeds the derivable value by about 1%
         assert report.reference_area_ratio == pytest.approx(60.5)
         assert 0.0 < report.reference_area_gap_percent < 2.0
-
-    def test_ratios_invariant_under_area_unit(self, cost, tables):
-        scaled = replace(cost, cmos_cell_area=17.3)
-        a = routing_report(cost, *tables)
-        b = routing_report(scaled, *tables)
-        assert a.area_ratio == pytest.approx(b.area_ratio, rel=1e-12)
-        assert a.energy_ratio == pytest.approx(b.energy_ratio, rel=1e-12)
 
     def test_mismatched_rules_rejected(self, cost, tables):
         other = compile_table([RangeRule(0, 10, 24, "portB")], TableMode.ANALOG3B)

@@ -11,11 +11,24 @@ from fecam import (DeviceParams, InvalidParameterError, InvalidPulseError,
 from fecam.device import VTH_SOLVE_TOLERANCE, saturated_current, vds_factor
 
 BISECTION_STEPS = 60
+MC_DRAWS = 20_000  # noisy thresholds per level of the Monte Carlo reference
 
 
 def norm_cdf(x):
     # independent oracle for the switching fraction
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def mc_level_accuracies(params, sigma, m, seed=0):
+    """Monte Carlo reference for resolvable_levels: the fraction of MC_DRAWS
+    noisy thresholds per level, drawn by apply_variation, that read as their
+    own level among m equally spaced ones."""
+    if m == 1:
+        return np.ones(1)
+    centers = np.linspace(params.vth_low, params.vth_high, m)
+    noisy = apply_variation(params, np.repeat(centers, MC_DRAWS), sigma, seed)
+    idx = np.clip(np.rint((noisy - params.vth_low) / (params.vth_span / (m - 1))), 0, m - 1)
+    return (idx.reshape(m, MC_DRAWS) == np.arange(m)[:, None]).mean(axis=1)
 
 
 def bisect_pulse_for_vth(params, target):
@@ -172,6 +185,13 @@ class TestDrainCurrent:
         assert (i >= params.i_off * 0.999).all()
         assert (i <= params.i_on * 1.0001).all()
 
+    def test_clamps_a_term_past_the_float_range(self):
+        # the clamped exponent gives 1e308 here, which i_threshold 10 A took
+        # past the float range with a RuntimeWarning; the inf reads i_on
+        huge = DeviceParams(i_on=1e308, i_threshold=10.0, subthreshold_slope=1e-3)
+        assert drain_current(huge, 1.2, 1.0, 0.1) == 1e308
+        assert drain_current(huge, np.array([1.2, 0.0]), 1.0, 0.1).tolist() == [1e308, 1e-12]
+
     def test_monotone_in_vgs_and_vds(self, params):
         v = np.linspace(0.0, 1.2, 601)
         i = drain_current(params, v, 1.0, 0.6)
@@ -233,7 +253,7 @@ class TestVariation:
             apply_variation(params, 0.5, sigma, seed=0)
         with pytest.raises(InvalidParameterError, match=rf"sigma_vth must be in \[0, inf\), "
                            rf"got {sigma}$"):
-            resolvable_levels(params, sigma, level_count=3, samples_per_level=10)
+            resolvable_levels(params, sigma, level_count=3)
 
     def test_separability_decreases_with_sigma(self, params):
         sigmas = [0.0, 0.04, 0.07, 0.15, 0.5]
@@ -241,6 +261,34 @@ class TestVariation:
         assert counts[0] == 8
         assert all(b < a for a, b in zip(counts, counts[1:]))
         assert counts == [8, 5, 3, 2, 1]
+
+    def test_end_levels_read_by_one_tail(self, params):
+        # two levels are both end levels: with h half the span, an inner level
+        # would read erf(h / (sigma sqrt 2)) = 0.98, each end level reads 0.99
+        sigma = params.vth_span / 2 / 2.3263478740408408  # the 99th percentile of N(0, 1)
+        assert math.erf(params.vth_span / 2 / (sigma * math.sqrt(2))) == pytest.approx(0.98)
+        assert resolvable_levels(params, sigma, 2, min_accuracy=0.985) == 2
+        assert resolvable_levels(params, sigma, 3, min_accuracy=0.985) == 2
+        assert resolvable_levels(params, sigma, 2, min_accuracy=0.995) == 1
+
+    def test_edges_of_the_level_count(self, params):
+        most = 1 + int(params.vth_span / VTH_SOLVE_TOLERANCE)
+        assert resolvable_levels(params, 0.0, most, min_accuracy=1.0) == most
+        assert resolvable_levels(params, 0.5, 12, min_accuracy=0.0) == 12
+        assert resolvable_levels(params, 1e-300, 12, min_accuracy=1.0) == 12
+        with pytest.raises(InvalidParameterError):
+            resolvable_levels(params, 0.0, most + 1)
+
+    @given(sigma=st.floats(0.0, 0.6), level_count=st.integers(1, 12),
+           min_accuracy=st.floats(0.5, 0.999))
+    def test_closed_form_agrees_with_monte_carlo(self, params, sigma, level_count,
+                                                 min_accuracy):
+        m = resolvable_levels(params, sigma, level_count, min_accuracy)
+        assert 1 <= m <= level_count
+        slack = 4 * math.sqrt(min_accuracy * (1 - min_accuracy) / MC_DRAWS)
+        assert mc_level_accuracies(params, sigma, m).min() >= min_accuracy - slack
+        if m < level_count:
+            assert mc_level_accuracies(params, sigma, m + 1).min() < min_accuracy + slack
 
 
 class TestParamValidation:

@@ -23,8 +23,8 @@ from fecam import (AnalogEntry, CamKind, CostParams, GlobalConfig, InvalidParame
 
 BAD = [1.5, True, None, -1, pytest.param(10 ** 5000, id="10**5000")]
 NAMES = {"row", "target_row", "rows", "cols", "n_cols", "n_cells", "level", "lo_level",
-         "hi_level", "level_count", "samples_per_level", "width", "bits_per_cell", "addr",
-         "rng_seed", "seed"}
+         "hi_level", "level_count", "width", "bits_per_cell", "bits_per_cell_fecam_analog",
+         "addr", "rng_seed", "seed"}
 
 
 @functools.cache
@@ -45,10 +45,6 @@ def arr():
 
 def plan_of(target_row):
     return WritePlan(target_row, (None,), (None,), (0.0, 0.0))
-
-
-def bits_of(bits):
-    return {CamKind.CMOS_TCAM: 1, CamKind.FECAM_DIGITAL: 1, CamKind.FECAM_ANALOG: bits}
 
 
 TABLE_8 = compile_table([RangeRule(3, 200, 8, "a")], TableMode.TERNARY)
@@ -75,19 +71,13 @@ TABLE = {
     ("program_level_window", "hi_level"): (
         lambda v: program_level_window(0, v, cfg().cell, cfg().device), 3, OutOfRangeError),
     ("resolvable_levels", "level_count"): (
-        lambda v: resolvable_levels(cfg().device, 0.01, level_count=v, samples_per_level=50),
+        lambda v: resolvable_levels(cfg().device, 0.01, level_count=v),
         3, InvalidParameterError),
-    ("resolvable_levels", "samples_per_level"): (
-        lambda v: resolvable_levels(cfg().device, 0.01, level_count=3, samples_per_level=v),
-        50, InvalidParameterError),
-    ("resolvable_levels", "seed"): (
-        lambda v: resolvable_levels(cfg().device, 0.01, level_count=3, samples_per_level=50,
-                                    seed=v), 3, InvalidParameterError),
     ("apply_variation", "seed"): (
         lambda v: apply_variation(cfg().device, 0.5, 0.01, v), 3, InvalidParameterError),
     ("GlobalConfig", "rng_seed"): (lambda v: GlobalConfig(rng_seed=v), 3, InvalidParameterError),
-    ("CostParams", "bits_per_cell"): (
-        lambda v: CostParams(bits_per_cell=bits_of(v)), 2, InvalidParameterError),
+    ("CostParams", "bits_per_cell_fecam_analog"): (
+        lambda v: CostParams(bits_per_cell_fecam_analog=v), 2, InvalidParameterError),
     ("search_energy", "n_cells"): (
         lambda v: search_energy(cfg().cost, CamKind.FECAM_ANALOG, v), 80, InvalidParameterError),
     ("area", "n_cells"): (

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fecam import (FecamArray, apply_variation, default_config, discharge_time,
-                   level_center, ml_capacitance, program_level_window, search, sense,
+from fecam import (CellConfig, DeviceParams, FecamArray, InvalidParameterError,
+                   MatchLineParams, apply_variation, batch_search, default_config,
+                   discharge_time, level_center, measure_bounds, ml_capacitance,
+                   program_analog, program_level_window, search, sense,
                    single_mismatch_sense_time)
 from fecam.array import _ml_voltage, _row_terms, _summed_currents
 
@@ -64,6 +66,61 @@ def test_zero_current_stays_at_vdd(mlp, params, cfg):
     times = np.linspace(0.0, discharge_time(mlp, 8), 1001)
     v = _ml_voltage(mlp, cfg.vdd, params.v_dsat, 8, np.array([0.0, 1e-320]), times)
     assert (v == cfg.vdd).all()
+
+
+def window_array(rows, cols, mlp, params):
+    cfg = CellConfig()
+    return FecamArray.filled(rows, cols, program_analog(0.4, 0.6, cfg, params), mlp, cfg,
+                             params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_capacitance_refused():
+    # 5e-320 F used to load; current / capacitance then overflowed, so a line
+    # that falls about 0.06 V by the auto time read a mismatch from a NaN start
+    for name in ("c_pmos", "c_drain", "c_parasitic"):
+        with pytest.raises(InvalidParameterError, match=rf"{name} must be in \[2\.22"):
+            MatchLineParams(**{name: 5e-320})
+    tiny = np.finfo(float).tiny
+    arr = window_array(2, 2, MatchLineParams(c_pmos=tiny, c_drain=tiny, c_parasitic=tiny),
+                       DeviceParams())
+    result = search(arr, [0.5, 0.5])
+    assert result.matches == (True, True)
+    assert result.ml_voltages[0].tolist() == [arr.cfg.vdd] * 2
+    assert arr.cfg.vdd - 0.1 < result.ml_voltages[-1].min() < arr.cfg.vdd
+    assert measure_bounds(arr, 0) == (0.401, 0.599)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("device", [
+    DeviceParams(i_on=1e307, subthreshold_slope=1e-3),  # a row sum past the float range
+    # a factored term past it, from a threshold current whose row sum is not
+    DeviceParams(i_threshold=1e290, i_on=1e291, i_off=0.0, subthreshold_slope=0.0077),
+], ids=["row sum", "factored term"])
+def test_current_past_the_float_range(device):
+    # both used to warn, and the row sum started the trace of a mismatching
+    # row at NaN
+    arr = window_array(2, 64, MatchLineParams(), device)
+    result = search(arr, [1.0] * 64)
+    assert result.matches == (False, False)
+    assert result.ml_voltages[0].tolist() == [arr.cfg.vdd] * 2
+    assert (result.ml_voltages[1:] == 0.0).all()
+    assert (batch_search(arr, [[1.0] * 64]) == [[False, False]]).all()
+    if device.i_threshold < 1.0:  # else the in-window leakage discharges the line too
+        assert search(arr, [0.5] * 64).matches == (True, True)
+        assert measure_bounds(arr, 0) == (0.401, 0.599)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_rate_falls_by_its_product():
+    # a rate I / C past the float range at a sense time short enough that the
+    # line falls only I t / C = 0.25 V
+    mlp = MatchLineParams(c_pmos=1e-300, c_drain=1e-300, c_parasitic=1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _ml_voltage(mlp, 1.2, 0.1, 1, np.array([1e10]), np.array([0.0, 0.75e-310]),
+                        quiet=False)
+    assert v[0, 0] == 1.2
+    assert v[1, 0] == pytest.approx(0.95, rel=1e-9)
 
 
 def level_rows(levels):

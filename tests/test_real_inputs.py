@@ -104,7 +104,7 @@ TABLE = {
         lambda v: pulse_for_vth(cfg().device, v), 0.5, (0.0, 1.2), OutOfRangeError),
     ("apply_variation", "sigma_vth"): (
         lambda v: apply_variation(cfg().device, 0.5, v, 0), 0.0, (-0.1,), InvalidParameterError),
-    # one level: no draw, so only resolvable_levels' own checks see the value; NaN,
+    # one level: no count to try, so only resolvable_levels' own checks see the value; NaN,
     # 2.0 and -1.0 used to return 1 silently, and at 8 levels -1.0 returned 8
     ("resolvable_levels", "sigma_vth"): (
         lambda v: resolvable_levels(cfg().device, v, level_count=1), 0.1, (-0.1,),
@@ -156,11 +156,6 @@ TABLE = {
         InvalidParameterError),
     ("CostParams", "area_per_bit_ratio_analog_vs_cmos"): (
         lambda v: CostParams(area_per_bit_ratio_analog_vs_cmos=v), 0.5, (0.0, -0.045),
-        InvalidParameterError),
-    ("CostParams", "cmos_cell_area"): (
-        lambda v: CostParams(cmos_cell_area=v), 2.0, (0.0, -1.0), InvalidParameterError),
-    ("CostParams", "reference_routing_area_ratio"): (
-        lambda v: CostParams(reference_routing_area_ratio=v), 0.0, (-60.5,),
         InvalidParameterError),
     # -1 V used to give a negative energy, NaN a NaN one
     ("ml_energy_estimate", "vdd"): (
