@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -74,15 +74,14 @@ from . import device
 from .cell import CellConfig, FecamCell, inverter
 from .device import DeviceParams, FeFetState, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
-                     InvalidParameterError, OutOfRangeError, check_int, check_real,
-                     require_finite)
+                     InvalidParameterError, OutOfRangeError, check_int, check_real)
 
 TRACE_POINTS = 1001       # samples of a recorded match-line transient
 BLOCK_CELLS = 1 << 14     # FeFET currents per block of a batch search (128 KB)
 EXP_LIMIT = 700.0         # largest exponent the factored kernel may form
 SIZE_GUIDELINE = 64       # beyond this, drivers need resizing; warn only
 MAX_CELLS = 1 << 20       # largest array built, checked before the grid exists
-MAX_SWEEP_STEPS = 1 << 20 # most resolution steps of vdd a measure_bounds sweep takes
+MAX_SWEEP_STEPS = 1 << 20 # most steps of vdd a search-voltage sweep takes
 TABLE_ENTRIES = 1 << 18   # most entries of a cached pair-to-row matrix (2 MB)
 BLAS_GAIN = 16            # BLAS multiply-adds that cost one elementwise current
 GEMM_GROUP = 2            # queries per matrix product of the table form
@@ -105,11 +104,10 @@ class MatchLineParams:
     i_discharge_avg: float = 25e-9 # A, average per-cell discharge current
 
     def __post_init__(self):
-        require_finite(self)
-        for f in fields(self):
-            check_real(getattr(self, f.name), f.name, 0, open=True)
         for name in ("c_pmos", "c_drain", "c_parasitic"):  # a subnormal one overflows I / C
             check_real(getattr(self, name), name, np.finfo(float).tiny)
+        for name in ("delta_v_ml", "i_discharge_avg"):
+            check_real(getattr(self, name), name, 0, open=True)
 
     def check_swing(self, vdd: float) -> None:
         """Refuse a sense boundary vdd - delta_v_ml at or below 0 V."""
@@ -456,7 +454,10 @@ def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
 
 def _checked(arr: FecamArray, queries, t_sense):
     """Validated (n_queries, cols) voltages and sense time."""
-    q = np.asarray(queries, dtype=float)
+    try:
+        q = np.asarray(queries, dtype=float)
+    except (TypeError, ValueError) as exc:  # not real numbers, or ragged
+        raise InvalidParameterError(f"query voltages must be numbers: {exc}") from None
     if q.ndim != 2 or q.shape[1] != arr.cols:
         raise DimensionMismatchError(
             f"queries of shape {q.shape} do not match {arr.cols} columns")
@@ -519,25 +520,32 @@ def batch_search(arr: FecamArray, queries, t_sense: float | None = None):
     return _search_rows(arr, queries, t_sense)[0]
 
 
-def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None,
-                   resolution: float = 1e-3):
+def sweep_grid(cfg: CellConfig) -> np.ndarray:
+    """Search voltages 0 to vdd in steps of 1 mV, or of vdd / MAX_SWEEP_STEPS
+    past vdd = 1048.576 V: the grid of `measure_bounds` and of the default
+    v_sl sweep of the CLI."""
+    vdd = cfg.vdd
+    step = max(1e-3, vdd / MAX_SWEEP_STEPS)
+    # arange can overshoot vdd by an ulp
+    return np.minimum(np.arange(0.0, vdd + step / 2, step), vdd)
+
+
+def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None):
     """Matching-window edges of one row under a common search voltage sweep.
 
-    Sweeps v_sl applied to every column, in steps of the resolution, at
-    least vdd / MAX_SWEEP_STEPS, and returns the edges of the maximal
-    contiguous matching run, or None when nothing matches.  Cells of the row
-    that hold the same thresholds draw the same current at every sweep
-    point, so each distinct cell is solved once and weighted by its count;
-    the line keeps the full row's capacitance and sense time.  Within a few
-    ulps of the sense boundary, a sweep point may settle differently than in
-    `batch_search` of the same voltages (see the module docstring).
+    Sweeps v_sl applied to every column over `sweep_grid` and returns the
+    edges of the maximal contiguous matching run, or None when nothing
+    matches.  Cells of the row that hold the same thresholds draw the same
+    current at every sweep point, so each distinct cell is solved once and
+    weighted by its count; the line keeps the full row's capacitance and
+    sense time.  Within a few ulps of the sense boundary, a sweep point may
+    settle differently than in `batch_search` of the same voltages (see the
+    module docstring).
     """
     row = check_int(row, "row", 0, arr.rows - 1, OutOfRangeError)
     vdd = arr.cfg.vdd
-    check_real(resolution, "resolution", vdd / MAX_SWEEP_STEPS)
     t = _sense_time(arr, t_sense)
-    # arange can overshoot vdd by an ulp
-    grid = np.minimum(np.arange(0.0, vdd + resolution / 2, resolution), vdd)
+    grid = sweep_grid(arr.cfg)
     upper, lower = arr.vth[row, :arr.cols], arr.vth[row, arr.cols:]
     _, first, counts = np.unique(upper + 1j * lower, return_index=True, return_counts=True)
     fets = np.concatenate((first, arr.cols + first))

@@ -18,7 +18,7 @@ import numpy as np
 from . import device
 from .device import DeviceParams, FeFetState
 from .errors import (EmptyWindowError, InvalidParameterError, OutOfRangeError,
-                     check_int, check_real, require_finite)
+                     check_int, check_real)
 
 
 class TernaryBit(enum.Enum):
@@ -55,19 +55,19 @@ class CellConfig:
     digital_margin: float = 0.3
 
     def __post_init__(self):
-        try:
-            bounds = tuple(float(b) for b in self.level_bounds)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidParameterError(f"level_bounds must be numbers: {exc}") from None
-        object.__setattr__(self, "level_bounds", bounds)
-        require_finite(self)
         check_real(self.vdd, "vdd", 0, open=True)
+        try:
+            bounds = tuple(self.level_bounds)
+        except TypeError:
+            raise InvalidParameterError(
+                f"level_bounds must be a sequence of numbers, got {self.level_bounds}") from None
         if len(bounds) < 2:
             raise InvalidParameterError(f"need at least 2 level bounds, got {len(bounds)}")
+        bounds = tuple(float(check_real(b, f"level_bounds[{i}]", 0, self.vdd))
+                       for i, b in enumerate(bounds))
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise InvalidParameterError("level bounds must be strictly increasing")
-        for end in (bounds[0], bounds[-1]):
-            check_real(end, "level bounds", 0, self.vdd)
+        object.__setattr__(self, "level_bounds", bounds)
         check_real(self.digital_margin, "digital_margin", 0, self.vdd / 2, open=True)
 
     @property
@@ -114,6 +114,8 @@ def program_digital(bit: TernaryBit, cfg: CellConfig,
     level (digital_margin); the open side stays erased so the matching query
     voltage sits strictly inside the window.  Don't-care leaves both erased.
     """
+    if not isinstance(bit, TernaryBit):  # a "1" would read as don't-care
+        raise InvalidParameterError(f"not a TernaryBit: {bit!r}")
     boundary = device.state_for_vth(params, cfg.digital_margin)
     erased = device.state_for_vth(params, params.vth_high)
     if bit is TernaryBit.ONE:
@@ -127,6 +129,8 @@ def program_digital(bit: TernaryBit, cfg: CellConfig,
 
 def digital_query_voltage(bit: TernaryBit, cfg: CellConfig) -> float:
     """Search voltage encoding a digital query bit."""
+    if not isinstance(bit, TernaryBit):
+        raise InvalidParameterError(f"not a TernaryBit: {bit!r}")
     if bit is TernaryBit.ONE:
         return cfg.vdd
     if bit is TernaryBit.ZERO:

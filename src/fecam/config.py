@@ -2,9 +2,9 @@
 
 The format is read off the dataclasses: each parameter-class field of
 GlobalConfig is a section, its other fields form [general], and each field
-is one key, typed by its default (a tuple is a list of floats, a
-CamKind-keyed dict is one key <field>_<kind> per kind).  Missing
-keys keep the defaults; unknown sections and keys are rejected by name.
+is one key of its name, typed by its default (a tuple is a list of floats).
+Missing keys keep the defaults; unknown sections and keys are rejected by
+name.
 """
 
 from __future__ import annotations
@@ -51,19 +51,16 @@ def parse_floats(raw: str) -> tuple:
 
 @functools.cache
 def _keys(cls) -> dict:
-    """{key: (field name, CamKind or None, converter)} of the section that
-    holds a cls, typed by the defaults; parameter-class fields are sections."""
+    """{key: converter} of the section that holds a cls, typed by the
+    defaults; parameter-class fields are sections."""
     keys = {}
     defaults = cls()
     for f in fields(cls):
         value = getattr(defaults, f.name)
-        if isinstance(value, dict):
-            for kind, item in value.items():
-                keys[f"{f.name}_{kind.value}"] = (f.name, kind, type(item))
-        elif isinstance(value, tuple):
-            keys[f.name] = (f.name, None, parse_floats)
+        if isinstance(value, tuple):
+            keys[f.name] = parse_floats
         elif not is_dataclass(value):
-            keys[f.name] = (f.name, None, type(value))
+            keys[f.name] = type(value)
     return keys
 
 
@@ -87,15 +84,10 @@ def load_config(path) -> GlobalConfig:
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ParseError(f"unknown field [{section}] {key} in {path}")
-            name, kind, convert = keys[key]
             try:
-                value = convert(raw)
+                kw[key] = keys[key](raw)
             except ValueError as exc:
                 raise ParseError(f"bad value for [{section}] {key} in {path}: {exc}")
-            if kind is None:
-                kw[name] = value
-            else:
-                kw.setdefault(name, dict(getattr(sections[section], name)))[kind] = value
     general = values.pop("general")
     try:
         return GlobalConfig(**{section: type(sections[section])(**kw)
@@ -109,10 +101,8 @@ def config_text(config: GlobalConfig) -> str:
     lines = []
     for section, params in _sections(config):
         lines.append(f"[{section}]")
-        for key, (name, kind, _) in _keys(type(params)).items():
-            value = getattr(params, name)
-            if kind is not None:
-                value = value[kind]
+        for key in _keys(type(params)):
+            value = getattr(params, key)
             if isinstance(value, tuple):
                 lines.append(f"{key} = " + " ".join(map(str, value)))
             else:

@@ -1,21 +1,23 @@
 """Calibrated area and search-energy comparison of CAM technologies.
 
-Pure calibration: per-bit search energies and the analog-vs-CMOS per-bit
-area ratio are fixed constants (45 nm reference design point), so every
-result is homogeneous in cell count and only ratios are meaningful for
-area, which is therefore counted in CMOS TCAM cells.  A cross-check helper
-estimates match-line dynamic energy from the transient model's capacitances
-for comparison, without gating anything.
+Pure calibration: the per-bit search energy of each kind (one plain field
+per kind) and the analog-vs-CMOS per-bit area ratio are fixed constants
+(45 nm reference design point), so every result is homogeneous in cell
+count and only ratios are meaningful for area, which is therefore counted
+in CMOS TCAM cells.  Every function that takes a kind refuses anything but
+a CamKind.  A cross-check helper estimates match-line dynamic energy from
+the transient model's capacitances for comparison, without gating anything.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .array import MatchLineParams, ml_capacitance
 from .encoder import MAX_RULE_WIDTH, RoutingTable, TableMode
-from .errors import InconsistentInputError, check_int, check_real, is_int, require_finite
+from .errors import (InconsistentInputError, InvalidParameterError, check_int, check_real,
+                     is_int)
 
 
 WORD_BITS = 64  # word size of the word-level figures
@@ -29,36 +31,38 @@ class CamKind(enum.Enum):
     FECAM_ANALOG = "fecam_analog"
 
 
-def _default_energy() -> dict:
-    return {CamKind.CMOS_TCAM: 0.590e-15,
-            CamKind.FECAM_DIGITAL: 0.182e-15,
-            CamKind.FECAM_ANALOG: 0.069e-15}
-
-
 @dataclass(frozen=True)
 class CostParams:
     """Calibration constants for the three CAM technologies.
 
-    Areas are in CMOS TCAM cells: only area ratios mean anything, so the
-    CMOS cell is the unit.  The CMOS and digital FeFET cells store one bit by
+    Each kind's search energy per bit is one field, energy_per_bit_<kind>,
+    and `energy_per_bit` reads the three as a CamKind-keyed dict.  Areas are
+    in CMOS TCAM cells: only area ratios mean anything, so the CMOS cell is
+    the unit.  The CMOS and digital FeFET cells store one bit by
     construction; bits_per_cell_fecam_analog is the calibrated design point
     of the analog cell, which turns per-bit constants into per-cell cost and
     word sizes.  The configured cell's levels are CellConfig.level_count.
     """
 
-    energy_per_bit: dict = field(default_factory=_default_energy)       # J
+    energy_per_bit_cmos_tcam: float = 0.590e-15     # J
+    energy_per_bit_fecam_digital: float = 0.182e-15  # J
+    energy_per_bit_fecam_analog: float = 0.069e-15   # J
     bits_per_cell_fecam_analog: int = 3
     area_per_bit_ratio_analog_vs_cmos: float = 0.045
 
     def __post_init__(self):
-        require_finite(self)
         for kind in CamKind:
-            check_real(self.energy_per_bit.get(kind), f"energy_per_bit_{kind.value}",
-                       0, open=True)
+            name = f"energy_per_bit_{kind.value}"
+            check_real(getattr(self, name), name, 0, open=True)
         check_int(self.bits_per_cell_fecam_analog, "bits_per_cell_fecam_analog",
                   1, MAX_RULE_WIDTH)
         check_real(self.area_per_bit_ratio_analog_vs_cmos,
                    "area_per_bit_ratio_analog_vs_cmos", 0, open=True)
+
+    @property
+    def energy_per_bit(self) -> dict:
+        """Search energy per bit of each kind, J."""
+        return {kind: getattr(self, f"energy_per_bit_{kind.value}") for kind in CamKind}
 
     @property
     def bits_per_cell(self) -> dict:
@@ -78,7 +82,7 @@ class CostParams:
         The analog cell packs bits_per_cell_fecam_analog bits at the calibrated
         per-bit ratio; the digital cell is the same 2-FeFET cell storing one bit.
         """
-        if kind is CamKind.CMOS_TCAM:
+        if _checked_kind(kind) is CamKind.CMOS_TCAM:
             return 1.0
         return self.bits_per_cell_fecam_analog * self.area_per_bit_ratio_analog_vs_cmos
 
@@ -86,10 +90,16 @@ class CostParams:
         return self.cell_area(kind) / self.bits_per_cell[kind]
 
 
+def _checked_kind(kind) -> CamKind:
+    if not isinstance(kind, CamKind):
+        raise InvalidParameterError(f"not a CamKind: {kind!r}")
+    return kind
+
+
 def search_energy(p: CostParams, kind: CamKind, n_cells: int) -> float:
     """Energy of searching n_cells cells, in joules."""
     n_cells = check_int(n_cells, "n_cells", 0, MAX_PRICED_CELLS)
-    return n_cells * p.bits_per_cell[kind] * p.energy_per_bit[kind]
+    return n_cells * p.bits_per_cell[_checked_kind(kind)] * p.energy_per_bit[kind]
 
 
 def area(p: CostParams, kind: CamKind, n_cells: int) -> float:
@@ -100,12 +110,12 @@ def area(p: CostParams, kind: CamKind, n_cells: int) -> float:
 
 def energy_ratio_vs_cmos(p: CostParams, kind: CamKind) -> float:
     """Per-bit search-energy advantage over CMOS TCAM."""
-    return p.energy_per_bit[CamKind.CMOS_TCAM] / p.energy_per_bit[kind]
+    return p.energy_per_bit_cmos_tcam / p.energy_per_bit[_checked_kind(kind)]
 
 
 def word_search_energy(p: CostParams, kind: CamKind) -> float:
     """Search energy of one WORD_BITS-bit word."""
-    return search_energy(p, kind, p.word_cells[kind])
+    return search_energy(p, kind, p.word_cells[_checked_kind(kind)])
 
 
 def ml_energy_estimate(mlp: MatchLineParams, n_cols: int, vdd: float) -> float:

@@ -15,8 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError,
-                     check_int, check_real, require_finite)
+from .errors import InvalidPulseError, OutOfRangeError, check_int, check_real
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 MAX_SEED = (1 << 128) - 1   # numpy's SeedSequence pools 128 bits of entropy
@@ -67,16 +66,18 @@ class DeviceParams:
     v_erase: float = -4.0             # V, erase amplitude
 
     def __post_init__(self):
-        require_finite(self)
-        if not self.vth_low < self.vth_high:
-            raise InvalidParameterError("vth_low must be below vth_high")
-        if not 0 <= self.i_off < self.i_threshold < self.i_on:
-            raise InvalidParameterError(
-                "currents must satisfy 0 <= i_off < i_threshold < i_on")
-        for name in ("coercive_sigma", "subthreshold_slope", "v_dsat"):
+        # each field once; a field bounded by another is checked after it
+        check_real(self.vth_low, "vth_low")
+        check_real(self.vth_high, "vth_high", self.vth_low, open=True)
+        check_real(self.coercive_mu, "coercive_mu")
+        for name in ("coercive_sigma", "subthreshold_slope"):
             check_real(getattr(self, name), name, 0, open=True)
-        if not self.v_prog_min < self.v_prog_max:
-            raise InvalidParameterError("empty programming range")
+        check_real(self.i_off, "i_off", 0)
+        check_real(self.i_on, "i_on", self.i_off, open=True)
+        check_real(self.i_threshold, "i_threshold", self.i_off, self.i_on, open=True)
+        check_real(self.v_dsat, "v_dsat", 0, open=True)
+        check_real(self.v_prog_min, "v_prog_min")
+        check_real(self.v_prog_max, "v_prog_max", self.v_prog_min, open=True)
         check_real(self.v_erase, "v_erase", hi=0, open=True)
 
     @property

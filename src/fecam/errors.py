@@ -1,8 +1,8 @@
-"""Exception types shared across the package, the finiteness check every
-parameter class runs first, the one test of what counts as an integer, the
-one check of a bounded integer (`check_int`: every index, count and width)
-and the one check of a bounded real (`check_real`: every scalar voltage,
-time, current and ratio).
+"""Exception types shared across the package, the one test of what counts
+as an integer, the one check of a bounded integer (`check_int`: every index,
+count and width) and the one check of a bounded real (`check_real`: every
+scalar voltage, time, current and ratio, every field of a parameter class
+among them).
 
 Every error carries a stable machine-parsable ``category`` string; the CLI
 prints it as the single-line error code.
@@ -10,8 +10,6 @@ prints it as the single-line error code.
 
 import math
 import sys
-from numbers import Real
-from dataclasses import fields
 
 import numpy as np
 
@@ -60,23 +58,6 @@ class ParseError(FecamError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-def require_finite(params) -> None:
-    """Reject NaN, inf, ints past the float range and non-numbers anywhere in
-    a parameter dataclass: in its number fields and in the items of its tuple
-    and dict fields.  No field defaults to None, so None is refused too."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        items = (value.values() if isinstance(value, dict)
-                 else value if isinstance(value, tuple) else (value,))
-        for x in items:
-            try:
-                if isinstance(x, Real) and math.isfinite(x):
-                    continue
-            except OverflowError:  # an int past the float range
-                pass
-            raise InvalidParameterError(f"{f.name} must be finite, got {_shown(x)}")
 
 
 def is_int(x) -> bool:

@@ -57,6 +57,15 @@ class TestDigital:
                 i = cell_current(cell, v, cfg.vdd, cfg, params)
                 assert (i < params.i_threshold) == want, (stored, query)
 
+    @pytest.mark.parametrize("bit", ["1", "0", "X", 1, None])
+    def test_only_a_ternary_bit(self, cfg, params, bit):
+        # program_digital("1") used to build a don't-care cell, and
+        # digital_query_voltage("1") to call a "1" "not don't-care"
+        with pytest.raises(InvalidParameterError, match="not a TernaryBit"):
+            program_digital(bit, cfg, params)
+        with pytest.raises(InvalidParameterError, match="not a TernaryBit"):
+            digital_query_voltage(bit, cfg)
+
     def test_digital_cells_use_two_levels(self, cfg, params):
         levels = {params.vth_high, cfg.digital_margin}
         for bit in TernaryBit:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fecam import AnalogEntry, CamKind, cli, encoder, entry_to_cells, load_config
+from fecam.array import MAX_SWEEP_STEPS
 from fecam.cli import main
 
 DEMO_ARRAY = """\
@@ -70,7 +71,7 @@ class TestTransfer:
         assert out == ""
         # the config loader files every rejected value under parse-error
         assert err.startswith("error: parse-error:")
-        assert "coercive_sigma must be finite" in err
+        assert "coercive_sigma must be in (0, inf), got nan" in err
 
     @pytest.mark.parametrize("argv", [
         ["--vgs-range", "0", "nan", "0.1"],    # numpy: arange cannot compute length
@@ -288,6 +289,21 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert [line.split(",")[1:3] for line in out.splitlines()[1:]] == [
             ["0.401", "0.599"]] * 2
+
+    def test_supply_past_a_thousand_volts(self, capsys, tmp_path):
+        # at vdd = 2000 V, the cols axis used to exit 2 on a "resolution" the
+        # CLI has no option for, and the v_sl axis to sweep 2,000,001 points
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cell]\nvdd = 2000\n[device]\nvth_high = 2000\n")
+        code, out, err = run(capsys, "--config", str(ini), "sweep", "--axis", "cols",
+                             "--values", "1")
+        assert (code, err) == (0, "") and len(out.splitlines()) == 2
+        csv = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "--config", str(ini), "sweep", "--axis", "v_sl",
+                           "--rows", "1", "--cols", "1", "--out", str(csv))
+        assert (code, err) == (0, "")
+        with open(csv) as handle:
+            assert sum(1 for _ in handle) == 1 + MAX_SWEEP_STEPS + 1
 
     def test_rows_axis_constant_bounds(self, capsys):
         code, out, _ = run(capsys, "sweep", "--axis", "rows",

@@ -1,5 +1,6 @@
 import configparser
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,29 +16,64 @@ PARAM_SECTIONS = {"device": DeviceParams, "cell": CellConfig,
                   "matchline": MatchLineParams, "cost": CostParams}
 
 
-def float_slots():
-    """(id, class, field, maker of that field's value around one bad float):
-    every float that the four parameter classes hold."""
+def field_slots():
+    """(id, class, field, maker of that field's value around one bad value,
+    the name its message gives): every number that the four parameter
+    classes hold."""
     slots = []
     for cls in (DeviceParams, MatchLineParams, CellConfig, CostParams):
         default = cls()
         for f in fields(cls):
-            if isinstance(getattr(default, f.name), float):
+            if not isinstance(getattr(default, f.name), tuple):
                 slots.append((f"{cls.__name__}.{f.name}", cls, f.name,
-                              lambda bad: bad))
+                              lambda bad: bad, f.name))
     bounds = CellConfig().level_bounds
     for i in (0, 4, len(bounds) - 1):
         slots.append((f"CellConfig.level_bounds[{i}]", CellConfig, "level_bounds",
-                      lambda bad, i=i: bounds[:i] + (bad,) + bounds[i + 1:]))
-    for kind in CamKind:
-        slots.append((f"CostParams.energy_per_bit[{kind.value}]", CostParams,
-                      "energy_per_bit",
-                      lambda bad, kind=kind: {**CostParams().energy_per_bit,
-                                              kind: bad}))
+                      lambda bad, i=i: bounds[:i] + (bad,) + bounds[i + 1:],
+                      f"level_bounds[{i}]"))
     return slots
 
 
-SLOTS = float_slots()
+SLOTS = field_slots()
+
+DEFAULT_TEXT = """\
+[device]
+vth_low = 0.1
+vth_high = 1.1
+coercive_mu = 3.0
+coercive_sigma = 0.4
+subthreshold_slope = 0.08
+i_on = 1e-06
+i_off = 1e-12
+i_threshold = 2.5e-08
+v_dsat = 0.1
+v_prog_min = 2.0
+v_prog_max = 4.0
+v_erase = -4.0
+
+[cell]
+vdd = 1.0
+level_bounds = 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9
+digital_margin = 0.3
+
+[matchline]
+c_pmos = 1e-16
+c_drain = 3.5e-16
+c_parasitic = 5e-17
+delta_v_ml = 0.5
+i_discharge_avg = 2.5e-08
+
+[cost]
+energy_per_bit_cmos_tcam = 5.9e-16
+energy_per_bit_fecam_digital = 1.82e-16
+energy_per_bit_fecam_analog = 6.9e-17
+bits_per_cell_fecam_analog = 3
+area_per_bit_ratio_analog_vs_cmos = 0.045
+
+[general]
+rng_seed = 0
+"""
 
 
 class TestDefaults:
@@ -48,7 +84,13 @@ class TestDefaults:
         assert config.cell.level_count == 8
         assert config.matchline.delta_v_ml == 0.5
         assert config.cost.energy_per_bit[CamKind.CMOS_TCAM] == 0.590e-15
+        assert config.cost.energy_per_bit_cmos_tcam == 0.590e-15
         assert config.rng_seed == 0
+
+    def test_default_text_is_pinned(self):
+        # perfbench's cli workload writes its config through config_text, so
+        # key order and names must not drift
+        assert config_text(default_config()) == DEFAULT_TEXT
 
 
 class TestLoadConfig:
@@ -115,15 +157,21 @@ class TestLoadConfig:
         config = load_config(path)
         assert config.cost.energy_per_bit[CamKind.FECAM_ANALOG] == 1e-16
         assert config.cost.word_cells[CamKind.FECAM_ANALOG] == 32
+        # the other two per-kind energies keep their defaults
         assert config.cost.energy_per_bit[CamKind.CMOS_TCAM] == 0.590e-15
+        assert config.cost.energy_per_bit[CamKind.FECAM_DIGITAL] == 0.182e-15
 
 
 class TestFiniteParameters:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("cls, name, make", [s[1:] for s in SLOTS],
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x",
+                                     pytest.param(10 ** 400, id="10**400")])
+    @pytest.mark.parametrize("cls, name, make, what", [s[1:] for s in SLOTS],
                              ids=[s[0] for s in SLOTS])
-    def test_non_finite_rejected(self, cls, name, make, bad):
-        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+    def test_non_finite_rejected(self, cls, name, make, what, bad):
+        # not a finite number: each field's one check_real (check_int for an
+        # integer field) refuses it in its one form
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{re.escape(what)} must be (an integer )?in [\[(].*, got "):
             cls(**{name: make(bad)})
 
 
@@ -137,7 +185,8 @@ def configs(draw):
     cell = CellConfig(level_bounds=tuple(bounds),
                       digital_margin=draw(st.floats(0.01, 0.49)))
     energies = draw(st.lists(st.floats(1e-18, 1e-12), min_size=3, max_size=3))
-    cost = CostParams(energy_per_bit=dict(zip(CamKind, energies)),
+    cost = CostParams(**{f"energy_per_bit_{kind.value}": energy
+                         for kind, energy in zip(CamKind, energies)},
                       bits_per_cell_fecam_analog=draw(st.integers(1, 8)),
                       area_per_bit_ratio_analog_vs_cmos=draw(st.floats(0.01, 1.0)))
     device = DeviceParams(coercive_mu=draw(st.floats(2.0, 4.0)))
@@ -159,12 +208,7 @@ class TestFormatFromFields:
     def test_every_field_is_a_key(self):
         expected = {"general": {"rng_seed"}}
         for section, cls in PARAM_SECTIONS.items():
-            expected[section] = set()
-            for f in fields(cls):
-                if isinstance(getattr(cls(), f.name), dict):
-                    expected[section] |= {f"{f.name}_{k.value}" for k in CamKind}
-                else:
-                    expected[section].add(f.name)
+            expected[section] = {f.name for f in fields(cls)}
         parser = configparser.ConfigParser()
         parser.read_string(config_text(default_config()))
         assert {s: set(parser[s]) for s in parser.sections()} == expected
@@ -189,14 +233,11 @@ class TestFormatFromFields:
         assert sum(map(len, expected.values())) == 26
 
     def test_every_default_is_numbers(self):
-        # so a key's type is its default's, and no finiteness check skips an
-        # unset field: a number, a tuple of numbers or a CamKind-keyed dict
+        # so a key's type is its default's, and every field has a range to
+        # check: a number or a tuple of numbers
         for cls in PARAM_SECTIONS.values():
             for f in fields(cls):
                 value = getattr(cls(), f.name)
-                if isinstance(value, dict):
-                    assert set(value) == set(CamKind), f.name
-                    value = tuple(value.values())
                 items = value if isinstance(value, tuple) else (value,)
                 assert all(type(x) in (int, float) for x in items), f.name
 

@@ -1,7 +1,7 @@
 import pytest
 
-from fecam import (CamKind, CostParams, InconsistentInputError, RangeRule,
-                   TableMode, area, compile_table, energy_ratio_vs_cmos,
+from fecam import (CamKind, CostParams, InconsistentInputError, InvalidParameterError,
+                   RangeRule, TableMode, area, compile_table, energy_ratio_vs_cmos,
                    ml_energy_estimate, routing_report, search_energy,
                    word_search_energy)
 
@@ -96,6 +96,21 @@ class TestPerBitRatios:
             64 * 0.590e-15, rel=1e-12)
         assert word_search_energy(cost, CamKind.FECAM_ANALOG) == pytest.approx(
             22 * 3 * 0.069e-15, rel=1e-12)
+
+
+class TestKindIsChecked:
+    @pytest.mark.parametrize("kind", ["x", "cmos_tcam", None, 0])
+    @pytest.mark.parametrize("call", [
+        lambda p, kind: search_energy(p, kind, 1), lambda p, kind: area(p, kind, 1),
+        lambda p, kind: p.cell_area(kind), lambda p, kind: p.area_per_bit(kind),
+        energy_ratio_vs_cmos, word_search_energy],
+        ids=["search_energy", "area", "cell_area", "area_per_bit", "energy_ratio_vs_cmos",
+             "word_search_energy"])
+    def test_not_a_cam_kind(self, cost, call, kind):
+        # area(p, "x", 1) used to price the analog cell, search_energy(p,
+        # "cmos_tcam", 1) to raise a bare KeyError
+        with pytest.raises(InvalidParameterError, match="not a CamKind"):
+            call(cost, kind)
 
 
 class TestRoutingReport:

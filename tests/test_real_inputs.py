@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 import fecam
-from fecam import (CamKind, CellConfig, CostParams, DeviceParams, EmptyWindowError,
+from fecam import (CellConfig, CostParams, DeviceParams, EmptyWindowError,
                    FecamArray, FecamCell, FeFetState, InvalidParameterError,
                    InvalidPulseError, MatchLineParams, OutOfRangeError, TernaryBit,
                    WritePlan, WritePulse, apply_variation, batch_search, cell_current,
-                   default_config, drain_current, inverter, match_window, measure_bounds,
-                   ml_energy_estimate, program_analog, program_digital, pulse_for_vth,
-                   resolvable_levels, search, state_for_vth, vth_from_pulse)
-from fecam.array import MAX_SWEEP_STEPS
+                   default_config, digital_query_voltage, drain_current, inverter,
+                   match_window, measure_bounds, ml_energy_estimate, program_analog,
+                   program_digital, pulse_for_vth, resolvable_levels, search, state_for_vth,
+                   vth_from_pulse)
+from fecam.array import MAX_SWEEP_STEPS, sweep_grid
 from fecam.device import saturated_current, vds_factor
 from fecam.errors import check_real
 
@@ -57,9 +58,8 @@ def of_matchline(name):
     return lambda v: MatchLineParams(**{name: v})
 
 
-def energies(analog):
-    return {CamKind.CMOS_TCAM: 0.59e-15, CamKind.FECAM_DIGITAL: 0.182e-15,
-            CamKind.FECAM_ANALOG: analog}
+def of_cost(name):
+    return lambda v: CostParams(**{name: v})
 
 
 def single_fet_array(vth):
@@ -67,9 +67,6 @@ def single_fet_array(vth):
     cell = FecamCell(FeFetState(vth), FeFetState(c.device.vth_high))
     return FecamArray([[cell]], c.matchline, c.cell, c.device)
 
-
-# just under the floor of a measure_bounds step at the default 1 V supply
-PAST_SWEEP_CAP = np.nextafter(1.0 / MAX_SWEEP_STEPS, 0.0)
 
 # (qualified name, parameter) -> (call of one value, an accepted value, finite
 # values out of range, the category that every bad value raises)
@@ -144,18 +141,17 @@ TABLE = {
         lambda v: batch_search(arr(), [[0.5]], v), 1e-9, (0.0, -1e-9), InvalidParameterError),
     ("measure_bounds", "t_sense"): (
         lambda v: measure_bounds(arr(), 0, v), 1e-9, (0.0, -1e-9), InvalidParameterError),
-    # 1e-300 used to escape as numpy's bare ValueError; a step just past the cap
-    ("measure_bounds", "resolution"): (
-        lambda v: measure_bounds(arr(), 0, resolution=v), 10.0,
-        (1e-300, PAST_SWEEP_CAP, 0.0, -1e-3), InvalidParameterError),
     ("WritePlan", "source_bias"): (
         lambda v: WritePlan(0, (None,), (None,), (0.0, v)), -2.0, (1.0, 2.5),
         InvalidParameterError),
-    ("CostParams", "energy_per_bit"): (
-        lambda v: CostParams(energy_per_bit=energies(v)), 1e-16, (0.0, -1e-15),
-        InvalidParameterError),
+    ("CostParams", "energy_per_bit_cmos_tcam"): (
+        of_cost("energy_per_bit_cmos_tcam"), 1e-16, (0.0, -1e-15), InvalidParameterError),
+    ("CostParams", "energy_per_bit_fecam_digital"): (
+        of_cost("energy_per_bit_fecam_digital"), 1e-16, (0.0, -1e-15), InvalidParameterError),
+    ("CostParams", "energy_per_bit_fecam_analog"): (
+        of_cost("energy_per_bit_fecam_analog"), 1e-16, (0.0, -1e-15), InvalidParameterError),
     ("CostParams", "area_per_bit_ratio_analog_vs_cmos"): (
-        lambda v: CostParams(area_per_bit_ratio_analog_vs_cmos=v), 0.5, (0.0, -0.045),
+        of_cost("area_per_bit_ratio_analog_vs_cmos"), 0.5, (0.0, -0.045),
         InvalidParameterError),
     # -1 V used to give a negative energy, NaN a NaN one
     ("ml_energy_estimate", "vdd"): (
@@ -194,7 +190,7 @@ EXEMPT = {
 
 # unannotated parameters that carry voltages or thresholds
 REAL_NAMES = {"v_gs", "v_ds", "v_sl", "v_ml", "vth", "query", "queries", "level_bounds",
-              "source_bias", "energy_per_bit"}
+              "source_bias"}
 
 
 @pytest.mark.parametrize("site", list(TABLE), ids="-".join)
@@ -297,8 +293,19 @@ class TestFormerHoles:
             assert hi == 1.0 or not quiet(cell, hi + 1e-9)
 
     def test_measure_bounds_sweeps_at_its_floor(self):
-        # the finest sweep allowed, 2**20 + 1 points, held in memory of its length
-        assert measure_bounds(arr(), 0, resolution=1.0 / MAX_SWEEP_STEPS) == (0.0, 1.0)
+        # 1 mV steps up to a 1048.576 V supply, the old fixed grid bit for bit;
+        # past it MAX_SWEEP_STEPS steps: a 2000 V supply used to be refused
+        # for its 1 mV "resolution", a parameter the CLI does not have
+        for vdd in (1.0, 1.13, 1048.576):
+            old = np.minimum(np.arange(0.0, vdd + 5e-4, 1e-3), vdd)
+            assert np.array_equal(sweep_grid(CellConfig(vdd=vdd)), old)
+        assert len(sweep_grid(CellConfig(vdd=2000.0))) == MAX_SWEEP_STEPS + 1
+        # at 2000 V no window is programmable, so even a don't-care cell has a
+        # FeFET on at every search voltage
+        c, high = cfg(), CellConfig(vdd=2000.0)
+        wild = program_digital(TernaryBit.DONT_CARE, high, c.device)
+        assert measure_bounds(FecamArray.filled(1, 1, wild, c.matchline, high, c.device),
+                              0) is None
 
     @pytest.mark.parametrize("call", [
         lambda: DeviceParams(vth_low="x"),
@@ -309,18 +316,27 @@ class TestFormerHoles:
         lambda: DeviceParams(i_on=None),
         lambda: DeviceParams(vth_low=None),
         lambda: DeviceParams(v_prog_min=None),
-        lambda: DeviceParams(coercive_mu=None)],
+        lambda: DeviceParams(coercive_mu=None),
+        lambda: search(arr(), ["a"]),
+        lambda: batch_search(arr(), [[0.5], [0.5, 0.5]]),
+        lambda: batch_search(arr(), [[1 + 2j]]),
+        lambda: program_digital("1", cfg().cell, cfg().device),
+        lambda: digital_query_voltage("1", cfg().cell)],
         ids=["DeviceParams", "MatchLineParams", "CellConfig", "vth_from_pulse", "from_vth",
-             "i_on-None", "vth_low-None", "v_prog_min-None", "coercive_mu-None"])
+             "i_on-None", "vth_low-None", "v_prog_min-None", "coercive_mu-None",
+             "search-string", "batch_search-ragged", "batch_search-complex",
+             "program_digital-string", "digital_query_voltage-string"])
     def test_non_number_is_an_invalid_parameter(self, call):
         # each used to raise a bare TypeError or ValueError; None passed the
-        # finiteness check as "unset", so coercive_mu=None built a device
+        # finiteness check as "unset", so coercive_mu=None built a device.
+        # program_digital("1") built a don't-care cell, and
+        # digital_query_voltage("1") called it "not don't-care"
         with pytest.raises(InvalidParameterError):
             call()
 
     @pytest.mark.parametrize("call", [
         lambda: search(arr(), [0.5], 10 ** 400),
-        lambda: measure_bounds(arr(), 0, None, 10 ** 400),
+        lambda: measure_bounds(arr(), 0, 10 ** 400),
         lambda: apply_variation(cfg().device, 0.5, 10 ** 400, 0),
         lambda: drain_current(DeviceParams(i_on=10 ** 400), 0.5, 1.0, 0.5),
         lambda: vth_from_pulse(DeviceParams(coercive_mu=10 ** 400), WritePulse(3.0))],
