@@ -1,8 +1,12 @@
 """R x C CAM array held as one (R, 2C) array of FeFET thresholds: row-wise
 writes that replace a row, with half-voltage inhibition, precharge plus
 match-line discharge, sensing, and column-adapted search time.  Every
-array, built or written, comes from `FecamArray.from_vth`, the one place
-that checks the thresholds' shape, size and range.
+built array comes from `FecamArray.from_vth`, the one place that checks the
+thresholds' shape, size and range.  A write replaces one row of a copy and
+checks only that row's range, as the other rows were checked when the array
+was built; an array past SIZE_GUIDELINE still warns on each write.  Both
+phases of `write_cells` go through the one write path of `write_row`, on
+one row, and solve each distinct threshold and pulse once.
 
 The match line of each row is modeled as a lumped capacitance discharged by
 the sum of its cells' currents.  Because both FeFETs of a cell share the
@@ -155,9 +159,9 @@ class DisturbReport:
 
     @property
     def max_unselected(self) -> float:
-        if np.all(np.isnan(self.magnitudes)):
-            return 0.0
-        return float(np.nanmax(self.magnitudes))
+        # fmax skips the selected row's nan; 0 when nothing else is left
+        top = np.fmax.reduce(self.magnitudes, axis=None, initial=np.nan)
+        return 0.0 if np.isnan(top) else float(top)
 
     @property
     def ok(self) -> bool:
@@ -182,21 +186,26 @@ class WritePlan:
     def __post_init__(self):
         object.__setattr__(self, "sl_pulses", tuple(self.sl_pulses))
         object.__setattr__(self, "isl_pulses", tuple(self.isl_pulses))
-        object.__setattr__(self, "source_bias", tuple(float(b) for b in self.source_bias))
-        object.__setattr__(self, "target_row", check_int(
-            self.target_row, "target row", 0, len(self.source_bias) - 1, OutOfRangeError))
+        bias = _reals(self.source_bias, "source bias")
+        if bias.ndim != 1:
+            raise InvalidParameterError(f"source bias must be one number per row, "
+                                        f"got shape {bias.shape}")
+        object.__setattr__(self, "source_bias", tuple(bias.tolist()))
+        target = check_int(self.target_row, "target row", 0, len(bias) - 1, OutOfRangeError)
+        object.__setattr__(self, "target_row", target)
         if len(self.sl_pulses) != len(self.isl_pulses):
             raise DimensionMismatchError(
                 f"{len(self.sl_pulses)} SL pulses vs {len(self.isl_pulses)} "
                 "inverted-SL pulses")
-        for row, bias in enumerate(self.source_bias):
-            if row == self.target_row:
-                if bias != 0.0:
-                    raise InvalidParameterError("selected row source must be grounded")
-            elif bias not in (DISTURB_LIMIT, -DISTURB_LIMIT, 0.0):
-                raise InvalidParameterError(
-                    f"unselected source bias must be 0 or +-{DISTURB_LIMIT} V, "
-                    f"got {bias} V")
+        allowed = (bias == 0.0) | (np.abs(bias) == DISTURB_LIMIT)  # NaN is not
+        allowed[target] = bias[target] == 0.0
+        row = int(np.argmin(allowed))  # the first refused row, if any
+        if not allowed[row]:
+            if row == target:
+                raise InvalidParameterError("selected row source must be grounded")
+            raise InvalidParameterError(
+                f"unselected source bias must be 0 or +-{DISTURB_LIMIT} V, "
+                f"got {self.source_bias[row]} V")
 
 
 def _check_size(rows: int, cols: int) -> None:
@@ -206,17 +215,47 @@ def _check_size(rows: int, cols: int) -> None:
     check_int(cols, f"cols {of_array}", 1, MAX_CELLS // rows)
 
 
+def _check_thresholds(vth: np.ndarray, rows: int, cols: int, params: DeviceParams) -> None:
+    """Warn past SIZE_GUIDELINE rows or cols of a rows x cols array, then
+    refuse any of its thresholds vth, all of them or the one row a write
+    replaces, outside the device range."""
+    if rows > SIZE_GUIDELINE:
+        warnings.warn(
+            f"{rows} rows exceeds {SIZE_GUIDELINE}; search-line "
+            "parasitics would demand stronger drivers", RuntimeWarning)
+    if cols > SIZE_GUIDELINE:
+        warnings.warn(
+            f"{cols} columns exceeds {SIZE_GUIDELINE}; precharging "
+            "the match line would demand a stronger driver", RuntimeWarning)
+    if not ((vth >= params.vth_low) & (vth <= params.vth_high)).all():  # NaN fails too
+        raise OutOfRangeError(
+            f"cell thresholds must lie in [{params.vth_low}, {params.vth_high}] V")
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """values as a float array, or InvalidParameterError naming what.  A
+    complex dtype is refused first, as numpy would drop its imaginary part
+    with only a warning."""
+    try:
+        given = np.asarray(values)
+        if given.dtype.kind == "c":
+            raise TypeError(f"a {given.dtype} array is complex")
+        return given.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:  # not real numbers, or ragged
+        raise InvalidParameterError(f"{what} must be real numbers: {exc}") from None
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class FecamArray:
     """R x C cells as one state, `vth`, plus the electrical context shared by
     every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
     thresholds, then its lower ones, the current kernel's layout; the first
     search builds the `_row_terms` of its distinct rows.  `from_vth` is the
-    one constructor that checks and holds this state: `FecamArray(cells=...)`
-    gathers a FecamCell grid's thresholds into it, `filled` repeats one
-    cell's pair, and a write passes its new copy, so a write into an array
-    past SIZE_GUIDELINE warns as building it does.  `.cells` views the
-    thresholds back as cells."""
+    one constructor that checks this state: `FecamArray(cells=...)` gathers
+    a FecamCell grid's thresholds into it and `filled` repeats one cell's
+    pair.  A write holds a copy with one row replaced and checks only that
+    row, so a write into an array past SIZE_GUIDELINE warns as building it
+    does.  `.cells` views the thresholds back as cells."""
 
     vth: np.ndarray           # (rows, 2 cols) V, read-only
     ml_params: MatchLineParams
@@ -239,27 +278,21 @@ class FecamArray:
         vth, (rows, 2 cols) V.  Checks the shape and size, the sense swing
         against the supply and every threshold against the device range, and
         warns past SIZE_GUIDELINE rows or cols."""
-        try:
-            vth = np.array(vth, dtype=float, order="C")
-        except (TypeError, ValueError) as exc:  # not numbers, or ragged
-            raise InvalidParameterError(f"thresholds must be numbers: {exc}") from None
+        vth = np.array(_reals(vth, "thresholds"), order="C")
         if vth.ndim != 2 or vth.shape[1] % 2:
             raise DimensionMismatchError(
                 f"thresholds of shape {vth.shape}, not (rows, 2 cols)")
         rows, cols = vth.shape[0], vth.shape[1] // 2
         _check_size(rows, cols)
         ml_params.check_swing(cfg.vdd)
-        if rows > SIZE_GUIDELINE:
-            warnings.warn(
-                f"{rows} rows exceeds {SIZE_GUIDELINE}; search-line "
-                "parasitics would demand stronger drivers", RuntimeWarning)
-        if cols > SIZE_GUIDELINE:
-            warnings.warn(
-                f"{cols} columns exceeds {SIZE_GUIDELINE}; precharging "
-                "the match line would demand a stronger driver", RuntimeWarning)
-        if not ((vth >= params.vth_low) & (vth <= params.vth_high)).all():  # NaN fails too
-            raise OutOfRangeError(
-                f"cell thresholds must lie in [{params.vth_low}, {params.vth_high}] V")
+        _check_thresholds(vth, rows, cols, params)
+        return cls._holding(vth, ml_params, cfg, params)
+
+    @classmethod
+    def _holding(cls, vth: np.ndarray, ml_params: MatchLineParams, cfg: CellConfig,
+                 params: DeviceParams) -> "FecamArray":
+        """An array holding vth, a checked C-order float array of its own, as
+        its read-only state."""
         vth.flags.writeable = False
         arr = object.__new__(cls)
         vars(arr).update(vth=vth, ml_params=ml_params, cfg=cfg, params=params)
@@ -454,10 +487,7 @@ def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
 
 def _checked(arr: FecamArray, queries, t_sense):
     """Validated (n_queries, cols) voltages and sense time."""
-    try:
-        q = np.asarray(queries, dtype=float)
-    except (TypeError, ValueError) as exc:  # not real numbers, or ragged
-        raise InvalidParameterError(f"query voltages must be numbers: {exc}") from None
+    q = _reals(queries, "query voltages")
     if q.ndim != 2 or q.shape[1] != arr.cols:
         raise DimensionMismatchError(
             f"queries of shape {q.shape} do not match {arr.cols} columns")
@@ -592,13 +622,49 @@ def single_mismatch_sense_time(p: MatchLineParams, params: DeviceParams,
                       "parameters", 0, open=True)
 
 
-def _disturb_report(plan: WritePlan) -> DisturbReport:
-    gates = np.array([[0.0 if p is None else p.amplitude for p in pulses]
-                      for pulses in (plan.sl_pulses, plan.isl_pulses)])  # (2, C)
-    bias = np.array(plan.source_bias)[:, None]                           # (R, 1)
-    magnitudes = np.abs(gates[:, None, :] - bias).max(axis=0)
-    magnitudes[plan.target_row] = np.nan
-    return DisturbReport(target_row=plan.target_row, magnitudes=magnitudes)
+def _write(arr: FecamArray, plans) -> tuple:
+    """The one write path, of `write_row` (one plan) and `write_cells` (its
+    erase and program plans, on one row).  Each plan is checked against arr
+    and applied to a list of its target row's 2C thresholds; each pulse
+    object is solved once, however many FeFETs it drives, and pulses are
+    checked before the disturb.  Then a copy of arr takes the row, and only
+    the row is checked: the other rows were checked when arr was built.
+    Returns the new array and one disturb report per plan."""
+    row, reports = None, []
+    for plan in plans:
+        target = check_int(plan.target_row, "target row", 0, arr.rows - 1, OutOfRangeError)
+        if len(plan.sl_pulses) != arr.cols:
+            raise DimensionMismatchError(
+                f"{len(plan.sl_pulses)} pulse columns vs {arr.cols} array columns")
+        if len(plan.source_bias) != arr.rows:
+            raise DimensionMismatchError(
+                f"{len(plan.source_bias)} bias rows vs {arr.rows} array rows")
+        row = arr.vth[target].tolist() if row is None else row
+        gates = [0.0] * len(row)  # V, 0 where a FeFET is left alone
+        solved = {}  # id of a pulse -> its threshold
+        for col, pulse in enumerate(plan.sl_pulses + plan.isl_pulses):
+            if pulse is not None:
+                key = id(pulse)
+                if key not in solved:
+                    solved[key] = device.vth_from_pulse(arr.params, pulse)
+                row[col], gates[col] = solved[key], pulse.amplitude
+        # a cell's worst |gate - source| is the larger of its higher gate minus
+        # the source and the source minus its lower gate: rounding is
+        # monotone, so that is its FeFETs' larger |gate - source|, bit for bit
+        sl, isl = np.array(gates).reshape(2, -1)
+        bias = np.array(plan.source_bias)[:, None]                       # (R, 1)
+        magnitudes = np.maximum(np.maximum(sl, isl) - bias, bias - np.minimum(sl, isl))
+        magnitudes[target] = np.nan
+        report = DisturbReport(target_row=target, magnitudes=magnitudes)
+        if not report.ok:
+            raise DisturbViolationError(
+                f"unselected gate-source magnitude {report.max_unselected:.3g} V "
+                f"exceeds {DISTURB_LIMIT} V; write rejected", report=report)
+        reports.append(report)
+    vth = arr.vth.copy()
+    vth[target] = row
+    _check_thresholds(vth[target], arr.rows, arr.cols, arr.params)
+    return FecamArray._holding(vth, arr.ml_params, arr.cfg, arr.params), reports
 
 
 def write_row(arr: FecamArray, plan: WritePlan):
@@ -608,23 +674,8 @@ def write_row(arr: FecamArray, plan: WritePlan):
     cells; rejects the write when any unselected device would see more than
     half the maximum write voltage between gate and source.
     """
-    check_int(plan.target_row, "target row", 0, arr.rows - 1, OutOfRangeError)
-    if len(plan.sl_pulses) != arr.cols:
-        raise DimensionMismatchError(
-            f"{len(plan.sl_pulses)} pulse columns vs {arr.cols} array columns")
-    if len(plan.source_bias) != arr.rows:
-        raise DimensionMismatchError(
-            f"{len(plan.source_bias)} bias rows vs {arr.rows} array rows")
-    vth = arr.vth.copy()
-    for col, pulse in enumerate(plan.sl_pulses + plan.isl_pulses):
-        if pulse is not None:
-            vth[plan.target_row, col] = device.vth_from_pulse(arr.params, pulse)
-    report = _disturb_report(plan)
-    if not report.ok:
-        raise DisturbViolationError(
-            f"unselected gate-source magnitude {report.max_unselected:.3g} V "
-            f"exceeds {DISTURB_LIMIT} V; write rejected", report=report)
-    return FecamArray.from_vth(vth, arr.ml_params, arr.cfg, arr.params), report
+    written, (report,) = _write(arr, [plan])
+    return written, report
 
 
 def inhibition_plans(arr: FecamArray, target_row: int, cells) -> list:
@@ -634,40 +685,35 @@ def inhibition_plans(arr: FecamArray, target_row: int, cells) -> list:
     inhibition bias); phase two programs the devices that need a threshold
     below the erased level (positive pulses, positive inhibition bias), so
     each phase keeps every unselected device at or below half the write
-    voltage.
+    voltage.  Each distinct target threshold is solved once, and its FeFETs
+    share the one pulse.
     """
     cells = tuple(cells)
     if len(cells) != arr.cols:
         raise DimensionMismatchError(
             f"{len(cells)} cells vs {arr.cols} array columns")
+    target_row = check_int(target_row, "target row", 0, arr.rows - 1, OutOfRangeError)
     params = arr.params
-    erase = WritePulse(params.v_erase)
-    erase_plan = WritePlan(
-        target_row=target_row,
-        sl_pulses=(erase,) * arr.cols,
-        isl_pulses=(erase,) * arr.cols,
-        source_bias=tuple(0.0 if r == target_row else -DISTURB_LIMIT
-                          for r in range(arr.rows)))
 
-    def program_pulse(state):
-        if abs(state.vth - params.vth_high) <= device.VTH_SOLVE_TOLERANCE:
-            return None  # stays erased
-        return device.pulse_for_vth(params, state.vth)
+    def bias(inhibit):
+        rows = np.full(arr.rows, inhibit)
+        rows[target_row] = 0.0
+        return rows
 
-    program_plan = WritePlan(
-        target_row=target_row,
-        sl_pulses=tuple(program_pulse(c.upper_fet) for c in cells),
-        isl_pulses=tuple(program_pulse(c.lower_fet) for c in cells),
-        source_bias=tuple(0.0 if r == target_row else DISTURB_LIMIT
-                          for r in range(arr.rows)))
-    return [erase_plan, program_plan]
+    erase = (WritePulse(params.v_erase),) * arr.cols
+    targets = [c.upper_fet.vth for c in cells] + [c.lower_fet.vth for c in cells]
+    pulses = {}  # target threshold -> its program pulse, None where it stays erased
+    for vth in targets:
+        if vth not in pulses:
+            pulses[vth] = (None if abs(vth - params.vth_high) <= device.VTH_SOLVE_TOLERANCE
+                           else device.pulse_for_vth(params, vth))
+    program = [pulses[vth] for vth in targets]
+    return [WritePlan(target_row, erase, erase, bias(-DISTURB_LIMIT)),
+            WritePlan(target_row, program[:arr.cols], program[arr.cols:], bias(DISTURB_LIMIT))]
 
 
 def write_cells(arr: FecamArray, target_row: int, cells):
     """Erase-then-program a full row of target cells; returns the new array
-    and the disturb reports of both phases."""
-    reports = []
-    for plan in inhibition_plans(arr, target_row, cells):
-        arr, report = write_row(arr, plan)
-        reports.append(report)
-    return arr, reports
+    and the disturb reports of both phases.  Both phases write one row,
+    and the new array is built once, from it."""
+    return _write(arr, inhibition_plans(arr, target_row, cells))

@@ -117,8 +117,11 @@ def state_for_vth(params: DeviceParams, vth: float) -> FeFetState:
 
 
 def vth_from_pulse(params: DeviceParams, pulse: WritePulse) -> float:
-    """Threshold voltage after the pulse; monotone nonincreasing in amplitude."""
-    return params.vth_high - polarization_after_pulse(params, pulse) * params.vth_span
+    """Threshold voltage after the pulse; monotone nonincreasing in amplitude.
+    Clamped to [vth_low, vth_high], where full switching can round an ulp
+    below vth_low."""
+    vth = params.vth_high - polarization_after_pulse(params, pulse) * params.vth_span
+    return min(max(vth, params.vth_low), params.vth_high)
 
 
 def pulse_for_vth(params: DeviceParams, target_vth: float) -> WritePulse:

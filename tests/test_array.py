@@ -15,11 +15,13 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    level_center, match_window, measure_bounds, ml_capacitance,
                    program_analog, program_digital, program_level_window, search, sense,
                    single_mismatch_sense_time, write_cells, write_row)
-from fecam import device
+from fecam import FecamCell, FecamError, FeFetState, device, pulse_for_vth
+from fecam import array as fecam_array
 from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, EXP_LIMIT, GEMM_GROUP, MAX_CELLS,
                          TABLE_ENTRIES, _ml_voltage, _pair_tables, _row_terms,
                          _summed_currents, _threshold_factors)
 from fecam.device import saturated_current, vth_from_pulse
+from fecam.errors import check_int
 
 
 @pytest.fixture(scope="module")
@@ -609,6 +611,197 @@ class TestWrite:
         assert np.array_equal(new_arr.vth, want)
 
 
+def reference_plans(arr, target_row, cells):
+    """The erase and program plans as the per-column loop built them: one
+    pulse solve per FeFET, biases row by row."""
+    cells, params = tuple(cells), arr.params
+    if len(cells) != arr.cols:
+        raise DimensionMismatchError(f"{len(cells)} cells vs {arr.cols} array columns")
+    erase = WritePulse(params.v_erase)
+
+    def bias(inhibit):
+        return tuple(0.0 if r == target_row else inhibit for r in range(arr.rows))
+
+    erase_plan = WritePlan(target_row, (erase,) * arr.cols, (erase,) * arr.cols,
+                           bias(-DISTURB_LIMIT))
+
+    def program_pulse(state):
+        if abs(state.vth - params.vth_high) <= device.VTH_SOLVE_TOLERANCE:
+            return None
+        return device.pulse_for_vth(params, state.vth)
+
+    return [erase_plan, WritePlan(target_row, tuple(program_pulse(c.upper_fet) for c in cells),
+                                  tuple(program_pulse(c.lower_fet) for c in cells),
+                                  bias(DISTURB_LIMIT))]
+
+
+def reference_write_row(arr, plan):
+    """One phase as the per-column loop applied it: a threshold solve per
+    FeFET, then a checked array of every row."""
+    check_int(plan.target_row, "target row", 0, arr.rows - 1, OutOfRangeError)
+    if len(plan.sl_pulses) != arr.cols:
+        raise DimensionMismatchError(
+            f"{len(plan.sl_pulses)} pulse columns vs {arr.cols} array columns")
+    if len(plan.source_bias) != arr.rows:
+        raise DimensionMismatchError(
+            f"{len(plan.source_bias)} bias rows vs {arr.rows} array rows")
+    vth = arr.vth.copy()
+    for col, pulse in enumerate(plan.sl_pulses + plan.isl_pulses):
+        if pulse is not None:
+            vth[plan.target_row, col] = vth_from_pulse(arr.params, pulse)
+    gates = np.array([[0.0 if p is None else p.amplitude for p in pulses]
+                      for pulses in (plan.sl_pulses, plan.isl_pulses)])
+    magnitudes = np.abs(gates[:, None, :] - np.array(plan.source_bias)[:, None]).max(axis=0)
+    magnitudes[plan.target_row] = np.nan
+    worst = np.nanmax(magnitudes) if not np.isnan(magnitudes).all() else 0.0
+    if worst > DISTURB_LIMIT + 1e-12:
+        raise DisturbViolationError(f"unselected gate-source magnitude {worst:.3g} V "
+                                    f"exceeds {DISTURB_LIMIT} V; write rejected")
+    return FecamArray.from_vth(vth, arr.ml_params, arr.cfg, arr.params), magnitudes
+
+
+def reference_write_cells(arr, target_row, cells):
+    reports = []
+    for plan in reference_plans(arr, target_row, cells):
+        arr, magnitudes = reference_write_row(arr, plan)
+        reports.append((plan.target_row, magnitudes.tobytes()))
+    return arr.vth.tobytes(), reports
+
+
+def outcome(call, *args):
+    """What a write gives, bit for bit: the new thresholds and each report's
+    row and magnitudes, or the type and message of its error."""
+    try:
+        return call(*args)
+    except FecamError as exc:
+        return type(exc), str(exc)
+
+
+def new_write_cells(arr, target_row, cells):
+    arr, reports = write_cells(arr, target_row, cells)
+    return arr.vth.tobytes(), [(r.target_row, r.magnitudes.tobytes()) for r in reports]
+
+
+def planned_write_cells(arr, target_row, cells):
+    reports = []
+    for plan in inhibition_plans(arr, target_row, cells):
+        arr, report = write_row(arr, plan)
+        reports.append((report.target_row, report.magnitudes.tobytes()))
+    return arr.vth.tobytes(), reports
+
+
+def new_write_row(arr, plan):
+    arr, report = write_row(arr, plan)
+    return arr.vth.tobytes(), report.magnitudes.tobytes()
+
+
+def old_write_row(arr, plan):
+    arr, magnitudes = reference_write_row(arr, plan)
+    return arr.vth.tobytes(), magnitudes.tobytes()
+
+
+@st.composite
+def write_cases(draw):
+    """An array of up to 8x8 cells of any in-range thresholds, a row of level,
+    digital and analog cells (analog thresholds anywhere in the device range,
+    the fringes no pulse reaches included), and a row, mostly in range."""
+    cfg, params = CellConfig(), DeviceParams()
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    held = st.floats(params.vth_low, params.vth_high)
+    vth = draw(st.lists(held, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    arr = FecamArray.from_vth(np.reshape(vth, (rows, 2 * cols)), MatchLineParams(), cfg, params)
+    levels = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(
+        lambda k: program_level_window(min(k), max(k), cfg, params))
+    digital = st.sampled_from(list(TernaryBit)).map(lambda b: program_digital(b, cfg, params))
+    reachable = st.floats(params.vth_low + 0.01, params.vth_high - 0.01)
+    analog = st.tuples(st.one_of(reachable, held), st.one_of(reachable, held)).map(
+        lambda v: FecamCell(FeFetState(v[0]), FeFetState(v[1])))
+    n_cells = draw(st.sampled_from([cols] * 18 + [cols - 1, cols + 1]))
+    cells = draw(st.lists(st.one_of(levels, digital, analog), min_size=n_cells,
+                          max_size=n_cells))
+    bad_row = st.sampled_from([-1, rows, 1.5, None, np.int64(rows - 1)])
+    row = draw(bad_row if draw(st.integers(0, 9)) == 0 else st.integers(0, rows - 1))
+    return arr, row, cells
+
+
+class TestWriteAgainstTheTwoPhaseLoop:
+    """Writes solve each distinct threshold and pulse once and check only the
+    row they replace; they must give what the per-column loop gave, bit for
+    bit, errors and their order included."""
+
+    @settings(max_examples=300)
+    @given(case=write_cases())
+    def test_write_cells_equals_the_loop(self, case):
+        arr, row, cells = case
+        want = outcome(reference_write_cells, arr, row, cells)
+        event(want[0].__name__ if isinstance(want[0], type) else "written")
+        assert outcome(new_write_cells, arr, row, cells) == want
+        assert outcome(planned_write_cells, arr, row, cells) == want
+        if not isinstance(want[0], type):  # the same plans, None on erased FeFETs
+            assert inhibition_plans(arr, row, cells) == reference_plans(arr, row, cells)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_write_row_equals_the_loop(self, data):
+        # any plan: shared and separate pulse objects, bad pulses, biases that
+        # violate the disturb limit, and counts that miss the array
+        params = DeviceParams()
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        arr = filled(rows, cols, program_digital(TernaryBit.DONT_CARE, CellConfig(), params),
+                     MatchLineParams(), CellConfig(), params)
+        shared = [WritePulse(a) for a in (params.v_erase, 2.5, 4.0)]
+        amplitudes = [params.v_erase, 2.0, 3.3, 4.0] + data.draw(
+            st.sampled_from([[], [4.5, -3.0]]))
+        pulse = st.one_of(st.none(), st.sampled_from(shared),
+                          st.sampled_from(amplitudes).map(WritePulse))
+        n_cols = data.draw(st.sampled_from([cols] * 8 + [cols + 1]))
+        n_rows = data.draw(st.sampled_from([rows] * 8 + [rows + 1]))
+        target = data.draw(st.integers(0, n_rows - 1))
+        bias = data.draw(st.lists(st.sampled_from([DISTURB_LIMIT, -DISTURB_LIMIT, 0.0]),
+                                  min_size=n_rows, max_size=n_rows))
+        bias[target] = 0.0
+        pulses = data.draw(st.lists(pulse, min_size=2 * n_cols, max_size=2 * n_cols))
+        plan = WritePlan(target, pulses[:n_cols], pulses[n_cols:], bias)
+        want = outcome(old_write_row, arr, plan)
+        event(want[0].__name__ if isinstance(want[0], type) else "written")
+        assert outcome(new_write_row, arr, plan) == want
+
+    def test_full_switching_writes_at_vth_low(self, mlp, cfg):
+        # vth_from_pulse rounded an ulp below vth_low for these parameters, so
+        # both writes were refused as out of range
+        params = DeviceParams(vth_low=-0.009, vth_high=0.895, coercive_sigma=0.05)
+        arr = FecamArray.from_vth([[params.vth_high] * 2] * 2, mlp, cfg, params)
+        cell = FecamArray.from_vth([[params.vth_low, params.vth_high]], mlp, cfg,
+                                   params).cells[0][0]
+        written, _ = write_cells(arr, 1, [cell])
+        assert written.vth.tolist() == [[0.895, 0.895], [-0.009, 0.895]]
+        plan = WritePlan(1, (pulse_for_vth(params, params.vth_low),), (None,), (DISTURB_LIMIT, 0.0))
+        assert write_row(arr, plan)[0].vth.tolist() == written.vth.tolist()
+
+    def test_a_write_costs_per_row(self, monkeypatch, mlp, cfg, params):
+        """Counted, not timed: writing an analog entry's cells into a 64x8
+        bank solves each distinct programmed threshold once and range-checks
+        only the written row's 2C thresholds."""
+        entry = compile_table([RangeRule(0x123456, 0x9ABCDE, 24, "a")],
+                              TableMode.ANALOG3B).entries[0].entry
+        cells = [program_analog(*window, cfg, params) for window in entry_to_cells(entry, cfg)]
+        blank = program_digital(TernaryBit.DONT_CARE, cfg, params)
+        bank = filled(64, len(cells), blank, mlp, cfg, params)
+        solved, checked = [], []
+        solve, check = device.pulse_for_vth, fecam_array._check_thresholds
+        monkeypatch.setattr(device, "pulse_for_vth",
+                            lambda p, v: solved.append(v) or solve(p, v))
+        monkeypatch.setattr(fecam_array, "_check_thresholds",
+                            lambda vth, *rest: checked.append(vth.shape) or check(vth, *rest))
+        written, _ = write_cells(bank, 5, cells)
+        targets = [v for c in cells for v in (c.upper_fet.vth, c.lower_fet.vth)
+                   if abs(v - params.vth_high) > device.VTH_SOLVE_TOLERANCE]
+        assert 1 < len(set(targets)) < len(targets)  # some thresholds repeat
+        assert sorted(solved) == sorted(set(targets))
+        assert checked == [(2 * len(cells),)]
+        assert written.vth.flags.c_contiguous and not written.vth.flags.writeable
+
+
 class TestSuperposition:
     def test_matching_cell_adds_only_floor(self, mlp, cfg, params):
         wild = program_digital(TernaryBit.DONT_CARE, cfg, params)
@@ -674,6 +867,8 @@ class TestConstruction:
         with pytest.warns(RuntimeWarning, match="65 rows"):
             written, _ = write_cells(arr, 64, [demo_cell])
         assert written.vth == pytest.approx(arr.vth, abs=1e-3)
+        with pytest.warns(RuntimeWarning, match="65 rows"):
+            write_row(arr, inhibition_plans(arr, 64, [demo_cell])[0])
 
     def test_empty_grid_rejected(self, mlp, cfg, params):
         with pytest.raises(InvalidParameterError, match=r"must be an integer in \[1, "):

@@ -108,6 +108,19 @@ class TestVthFromPulse:
         vths = [vth_from_pulse(params, WritePulse(a)) for a in amplitude_grid()]
         assert all(b <= a for a, b in zip(vths, vths[1:]))
 
+    def test_full_switching_stays_in_range(self, params):
+        # vth_high - 1.0 * span rounded an ulp below vth_low here, so a write
+        # of a cell at vth_low was refused as out of range
+        edge = DeviceParams(vth_low=-0.009, vth_high=0.895, coercive_sigma=0.05)
+        assert vth_from_pulse(edge, WritePulse(4.0)) == edge.vth_low
+        # the clamp leaves every in-range threshold as the law gives it
+        for p in (params, edge):
+            for amplitude in amplitude_grid():
+                pulse = WritePulse(amplitude)
+                law = p.vth_high - polarization_after_pulse(p, pulse) * p.vth_span
+                if p.vth_low <= law <= p.vth_high:
+                    assert vth_from_pulse(p, pulse) == law
+
 
 class TestPulseForVth:
     def test_vth_high_maps_to_erase(self, params):

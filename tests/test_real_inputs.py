@@ -320,17 +320,23 @@ class TestFormerHoles:
         lambda: search(arr(), ["a"]),
         lambda: batch_search(arr(), [[0.5], [0.5, 0.5]]),
         lambda: batch_search(arr(), [[1 + 2j]]),
+        lambda: batch_search(arr(), np.array([[0.5 + 2j], [0.5]])),
+        lambda: search(arr(), np.array([0.5 + 0j])),
+        lambda: FecamArray.from_vth(np.array([[0.5 + 1j, 0.6]]), cfg().matchline, cfg().cell,
+                                    cfg().device),
         lambda: program_digital("1", cfg().cell, cfg().device),
         lambda: digital_query_voltage("1", cfg().cell)],
         ids=["DeviceParams", "MatchLineParams", "CellConfig", "vth_from_pulse", "from_vth",
              "i_on-None", "vth_low-None", "v_prog_min-None", "coercive_mu-None",
              "search-string", "batch_search-ragged", "batch_search-complex",
+             "batch_search-complex-array", "search-complex-array", "from_vth-complex-array",
              "program_digital-string", "digital_query_voltage-string"])
     def test_non_number_is_an_invalid_parameter(self, call):
         # each used to raise a bare TypeError or ValueError; None passed the
         # finiteness check as "unset", so coercive_mu=None built a device.
         # program_digital("1") built a don't-care cell, and
-        # digital_query_voltage("1") called it "not don't-care"
+        # digital_query_voltage("1") called it "not don't-care"; numpy dropped
+        # the imaginary part of a complex array with only a ComplexWarning
         with pytest.raises(InvalidParameterError):
             call()
 
