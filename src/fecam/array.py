@@ -17,10 +17,10 @@ fall to the saturation knee followed by an exponential decay, so identical
 inputs give bit-identical results.
 
 Rows that hold the same thresholds draw the same current under any query, so
-every search, traced or not, solves each distinct row once and gives each row
-the flags and trace of its distinct row.  The distinct rows are found from
-the threshold bytes of each row on an array's first search and cached with
-the array; a write returns a new array, which finds its own.
+every search, traced or not, sums each distinct row's current once and gives
+each row the flag and trace of its distinct row.  The distinct rows are found
+from the threshold bytes of each row on an array's first search and cached
+with the array; a write returns a new array, which finds its own.
 
 A search sums the distinct rows' currents in one of two forms.  The direct
 form takes one clamped current per (query, distinct row, FeFET) and sums
@@ -32,22 +32,27 @@ R_d 2C and P (1 + R_d / BLAS_GAIN) elementwise currents, for P pairs and
 R_d distinct rows of 2C FeFETs; the first search takes the cheaper form,
 the table one only while its matrix fits TABLE_ENTRIES.  Banks of quantized
 windows or ternary bits take the table form; one distinct row, a few rows
-of many levels, or rows after `apply_variation` do not.  BLAS sums a
-product in an order set by its shape, so each product has one shape
-whatever the batch, one query in the direct form and GEMM_GROUP queries in
-the table form: a query reads the same alone as in any batch.  But the
-order also follows the number of distinct rows, and the forms add in
-different orders: a row's current can differ in the last bits with the
-number of distinct rows and with the form, and so can its flag at an exact
-sense tie.
+of many levels, or rows after `apply_variation` do not.  Each block of
+queries takes one product: a matmul with the matrix in the table form, one
+matrix-vector product over all its (query, row) pairs in the direct form.
 
-`measure_bounds` applies one voltage to every column, so it sums each
-distinct cell's current once, times the cell's count.  That sum rounds
-differently from a per-column one, so a sweep point whose line ends within a
-few ulps of the sense boundary may settle differently than in
-`batch_search`.  At an exact tie, where each boundary FeFET draws exactly
-i_threshold at the auto time, the weighted sum ends on the boundary, which
-`sense` reads as a mismatch.
+At a fixed sense time a match line ends lower the more static current its
+row draws, so a search reads each flag without solving a line: a row
+matches when its current is at most the top current, the largest float
+current whose line, solved as a traced search solves it, still reads a
+match.  The top current is bisected once per sense time over the floats'
+bit patterns and kept in a dict that a write hands to the array it returns,
+as a write changes no line, cell or device parameter.  BLAS sums a product
+in an order set by its shape, so a row's current can differ in its last
+bits with the batch, the form, the number of distinct rows, or the count
+weights of `measure_bounds`, which applies one voltage to every column and
+sums each distinct cell once.  A sum of a row's 2C FeFET terms and its floor
+rounds by less than (2C + 2) 2^-53 of itself; where a current lies within
+twice that of the top current, `math.fsum` compares its per-column terms,
+its n_fets i_off floor and the top current exactly.  So a row's flag depends
+on the row and the query alone, and a sweep point of `measure_bounds` reads
+as `batch_search` of the same voltages; only the last bits of a trace may
+differ.
 
 The static part is factored: a subthreshold term i_th 10^((v - vth)/S) is
 (i_th e^(k v)) e^(-k vth) with k = ln10/S, so each array computes the
@@ -67,6 +72,8 @@ rows, whose own thresholds would allow factors down to 6.25 mV/decade.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -88,7 +95,6 @@ MAX_CELLS = 1 << 20       # largest array built, checked before the grid exists
 MAX_SWEEP_STEPS = 1 << 20 # most steps of vdd a search-voltage sweep takes
 TABLE_ENTRIES = 1 << 18   # most entries of a cached pair-to-row matrix (2 MB)
 BLAS_GAIN = 16            # BLAS multiply-adds that cost one elementwise current
-GEMM_GROUP = 2            # queries per matrix product of the table form
 DISTURB_LIMIT = 2.0       # V, max tolerable unselected gate-source magnitude
 
 
@@ -332,11 +338,15 @@ class FecamArray:
         return None if len(first) == self.rows else (first, rows)
 
     @cached_property
+    def _distinct_vth(self) -> np.ndarray:
+        """The thresholds of the distinct rows, (distinct rows, 2 cols)."""
+        return self.vth[self._distinct_rows[0]] if self._distinct_rows else self.vth
+
+    @cached_property
     def _terms(self):
         """`_row_terms` of the distinct rows: built on the first search, once
         per array, so a write, which returns a new array, builds none."""
-        first = self._distinct_rows[0] if self._distinct_rows else slice(None)
-        return _row_terms(self.vth[first], self.params, self.cfg.vdd)
+        return _row_terms(self._distinct_vth, self.params, self.cfg.vdd)
 
     @classmethod
     def filled(cls, rows: int, cols: int, cell: FecamCell,
@@ -356,6 +366,12 @@ class FecamArray:
         room = 1e300 * min(self.params.v_dsat, 1.0) - 2 * self.cfg.vdd
         rate = 2 * self.cols * self.params.i_on / ml_capacitance(self.ml_params, self.cols)
         return room / rate if rate < 1e300 else 0.0  # 0 where the rate may overflow
+
+    @cached_property
+    def _top_currents(self) -> dict:
+        """Sense time -> `_top_current` there; shared with every array
+        written from this one, as they have the same line."""
+        return {}
 
 
 def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
@@ -410,47 +426,46 @@ def _row_terms(vth: np.ndarray, params: DeviceParams, vdd: float, counts=None):
     return held, _threshold_factors(held, params, vdd), lines, weights, n_fets
 
 
+def _fet_currents(v: np.ndarray, lines, vth: np.ndarray, factors, params: DeviceParams,
+                  out=None) -> np.ndarray:
+    """Each FeFET of vth at the search line that `lines` picks from the line
+    voltages v (S, 2C): its `device.saturated_current` less i_off, clamped at
+    i_on - i_off.  That is the product of its factor and the line's, or,
+    where factors is None, the law itself; each term depends on its line
+    voltage and threshold alone."""
+    if factors is not None:
+        k = np.log(10.0) / params.subthreshold_slope
+        out = np.multiply((params.i_threshold * np.exp(k * v))[:, lines], factors, out=out)
+    else:
+        out = np.subtract(device.saturated_current(params, v[:, lines], vth), params.i_off,
+                          out=out)
+    return np.minimum(out, params.i_on - params.i_off, out=out)
+
+
 def _summed_currents(vth: np.ndarray, factors, lines, weights: np.ndarray, n_fets,
                      cfg: CellConfig, params: DeviceParams,
                      queries: np.ndarray) -> np.ndarray:
     """Weighted sums of full-drive FeFET currents per query; shape (S, R).
 
-    Each FeFET of vth (..., F), at the search line that `lines` picks from a
-    query's 2C, draws its `device.saturated_current`: the product of its
-    factor and the line's, clamped, or, where factors is None, the law
-    itself.  The clamped terms meet the weights in a matmul, plus n_fets
-    i_off floors a row.  `_row_terms` builds the first five arguments: in
-    the direct form vth (R, 2C), lines None (all 2C, in order) and weights
-    (2C,); in the table form the pairs of `_pair_tables`.
+    The `_fet_currents` of vth (..., F) meet the weights in a matmul, plus
+    n_fets i_off floors a row.  `_row_terms` builds the first five
+    arguments: in the direct form vth (R, 2C), lines None (all 2C, in order)
+    and weights (2C,); in the table form the pairs of `_pair_tables`.
     The queries go through in blocks of about BLOCK_CELLS FeFET currents,
-    at least one query each; the matmul takes one query at a time in the
-    direct form and GEMM_GROUP in the table form, the last group padded.
+    at least one query each, one product per block.
     """
-    k = np.log(10.0) / params.subthreshold_slope
-    cap = params.i_on - params.i_off
-    group = 1 if weights.ndim == 1 else GEMM_GROUP
-    block = group * max(1, BLOCK_CELLS // (group * vth.size))
-    padded = -(-len(queries) // group) * group
-    # the padding rows of a last group must hold finite currents
-    buf = (np.empty if group == 1 else np.zeros)((min(block, padded),) + vth.shape)
-    out = np.empty((padded,) + vth.shape[:-1] + weights.shape[1:])
-    buf_groups = buf.reshape((-1, group) + vth.shape)
-    out_groups = out.reshape((-1, group) + out.shape[1:])
+    block = max(1, BLOCK_CELLS // vth.size)
+    buf = np.empty((min(block, len(queries)),) + vth.shape)
+    out = np.empty((len(queries),) + vth.shape[:-1] + weights.shape[1:])
     # no row draws more than n_fets i_on; past the float range it draws inf
     with np.errstate(over="ignore") if params.i_on >= 1e300 / n_fets else nullcontext():
         for start in range(0, len(queries), block):
             q = queries[start:start + block]
             v = np.concatenate((q, inverter(q, cfg)), axis=1)
-            cells = buf[:len(q)]
-            if factors is not None:
-                np.multiply((params.i_threshold * np.exp(k * v))[:, lines], factors, out=cells)
-            else:
-                np.subtract(device.saturated_current(params, v[:, lines], vth), params.i_off,
-                            out=cells)
-            np.minimum(cells, cap, out=cells)
-            first, n = start // group, -(-len(q) // group)
-            np.matmul(buf_groups[:n], weights, out=out_groups[first:first + n])
-        out = out[:len(queries)]
+            cells = _fet_currents(v, lines, vth, factors, params, out=buf[:len(q)])
+            # in the direct form, one (queries x rows, 2C) matrix-vector product
+            np.matmul(cells.reshape(-1, cells.shape[-1]), weights,
+                      out=out[start:start + len(q)].reshape((-1,) + weights.shape[1:]))
         out += n_fets * params.i_off
     return out
 
@@ -503,32 +518,95 @@ def _sense_time(arr: FecamArray, t_sense) -> float:
     return float(check_real(t_sense, "t_sense", 0, open=True))
 
 
-def _solve_and_sense(arr: FecamArray, static: np.ndarray, t: float, trace=False):
+def _solve(arr: FecamArray, static: np.ndarray, t: float, trace=False):
     """Solve up to t the match lines, each of a full row of `arr`, that draw
-    the static currents (S, R), and sense them there.  Returns the flags
-    (S, R), the times and V_ML (T, S, R); the times are TRACE_POINTS samples
-    from 0 when trace is set, else t alone."""
+    the static currents (S, R).  Returns the times, TRACE_POINTS samples from
+    0 when trace is set, else t alone, and V_ML (T, S, R) at them."""
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
-    vdd = arr.cfg.vdd
-    solve = (arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static, times)
+    solve = (arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols, static, times)
     if t < arr._quiet_time:
-        v = _ml_voltage(*solve)
-    else:  # the line discharges fully, and rightly, but numpy warns of the overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = _ml_voltage(*solve, quiet=False)
-    return sense(v[-1], arr.ml_params, vdd), times, v
+        return times, _ml_voltage(*solve)
+    # the line discharges fully, and rightly, but numpy warns of the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        return times, _ml_voltage(*solve, quiet=False)
+
+
+def _top_current(arr: FecamArray, t: float) -> float:
+    """The largest float current whose line, as `_solve` solves a row's up
+    to t, `sense` reads as a match; cached in `arr._top_currents`.
+
+    The line ends lower the more current its row draws, so this bisects
+    over the floats' bit patterns, which order as the nonnegative floats do,
+    between 0 A, a match, and inf, a mismatch as t > 0, solving up to 127
+    candidates per pass.  The first pass tries the 64 floats on either side
+    of the closed-form inverse of the line, the current that falls
+    delta_v_ml linearly, or to the knee and then along the decay when the
+    boundary lies below it; they hold the top current unless rounding in
+    vdd outweighs delta_v_ml.  The second tries 2^-30 of it either side."""
+    tops = arr._top_currents
+    if t in tops:
+        return tops[t]
+    p, vdd, v_dsat = arr.ml_params, arr.cfg.vdd, arr.params.v_dsat
+    boundary, knee = vdd - p.delta_v_ml, min(vdd, v_dsat)
+    drop = (p.delta_v_ml if boundary >= knee
+            else vdd - knee - v_dsat * (math.log(boundary) - math.log(knee)))
+    guess = ml_capacitance(p, arr.cols) * drop / t  # 0 or inf where it under- or overflows
+    tries = [np.array(guess).view(np.int64) + np.arange(-64, 65),
+             np.array([guess * (1 - 2**-30), guess * (1 + 2**-30)]).view(np.int64)]
+    lo, hi = 0, int(np.array(np.inf).view(np.int64))
+    while hi - lo > 1:
+        step = -(-(hi - lo) // 128)
+        bits = tries.pop(0) if tries else np.arange(lo + step, hi, step, dtype=np.int64)
+        bits = bits[(bits > lo) & (bits < hi)]
+        with np.errstate(over="ignore", invalid="ignore"):  # currents no row draws
+            matching = sense(_solve(arr, bits.view(float)[None], t)[1][-1, 0], p, vdd)
+        miss = len(bits) if matching.all() else int(np.argmin(matching))
+        lo = int(bits[miss - 1]) if miss else lo
+        hi = int(bits[miss]) if miss < len(bits) else hi
+    tops[t] = float(np.array(lo).view(float))
+    return tops[t]
+
+
+def _flags(arr: FecamArray, t: float, static: np.ndarray, queries: np.ndarray,
+           vth: np.ndarray, counts=None) -> np.ndarray:
+    """Match flags at t of the rows vth (R, F) that draw the static currents
+    (S, R) under the queries (S, F / 2), each column weighted by its count,
+    all ones by default: static <= `_top_current`.  Where a finite current
+    lies within 2 (2C + 2) 2^-53 of itself of the top current, twice what a
+    sum of the row's terms can round, `math.fsum` compares the row's
+    `_fet_currents`, each repeated by its count, its n_fets i_off floor and
+    the top current exactly, so no flag depends on how the sum was taken."""
+    top = _top_current(arr, t)
+    flags = static <= top
+    band = 2 * (2 * arr.cols + 2) * 2.0**-53
+    # an inf sum stays out of the band, as fsum of its terms may overflow
+    near = (static >= top / (1 + band)) & (static <= min(top / (1 - band), sys.float_info.max))
+    if np.count_nonzero(near):  # much faster than near.any() or a 2-D nonzero
+        s, r = np.nonzero(near)
+        v = np.concatenate((queries[s], inverter(queries[s], arr.cfg)), axis=1)
+        held = vth[r]
+        terms = _fet_currents(v, slice(None), held,
+                              _threshold_factors(held, arr.params, arr.cfg.vdd), arr.params)
+        if counts is not None:
+            terms = np.repeat(terms, np.concatenate((counts, counts)), axis=1)
+        ends = [-top, 2 * arr.cols * arr.params.i_off]
+        flags[s, r] = [math.fsum(ends + row) <= 0.0 for row in terms.tolist()]
+    return flags
 
 
 def _search_rows(arr: FecamArray, queries, t_sense, trace=False):
-    """The one search path: validate, then solve each distinct row's match
-    line up to t_sense, sense it there and give every row its distinct row's
-    answer.  Returns the flags (S, R), t_sense, the times as
-    `_solve_and_sense`, and V_ML (T, S, R) when trace is set, else None."""
+    """The one search path: validate, then read each distinct row's flag at
+    t_sense from its current, and give every row its distinct row's answer.
+    Returns the flags (S, R), t_sense, and, when trace is set, the times and
+    V_ML (T, S, R) of `_solve`, else None for both."""
     q, t = _checked(arr, queries, t_sense)
     rows = arr._distinct_rows[1] if arr._distinct_rows else slice(None)
     static = _summed_currents(*arr._terms, arr.cfg, arr.params, q)
-    flags, times, v = _solve_and_sense(arr, static, t, trace)
-    return flags[:, rows], t, times, v[..., rows] if trace else None
+    flags = _flags(arr, t, static, q, arr._distinct_vth)[:, rows]
+    if not trace:
+        return flags, t, None, None
+    times, v = _solve(arr, static, t, trace=True)
+    return flags, t, times, v[..., rows]
 
 
 def search(arr: FecamArray, query, t_sense: float | None = None) -> SearchResult:
@@ -566,23 +644,21 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None):
     Sweeps v_sl applied to every column over `sweep_grid` and returns the
     edges of the maximal contiguous matching run, or None when nothing
     matches.  Cells of the row that hold the same thresholds draw the same
-    current at every sweep point, so each distinct cell is solved once and
-    weighted by its count; the line keeps the full row's capacitance and
-    sense time.  Within a few ulps of the sense boundary, a sweep point may
-    settle differently than in `batch_search` of the same voltages (see the
+    current at every sweep point, so each distinct cell is summed once,
+    weighted by its count, and read against the full row's top current;
+    a sweep point reads as `batch_search` of the same voltages does (see the
     module docstring).
     """
     row = check_int(row, "row", 0, arr.rows - 1, OutOfRangeError)
-    vdd = arr.cfg.vdd
     t = _sense_time(arr, t_sense)
     grid = sweep_grid(arr.cfg)
     upper, lower = arr.vth[row, :arr.cols], arr.vth[row, arr.cols:]
     _, first, counts = np.unique(upper + 1j * lower, return_index=True, return_counts=True)
-    fets = np.concatenate((first, arr.cols + first))
-    terms = _row_terms(arr.vth[row, fets][None], arr.params, vdd, counts)
-    static = _summed_currents(*terms, arr.cfg, arr.params,
-                              np.broadcast_to(grid[:, None], (len(grid), len(first))))
-    matching = _solve_and_sense(arr, static, t)[0][:, 0]
+    cells = arr.vth[row, np.concatenate((first, arr.cols + first))][None]
+    queries = np.broadcast_to(grid[:, None], (len(grid), len(first)))
+    static = _summed_currents(*_row_terms(cells, arr.params, arr.cfg.vdd, counts),
+                              arr.cfg, arr.params, queries)
+    matching = _flags(arr, t, static, queries, cells, counts)[:, 0]
     if not matching.any():
         return None
     # longest contiguous run of matches
@@ -628,8 +704,9 @@ def _write(arr: FecamArray, plans) -> tuple:
     and applied to a list of its target row's 2C thresholds; each pulse
     object is solved once, however many FeFETs it drives, and pulses are
     checked before the disturb.  Then a copy of arr takes the row, and only
-    the row is checked: the other rows were checked when arr was built.
-    Returns the new array and one disturb report per plan."""
+    the row is checked: the other rows were checked when arr was built.  The
+    copy shares arr's top currents.  Returns the new array and one disturb
+    report per plan."""
     row, reports = None, []
     for plan in plans:
         target = check_int(plan.target_row, "target row", 0, arr.rows - 1, OutOfRangeError)
@@ -664,7 +741,9 @@ def _write(arr: FecamArray, plans) -> tuple:
     vth = arr.vth.copy()
     vth[target] = row
     _check_thresholds(vth[target], arr.rows, arr.cols, arr.params)
-    return FecamArray._holding(vth, arr.ml_params, arr.cfg, arr.params), reports
+    written = FecamArray._holding(vth, arr.ml_params, arr.cfg, arr.params)
+    vars(written)["_top_currents"] = arr._top_currents
+    return written, reports
 
 
 def write_row(arr: FecamArray, plan: WritePlan):

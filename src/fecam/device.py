@@ -19,6 +19,7 @@ from .errors import InvalidPulseError, OutOfRangeError, check_int, check_real
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 MAX_SEED = (1 << 128) - 1   # numpy's SeedSequence pools 128 bits of entropy
+_NORMAL = NormalDist()      # the standard normal of every pulse and level law
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def polarization_after_pulse(params: DeviceParams, pulse: WritePulse) -> float:
     if pulse.amplitude < 0:
         return 0.0
     z = (pulse.amplitude - params.coercive_mu) / params.coercive_sigma
-    return NormalDist().cdf(z)
+    return _NORMAL.cdf(z)
 
 
 def state_for_vth(params: DeviceParams, vth: float) -> FeFetState:
@@ -138,7 +139,7 @@ def pulse_for_vth(params: DeviceParams, target_vth: float) -> WritePulse:
         return WritePulse(params.v_erase)
     fraction = (params.vth_high - target_vth) / params.vth_span  # in (0, 1] here
     amplitude = (params.v_prog_max if fraction >= 1.0 else params.coercive_mu
-                 + params.coercive_sigma * NormalDist().inv_cdf(fraction))
+                 + params.coercive_sigma * _NORMAL.inv_cdf(fraction))
     pulse = WritePulse(min(max(amplitude, params.v_prog_min), params.v_prog_max))
     if abs(vth_from_pulse(params, pulse) - target_vth) > VTH_SOLVE_TOLERANCE:
         raise OutOfRangeError(
@@ -216,7 +217,7 @@ def resolvable_levels(params: DeviceParams, sigma_vth: float,
     check_real(sigma_vth, "sigma_vth", 0)
     check_real(min_accuracy, "min_accuracy", 0, 1)
     for m in range(level_count, 1, -1):
-        end = NormalDist().cdf(params.vth_span / (2 * (m - 1)) / sigma_vth) if sigma_vth else 1.0
+        end = _NORMAL.cdf(params.vth_span / (2 * (m - 1)) / sigma_vth) if sigma_vth else 1.0
         if (2 * end - 1 if m > 2 else end) >= min_accuracy:
             return m
     return 1

@@ -1,6 +1,8 @@
 import itertools
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
                    single_mismatch_sense_time, write_cells, write_row)
 from fecam import FecamCell, FecamError, FeFetState, device, pulse_for_vth
 from fecam import array as fecam_array
-from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, EXP_LIMIT, GEMM_GROUP, MAX_CELLS,
-                         TABLE_ENTRIES, _ml_voltage, _pair_tables, _row_terms,
-                         _summed_currents, _threshold_factors)
+from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, EXP_LIMIT, MAX_CELLS,
+                         TABLE_ENTRIES, _fet_currents, _pair_tables, _row_terms, _solve,
+                         _summed_currents, _threshold_factors, _top_current)
 from fecam.device import saturated_current, vth_from_pulse
 from fecam.errors import check_int
 
@@ -210,13 +212,13 @@ class TestMeasureBounds:
     def test_bounds_build_no_search_state(self, mlp, cfg, params):
         """measure_bounds sums its row's distinct cells itself: an array
         that was never searched holds no distinct-row index or terms after
-        it, and its first search builds them."""
+        it, only its line's top currents, and its first search builds them."""
         arr = FecamArray(cells=[[program_level_window(k, k, cfg, params)] * 8
                                 for k in (0, 3, 3, 5)],
                          ml_params=mlp, cfg=cfg, params=params)
         held = set(vars(arr))
         assert measure_bounds(arr, 1) is not None
-        assert set(vars(arr)) - held <= {"_quiet_time"}
+        assert set(vars(arr)) - held <= {"_quiet_time", "_top_currents"}
         batch_search(arr, [[0.5] * 8])
         assert {"_distinct_rows", "_terms"} <= set(vars(arr))
 
@@ -312,46 +314,25 @@ class TestBoundsAreTheSweep:
     @settings(max_examples=120)
     @given(arr=bounds_arrays(), data=st.data())
     def test_bounds_equal_the_per_column_sweep(self, arr, data):
-        """measure_bounds, which solves each distinct cell once, reads the
-        longest run of batch_search over the same common voltages, except
-        that a sweep point whose per-column line lies within rounding of the
-        sense boundary may settle either way."""
+        """measure_bounds, which sums each distinct cell once, weighted by its
+        count, reads the longest run of batch_search over the same common
+        voltages, also where a line ends on the sense boundary."""
         t_sense = data.draw(st.none() | st.floats(-12.0, -3.0).map(lambda x: 10.0 ** x)
                             | st.sampled_from([0.5, 10.0]).map(lambda f: f * arr._quiet_time),
                             label="t_sense")
         vdd = arr.cfg.vdd
         grid = np.minimum(np.arange(0.0, vdd + 5e-4, 1e-3), vdd)
-        queries = np.repeat(grid[:, None], arr.cols, axis=1)
-        flags = batch_search(arr, queries, t_sense)
-        t = arr.auto_sense_time() if t_sense is None else t_sense
-        boundary = vdd - arr.ml_params.delta_v_ml
+        flags = batch_search(arr, np.repeat(grid[:, None], arr.cols, axis=1), t_sense)
         for row in range(arr.rows):
-            got = measure_bounds(arr, row, t_sense)
-            if got == longest_run(grid, flags[:, row]):
-                continue
-            static = _summed_currents(*_row_terms(arr.vth[[row]], arr.params, vdd),
-                                      arr.cfg, arr.params, queries)
-            with np.errstate(over="ignore"):
-                v = _ml_voltage(arr.ml_params, vdd, arr.params.v_dsat, arr.cols,
-                                static[:, 0], np.array([t]))[-1]
-            # each sum rounds at most 2 cols times, and near the boundary a
-            # relative error e in the current moves the line by about e Δ
-            ties = np.flatnonzero(np.abs(v - boundary) <= 4 * arr.cols * np.spacing(boundary))
-            assert 0 < len(ties) <= 12, (row, got, ties)
-            settled = set()
-            for choice in itertools.product([False, True], repeat=len(ties)):
-                sweep = flags[:, row].copy()
-                sweep[ties] = choice
-                settled.add(longest_run(grid, sweep))
-            assert got in settled, (row, got, ties)
+            assert measure_bounds(arr, row, t_sense) == longest_run(grid, flags[:, row]), row
 
     def test_ties_settle_as_mismatches(self, mlp, cfg):
         """At 10 uV/decade without leakage, a sweep point on a window edge
         has each boundary FeFET draw exactly i_threshold, so a row of n
         columns draws the auto time's design current n i_threshold and its
-        line ends on the sense boundary: a mismatch, at every column count.
-        (Summed per column, the same row lands an ulp above the boundary at
-        some counts, so batch_search may read that edge as a match.)"""
+        line ends on the sense boundary: a mismatch, at every column count,
+        through measure_bounds and through batch_search, which sums the same
+        row per column."""
         params = DeviceParams(subthreshold_slope=1e-5, i_off=0.0)
         grid = np.minimum(np.arange(0.0, cfg.vdd + 5e-4, 1e-3), cfg.vdd)
         for level in range(5):  # window edges 0.1 to 0.6 V, each a grid point
@@ -361,6 +342,8 @@ class TestBoundsAreTheSweep:
             for cols in range(1, 65):
                 arr = filled(1, cols, cell, mlp, cfg, params)
                 assert measure_bounds(arr, 0) == (grid[edges[0] + 1], grid[edges[1] - 1])
+                assert not batch_search(arr, np.repeat(grid[list(edges)], cols)
+                                        .reshape(2, cols)).any()
 
 
 @st.composite
@@ -395,15 +378,30 @@ def tiled_arrays(draw):
     return arr
 
 
+def exact_flags(arr, queries, t):
+    """Flags (queries, rows) read from the exact sum, in rationals, of each
+    row's `_fet_currents` and its 2 cols i_off floor: at most the top
+    current at t is a match."""
+    top = Fraction(_top_current(arr, t))
+    floor = Fraction(2 * arr.cols * arr.params.i_off)
+    v = np.concatenate((queries, inverter(queries, arr.cfg)), axis=1)
+    flags = np.empty((len(queries), arr.rows), bool)
+    for r, row in enumerate(arr.vth[:, None]):
+        terms = _fet_currents(v, slice(None), row,
+                              _threshold_factors(row, arr.params, arr.cfg.vdd), arr.params)
+        flags[:, r] = [sum(map(Fraction, fets), floor) <= top for fets in terms.tolist()]
+    return flags
+
+
 class TestDistinctRows:
     @settings(max_examples=150)
     @given(arr=tiled_arrays(), data=st.data())
     def test_every_row_reads_its_own_solve(self, arr, data):
-        """A search solves each distinct row once, in the direct or the table
-        form; each row must still read the solve of its own current summed
-        directly in the full array, but for a line that ends within rounding
-        of the sense boundary, since the kernel's row sums round by the form
-        and the shape of the block they are taken in."""
+        """A search sums each distinct row once, in the direct or the table
+        form, in an order set by the block's shape; each row must still read
+        the exact sum of its own FeFET terms against the top current, and the
+        solve of its own current, summed alone, must read as that current
+        against the top current."""
         t_sense = data.draw(st.none() | st.floats(-12.0, -3.0).map(lambda x: 10.0 ** x)
                             | st.sampled_from([0.5, 10.0]).map(lambda f: f * arr._quiet_time),
                             label="t_sense")
@@ -420,16 +418,11 @@ class TestDistinctRows:
 
         flags = batch_search(arr, queries, t_sense)
         t = arr.auto_sense_time() if t_sense is None else t_sense
-        vdd, boundary = arr.cfg.vdd, arr.cfg.vdd - arr.ml_params.delta_v_ml
-        static = np.hstack([_summed_currents(*_row_terms(row[None], arr.params, vdd),
+        assert (flags == exact_flags(arr, queries, t)).all()
+        static = np.hstack([_summed_currents(*_row_terms(row[None], arr.params, arr.cfg.vdd),
                                              arr.cfg, arr.params, queries) for row in arr.vth])
-        with np.errstate(over="ignore"):
-            v = _ml_voltage(arr.ml_params, vdd, arr.params.v_dsat, arr.cols, static,
-                            np.array([t]))[-1]
-        differ = flags != sense(v, arr.ml_params, vdd)
-        # as in test_bounds_equal_the_per_column_sweep
-        ties = np.abs(v - boundary) <= 4 * arr.cols * np.spacing(boundary)
-        assert not (differ & ~ties).any(), np.argwhere(differ & ~ties)
+        solved = sense(_solve(arr, static, t)[1][-1], arr.ml_params, arr.cfg.vdd)
+        assert (solved == (static <= _top_current(arr, t))).all()
 
         for i in rng.choice(len(queries), 3, replace=False):
             result = search(arr, queries[i], t_sense)
@@ -482,6 +475,86 @@ class TestDistinctRows:
         for old, (flags, matches) in seen:
             again = answers(old)
             assert (again[0] == flags).all() and again[1] == matches
+
+
+@st.composite
+def edge_arrays(draw):
+    """Arrays of 2 to 40 rows of 1 to 63 windows over the lowest 1 to 4
+    levels, which take the table form or the direct one, with queries on
+    the window edges of drawn rows: at 10 uV/decade without leakage each
+    edge has one FeFET of its cell draw exactly i_threshold, so lines end on
+    the sense boundary at the auto time."""
+    rows = draw(st.integers(2, 40), label="rows")
+    cols = draw(st.integers(1, 63), label="cols")
+    slope = draw(st.just(1e-5) | st.floats(-5.0, -1.0).map(lambda x: 10.0 ** x), label="slope")
+    params = DeviceParams(subthreshold_slope=slope,
+                          i_off=draw(st.sampled_from([0.0, 1e-12]), label="i_off"))
+    cfg = CellConfig()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    windows = np.sort(rng.integers(0, draw(st.integers(1, 4), label="levels"),
+                                   (rows, cols, 2)), axis=2)
+    cells = {(lo, hi): program_level_window(lo, hi, cfg, params)
+             for lo, hi in set(map(tuple, windows.reshape(-1, 2).tolist()))}
+    arr = FecamArray(cells=[[cells[tuple(w)] for w in row] for row in windows.tolist()],
+                     ml_params=MatchLineParams(), cfg=cfg, params=params)
+    edges = np.array(cfg.level_bounds)
+    held = windows[rng.integers(0, rows, 8)]
+    queries = np.where(rng.integers(0, 2, (8, cols)), edges[held[..., 0]],
+                       edges[held[..., 1] + 1])
+    return arr, queries
+
+
+class TestCurrentRule:
+    @settings(max_examples=60)
+    @given(case=edge_arrays(), data=st.data())
+    def test_a_row_reads_as_a_one_row_array(self, case, data):
+        """In either form, each row of an array reads, through batch_search
+        and search, the flags it reads alone as a one-row array, also where
+        its line ends on the sense boundary."""
+        arr, queries = case
+        t_sense = data.draw(st.none() | st.floats(-10.0, -6.0).map(lambda x: 10.0 ** x),
+                            label="t_sense")
+        flags = batch_search(arr, queries, t_sense)
+        with mock.patch.object(fecam_array, "TABLE_ENTRIES", 0):  # no matrix fits
+            direct = FecamArray.from_vth(arr.vth, arr.ml_params, arr.cfg, arr.params)
+            assert (batch_search(direct, queries, t_sense) == flags).all()
+        assert direct._terms[2] is None
+        event("table form" if arr._terms[2] is not None else "direct form")
+        for r, row in enumerate(arr.vth):
+            alone = FecamArray.from_vth(row[None], arr.ml_params, arr.cfg, arr.params)
+            assert (batch_search(alone, queries, t_sense)[:, 0] == flags[:, r]).all(), r
+        for i in (0, 5):
+            assert search(arr, queries[i], t_sense).matches == tuple(flags[i].tolist())
+
+    def test_a_tied_row_reads_a_mismatch_in_every_shape(self, mlp, cfg):
+        """At 10 uV/decade without leakage, a 62-column row of level 3 queried
+        at 0.5 V, its upper edge, ends on the sense boundary.  It read a
+        mismatch alone and a match as row 0 of 2, 3, 8, 16 or 64 rows, as its
+        sum rounded by the product's shape; now it reads a mismatch in each."""
+        params = DeviceParams(subthreshold_slope=1e-5, i_off=0.0)
+        level = [program_level_window(k, k, cfg, params) for k in range(8)]
+        rng = np.random.default_rng(0)
+        query = [0.5] * 62
+        read = []
+        for rows in (1, 2, 3, 8, 16, 64):
+            others = [[level[k] for k in rng.integers(0, 8, 62)] for _ in range(rows - 1)]
+            arr = FecamArray(cells=[[level[3]] * 62] + others, ml_params=mlp, cfg=cfg,
+                             params=params)
+            read.append((bool(batch_search(arr, [query])[0, 0]), search(arr, query).matches[0]))
+        assert read == [(False, False)] * 6
+
+    def test_writes_share_the_top_currents(self, demo_cell, mlp, cfg, params):
+        """A write changes no line parameter, so the written array reads the
+        top currents its source found, and finds none again."""
+        arr = filled(4, 4, demo_cell, mlp, cfg, params)
+        batch_search(arr, [[0.5] * 4])
+        tops = arr._top_currents
+        assert list(tops) == [arr.auto_sense_time()]
+        written, _ = write_cells(arr, 1, [program_level_window(2, 2, cfg, params)] * 4)
+        assert written._top_currents is tops
+        with mock.patch.object(fecam_array, "_solve", side_effect=AssertionError):
+            query = [[level_center(2, cfg)] * 4]
+            assert batch_search(written, query).tolist() == [[False, True, False, False]]
 
 
 class TestWrite:
@@ -1098,8 +1171,7 @@ class TestCurrentKernel:
             assert_factors_of(factors, held, lines, vth, k)
         else:
             assert factors is None
-        group = 1 if lines is None else GEMM_GROUP
-        block = group * max(1, BLOCK_CELLS // (group * held.size))  # queries per block
+        block = max(1, BLOCK_CELLS // held.size)  # queries per block
         n = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]),
                       label="queries")
         queries = rng.uniform(0.0, cfg.vdd, (n, cols))
@@ -1136,7 +1208,7 @@ class TestCurrentKernel:
         factors = _threshold_factors(held, params, cfg.vdd)
         if factors is not None:  # bit-equal to a holder's own factor
             assert_factors_of(factors, held, lines, vth, np.log(10.0) / slope)
-        block = GEMM_GROUP * max(1, BLOCK_CELLS // (GEMM_GROUP * n_pairs))  # queries per block
+        block = max(1, BLOCK_CELLS // n_pairs)  # queries per block
         n = data.draw(st.sampled_from([0, 1, block, block + 1]), label="queries")
         queries = rng.uniform(0.0, cfg.vdd, (n, cols))
         got = _summed_currents(held, factors, lines, matrix, fets, cfg, params, queries)

@@ -1,16 +1,17 @@
-"""The closed-form match-line solve against an independent RK4 reference, and
-a traced search against the solve of every row."""
+"""The closed-form match-line solve against an independent RK4 reference, the
+top current against the solve, and a traced search against the solve of
+every row."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from fecam import (CellConfig, DeviceParams, FecamArray, InvalidParameterError,
                    MatchLineParams, apply_variation, batch_search, default_config,
                    discharge_time, level_center, measure_bounds, ml_capacitance,
                    program_analog, program_level_window, search, sense,
                    single_mismatch_sense_time)
-from fecam.array import _ml_voltage, _row_terms, _summed_currents
+from fecam.array import _ml_voltage, _row_terms, _solve, _summed_currents, _top_current
 
 RK4_STEPS = 1000
 TOLERANCE = 1e-6  # V
@@ -59,6 +60,46 @@ def test_closed_form_agrees_with_rk4(data, mlp, params, cfg):
     assert np.abs(closed - reference).max() <= TOLERANCE
     clear = np.abs(reference - (vdd - mlp.delta_v_ml)) > TOLERANCE
     assert (sense(closed, mlp, vdd) == sense(reference, mlp, vdd))[clear].all()
+
+
+def powers(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_top_current_is_the_last_match(data):
+    """At a fixed sense time the sensed flag falls monotonically with the
+    static current, and the top current is exact: a line drawing it reads a
+    match, and one drawing the next float up does not.  Sense times on both
+    sides of `_quiet_time`, below and above the knee."""
+    vdd = data.draw(st.floats(0.5, 5.0), label="vdd")
+    mlp = MatchLineParams(c_pmos=data.draw(powers(-18, -10), label="c_pmos"),
+                          c_drain=data.draw(powers(-18, -10), label="c_drain"),
+                          c_parasitic=data.draw(powers(-18, -10), label="c_parasitic"),
+                          # a swing in vdd's last digits misleads the closed-form guess
+                          delta_v_ml=vdd * data.draw(st.floats(0.01, 0.99)
+                                                     | st.sampled_from([1e-12, 1e-6]),
+                                                     label="swing"))
+    params = DeviceParams(v_dsat=data.draw(powers(-3, 1), label="v_dsat"),
+                          i_on=data.draw(powers(-7, 0) | st.just(1e307), label="i_on"))
+    cfg = CellConfig(vdd=vdd, level_bounds=(0.0, vdd), digital_margin=vdd / 4)
+    cols = data.draw(st.integers(1, 64), label="cols")
+    arr = FecamArray.from_vth(np.full((1, 2 * cols), params.vth_high), mlp, cfg, params)
+    # a rate that may overflow sets no quiet time
+    scale = data.draw(st.sampled_from([0.5, 2.0, None]), label="scale of the quiet time")
+    t = scale * arr._quiet_time if scale and arr._quiet_time else data.draw(powers(-15, -3))
+    event("quiet" if t < arr._quiet_time else "past the quiet time")
+    top = _top_current(arr, t)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ulps = top * (1.0 + np.arange(-64, 65) * 2.0**-52)
+    spread = top * 10.0 ** rng.uniform(-30.0, 30.0, 200)
+    currents = np.unique(np.concatenate(
+        ([0.0, top, np.nextafter(top, np.inf), np.finfo(float).max], ulps, spread)))
+    currents = currents[np.isfinite(currents)]
+    with np.errstate(over="ignore", invalid="ignore"):  # currents no row draws
+        flags = sense(_solve(arr, currents[None], t)[1][-1, 0], mlp, vdd)
+    assert (flags == (currents <= top)).all()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
