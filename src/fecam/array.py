@@ -14,7 +14,8 @@ match-line voltage as their drain voltage, the row current factors into a
 query-dependent static part times a common drain-saturation factor
 min(V / v_dsat, 1).  The discharge then has an exact closed form, a linear
 fall to the saturation knee followed by an exponential decay, so identical
-inputs give bit-identical results.
+inputs give bit-identical results.  `_ml_voltage` is the one solve, of a
+trace and of the top current, and it guards its own overflow.
 
 Rows that hold the same thresholds draw the same current under any query, so
 every search, traced or not, sums each distinct row's current once and gives
@@ -41,12 +42,13 @@ row draws, so a search reads each flag without solving a line: a row
 matches when its current is at most the top current, the largest float
 current whose line, solved as a traced search solves it, still reads a
 match.  The top current is bisected once per sense time over the floats'
-bit patterns and kept in a dict that a write hands to the array it returns,
-as a write changes no line, cell or device parameter.  BLAS sums a product
-in an order set by its shape, so a row's current can differ in its last
-bits with the batch, the form, the number of distinct rows, or the count
-weights of `measure_bounds`, which applies one voltage to every column and
-sums each distinct cell once.  A sum of a row's 2C FeFET terms and its floor
+bit patterns and kept in the dict `_top_currents` that an array is made
+with; a write makes its array with the same dict, as it changes no line,
+cell or device parameter.  BLAS sums a product in an order set by its
+shape, so a row's current can differ in its last bits with the batch, the
+form, the number of distinct rows, or the count weights of
+`measure_bounds`, which applies one voltage to every column and sums each
+distinct cell once.  A sum of a row's 2C FeFET terms and its floor
 rounds by less than (2C + 2) 2^-53 of itself; where a current lies within
 twice that of the top current, `math.fsum` compares its per-column terms,
 its n_fets i_off floor and the top current exactly.  So a row's flag depends
@@ -78,6 +80,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -85,7 +88,8 @@ from . import device
 from .cell import CellConfig, FecamCell, inverter
 from .device import DeviceParams, FeFetState, WritePulse
 from .errors import (DimensionMismatchError, DisturbViolationError,
-                     InvalidParameterError, OutOfRangeError, check_int, check_real)
+                     InvalidParameterError, OutOfRangeError, check_int, check_real,
+                     real_array)
 
 TRACE_POINTS = 1001       # samples of a recorded match-line transient
 BLOCK_CELLS = 1 << 14     # FeFET currents per block of a batch search (128 KB)
@@ -192,7 +196,7 @@ class WritePlan:
     def __post_init__(self):
         object.__setattr__(self, "sl_pulses", tuple(self.sl_pulses))
         object.__setattr__(self, "isl_pulses", tuple(self.isl_pulses))
-        bias = _reals(self.source_bias, "source bias")
+        bias = real_array(self.source_bias, "source bias")
         if bias.ndim != 1:
             raise InvalidParameterError(f"source bias must be one number per row, "
                                         f"got shape {bias.shape}")
@@ -238,30 +242,17 @@ def _check_thresholds(vth: np.ndarray, rows: int, cols: int, params: DeviceParam
             f"cell thresholds must lie in [{params.vth_low}, {params.vth_high}] V")
 
 
-def _reals(values, what: str) -> np.ndarray:
-    """values as a float array, or InvalidParameterError naming what.  A
-    complex dtype is refused first, as numpy would drop its imaginary part
-    with only a warning."""
-    try:
-        given = np.asarray(values)
-        if given.dtype.kind == "c":
-            raise TypeError(f"a {given.dtype} array is complex")
-        return given.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:  # not real numbers, or ragged
-        raise InvalidParameterError(f"{what} must be real numbers: {exc}") from None
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class FecamArray:
     """R x C cells as one state, `vth`, plus the electrical context shared by
     every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
-    thresholds, then its lower ones, the current kernel's layout; the first
-    search builds the `_row_terms` of its distinct rows.  `from_vth` is the
-    one constructor that checks this state: `FecamArray(cells=...)` gathers
-    a FecamCell grid's thresholds into it and `filled` repeats one cell's
-    pair.  A write holds a copy with one row replaced and checks only that
-    row, so a write into an array past SIZE_GUIDELINE warns as building it
-    does.  `.cells` views the thresholds back as cells."""
+    thresholds, then its lower ones, the current kernel's layout.  An array
+    is made with its line's `_top_currents`; its first search adds its
+    distinct rows' `_row_terms`.  `from_vth` is the one constructor that
+    checks this state; `FecamArray(cells=...)` and `filled` take cells
+    through `_gathered`.  A write holds a copy with one row replaced and
+    checks only that row, so a write into an array past SIZE_GUIDELINE warns
+    as building it does.  `.cells` views the thresholds back as cells."""
 
     vth: np.ndarray           # (rows, 2 cols) V, read-only
     ml_params: MatchLineParams
@@ -269,13 +260,7 @@ class FecamArray:
     params: DeviceParams
 
     def __init__(self, cells, ml_params, cfg, params):
-        grid = [tuple(row) for row in cells]
-        cols = len(grid[0]) if grid else 0
-        if any(len(row) != cols for row in grid):
-            raise InvalidParameterError("ragged cell grid")
-        vth = [[c.upper_fet.vth for c in row] + [c.lower_fet.vth for c in row] for row in grid]
-        vars(self).update(vars(self.from_vth(np.reshape(vth, (len(grid), 2 * cols)),
-                                             ml_params, cfg, params)))
+        vars(self).update(vars(self.from_vth(self._gathered(cells), ml_params, cfg, params)))
 
     @classmethod
     def from_vth(cls, vth, ml_params: MatchLineParams, cfg: CellConfig,
@@ -284,7 +269,7 @@ class FecamArray:
         vth, (rows, 2 cols) V.  Checks the shape and size, the sense swing
         against the supply and every threshold against the device range, and
         warns past SIZE_GUIDELINE rows or cols."""
-        vth = np.array(_reals(vth, "thresholds"), order="C")
+        vth = np.array(real_array(vth, "thresholds"), order="C")
         if vth.ndim != 2 or vth.shape[1] % 2:
             raise DimensionMismatchError(
                 f"thresholds of shape {vth.shape}, not (rows, 2 cols)")
@@ -296,12 +281,13 @@ class FecamArray:
 
     @classmethod
     def _holding(cls, vth: np.ndarray, ml_params: MatchLineParams, cfg: CellConfig,
-                 params: DeviceParams) -> "FecamArray":
+                 params: DeviceParams, top_currents=None) -> "FecamArray":
         """An array holding vth, a checked C-order float array of its own, as
-        its read-only state."""
+        its read-only state, and as `_top_currents` a new dict or top_currents."""
         vth.flags.writeable = False
         arr = object.__new__(cls)
-        vars(arr).update(vth=vth, ml_params=ml_params, cfg=cfg, params=params)
+        vars(arr).update(vth=vth, ml_params=ml_params, cfg=cfg, params=params,
+                         _top_currents={} if top_currents is None else top_currents)
         return arr
 
     @property
@@ -319,6 +305,26 @@ class FecamArray:
         rows = [list(zip(row[:self.cols], row[self.cols:])) for row in self.vth.tolist()]
         made = {pair: FecamCell(*map(FeFetState, pair)) for pair in set().union(*rows)}
         return tuple(tuple(map(made.__getitem__, row)) for row in rows)
+
+    @staticmethod
+    def _gathered(cells) -> np.ndarray:
+        """The thresholds of cells, equal rows of FecamCells holding FeFetStates,
+        as (rows, 2 cols), the inverse of `.cells`; else InvalidParameterError.
+        The one way cells enter an array."""
+        try:
+            grid = [tuple(row) for row in cells]
+        except TypeError as exc:  # not rows
+            raise InvalidParameterError(f"cells must be rows of FecamCells: {exc}") from None
+        cols = len(grid[0]) if grid else 0
+        if any(len(row) != cols for row in grid):
+            raise InvalidParameterError("ragged cell grid")
+        flat = [c for row in grid for c in row]
+        if all(map(isinstance, flat, repeat(FecamCell))):
+            fets = [c.upper_fet for c in flat] + [c.lower_fet for c in flat]
+            if all(map(isinstance, fets, repeat(FeFetState))):
+                vth = real_array([f.vth for f in fets], "cell thresholds")
+                return vth.reshape(2, len(grid), cols).swapaxes(0, 1).reshape(len(grid), 2 * cols)
+        raise InvalidParameterError("cells must be FecamCells holding FeFetStates")
 
     @cached_property
     def _distinct_rows(self):
@@ -353,25 +359,11 @@ class FecamArray:
                ml_params: MatchLineParams, cfg: CellConfig,
                params: DeviceParams) -> "FecamArray":
         _check_size(rows, cols)
-        pair = np.repeat([cell.upper_fet.vth, cell.lower_fet.vth], cols)
+        pair = np.repeat(cls._gathered([[cell]]), cols, axis=1)
         return cls.from_vth(np.broadcast_to(pair, (rows, 2 * cols)), ml_params, cfg, params)
 
     def auto_sense_time(self) -> float:
         return discharge_time(self.ml_params, self.cols)
-
-    @cached_property
-    def _quiet_time(self) -> float:
-        """Sense times below this cannot overflow the match-line solve: no row
-        draws more than 2 cols i_on, and the solve divides by v_dsat."""
-        room = 1e300 * min(self.params.v_dsat, 1.0) - 2 * self.cfg.vdd
-        rate = 2 * self.cols * self.params.i_on / ml_capacitance(self.ml_params, self.cols)
-        return room / rate if rate < 1e300 else 0.0  # 0 where the rate may overflow
-
-    @cached_property
-    def _top_currents(self) -> dict:
-        """Sense time -> `_top_current` there; shared with every array
-        written from this one, as they have the same line."""
-        return {}
 
 
 def _threshold_factors(vth: np.ndarray, params: DeviceParams, vdd: float):
@@ -471,7 +463,7 @@ def _summed_currents(vth: np.ndarray, factors, lines, weights: np.ndarray, n_fet
 
 
 def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
-                static_currents: np.ndarray, times: np.ndarray, quiet=True) -> np.ndarray:
+                static_currents: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Exact V_ML(times) for C_ML dV/dt = -I_static min(V/v_dsat, 1), V(0) = vdd,
     shaped times.shape + static_currents.shape.  Nothing divides by the
     current, so a row whose current underflows to 0 stays at vdd.
@@ -482,27 +474,29 @@ def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
     knee <= v_dsat keep it at or above lin.  So the larger of the two is the
     solution on both branches.
 
-    Unless quiet (the caller silences overflow and 0 inf), a row whose I / C
-    overflows falls by (I t) / C, and an inf current too starts at vdd."""
+    It guards its own overflow: a row whose I / C overflows falls by (I t) / C,
+    and an inf current too starts at vdd, without a numpy warning."""
     c_ml = ml_capacitance(p, n_cols)
-    lin = np.multiply.outer(times, static_currents / c_ml)
-    if not quiet:
-        fast = np.isinf(static_currents / c_ml)
-        lin[:, fast] = np.multiply.outer(times, static_currents[fast]) / c_ml
-        lin[times == 0.0] = 0.0
-    np.subtract(vdd, lin, out=lin)
-    knee = min(vdd, v_dsat)
-    decayed = lin - knee
-    np.minimum(decayed, 0.0, out=decayed)
-    decayed /= v_dsat
-    np.exp(decayed, out=decayed)
-    decayed *= knee
-    return np.maximum(lin, decayed, out=lin)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = static_currents / c_ml
+        lin = np.multiply.outer(times, rate)
+        fast = np.isinf(rate)
+        if fast.any():
+            lin[:, fast] = np.multiply.outer(times, static_currents[fast]) / c_ml
+            lin[times == 0.0] = 0.0
+        np.subtract(vdd, lin, out=lin)
+        knee = min(vdd, v_dsat)
+        decayed = lin - knee
+        np.minimum(decayed, 0.0, out=decayed)
+        decayed /= v_dsat
+        np.exp(decayed, out=decayed)
+        decayed *= knee
+        return np.maximum(lin, decayed, out=lin)
 
 
 def _checked(arr: FecamArray, queries, t_sense):
     """Validated (n_queries, cols) voltages and sense time."""
-    q = _reals(queries, "query voltages")
+    q = real_array(queries, "query voltages")
     if q.ndim != 2 or q.shape[1] != arr.cols:
         raise DimensionMismatchError(
             f"queries of shape {q.shape} do not match {arr.cols} columns")
@@ -519,16 +513,13 @@ def _sense_time(arr: FecamArray, t_sense) -> float:
 
 
 def _solve(arr: FecamArray, static: np.ndarray, t: float, trace=False):
-    """Solve up to t the match lines, each of a full row of `arr`, that draw
-    the static currents (S, R).  Returns the times, TRACE_POINTS samples from
-    0 when trace is set, else t alone, and V_ML (T, S, R) at them."""
+    """Solve up to t, by `_ml_voltage`, the match lines, each of a full row of
+    `arr`, that draw the static currents (S, R).  Returns the times,
+    TRACE_POINTS samples from 0 when trace is set, else t alone, and V_ML
+    (T, S, R) at them."""
     times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
-    solve = (arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols, static, times)
-    if t < arr._quiet_time:
-        return times, _ml_voltage(*solve)
-    # the line discharges fully, and rightly, but numpy warns of the overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        return times, _ml_voltage(*solve, quiet=False)
+    return times, _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols,
+                              static, times)
 
 
 def _top_current(arr: FecamArray, t: float) -> float:
@@ -558,8 +549,7 @@ def _top_current(arr: FecamArray, t: float) -> float:
         step = -(-(hi - lo) // 128)
         bits = tries.pop(0) if tries else np.arange(lo + step, hi, step, dtype=np.int64)
         bits = bits[(bits > lo) & (bits < hi)]
-        with np.errstate(over="ignore", invalid="ignore"):  # currents no row draws
-            matching = sense(_solve(arr, bits.view(float)[None], t)[1][-1, 0], p, vdd)
+        matching = sense(_solve(arr, bits.view(float)[None], t)[1][-1, 0], p, vdd)
         miss = len(bits) if matching.all() else int(np.argmin(matching))
         lo = int(bits[miss - 1]) if miss else lo
         hi = int(bits[miss]) if miss < len(bits) else hi
@@ -741,8 +731,7 @@ def _write(arr: FecamArray, plans) -> tuple:
     vth = arr.vth.copy()
     vth[target] = row
     _check_thresholds(vth[target], arr.rows, arr.cols, arr.params)
-    written = FecamArray._holding(vth, arr.ml_params, arr.cfg, arr.params)
-    vars(written)["_top_currents"] = arr._top_currents
+    written = FecamArray._holding(vth, arr.ml_params, arr.cfg, arr.params, arr._top_currents)
     return written, reports
 
 
@@ -767,10 +756,10 @@ def inhibition_plans(arr: FecamArray, target_row: int, cells) -> list:
     voltage.  Each distinct target threshold is solved once, and its FeFETs
     share the one pulse.
     """
-    cells = tuple(cells)
-    if len(cells) != arr.cols:
+    targets = FecamArray._gathered([cells])[0].tolist()
+    if len(targets) != 2 * arr.cols:
         raise DimensionMismatchError(
-            f"{len(cells)} cells vs {arr.cols} array columns")
+            f"{len(targets) // 2} cells vs {arr.cols} array columns")
     target_row = check_int(target_row, "target row", 0, arr.rows - 1, OutOfRangeError)
     params = arr.params
 
@@ -780,7 +769,6 @@ def inhibition_plans(arr: FecamArray, target_row: int, cells) -> list:
         return rows
 
     erase = (WritePulse(params.v_erase),) * arr.cols
-    targets = [c.upper_fet.vth for c in cells] + [c.lower_fet.vth for c in cells]
     pulses = {}  # target threshold -> its program pulse, None where it stays erased
     for vth in targets:
         if vth not in pulses:

@@ -151,12 +151,12 @@ def cmd_sweep(args) -> int:
 def cmd_route(args) -> int:
     config = _load(args)
     rules = fileio.parse_rules_file(_read(args.rules))
+    want = (["ternary", "analog"] if args.mode == "both" else [args.mode])
     levels = config.cell.level_count
     bits_per_cell = levels.bit_length() - 1  # analog cells store log2(levels) bits
-    if levels < 2 or levels != 1 << bits_per_cell:
-        raise InvalidParameterError(
-            f"route needs a power-of-two level_count (bounds minus one), got {levels}")
-    want = (["ternary", "analog"] if args.mode == "both" else [args.mode])
+    if "analog" in want and (levels < 2 or levels != 1 << bits_per_cell):
+        raise InvalidParameterError(  # a ternary table stores a bit per cell, not levels
+            f"an analog route needs a power-of-two level_count (bounds minus one), got {levels}")
     tables = {}
     out_lines = []
     for name in want:

@@ -158,12 +158,9 @@ NUMBER_SPEC = ".10g"  # every real number the package writes: 10 significant dig
 def _fmt(value) -> str:
     """Number formatting shared by every text output of the package.
 
-    Booleans print as true/false and integers exactly; every other number
-    goes through NUMBER_SPEC, the one spec that the CSV templates of
-    `fileio` also build their "%" fields from.
+    Integers print exactly, every other number through NUMBER_SPEC, the one
+    spec that the CSV templates of `fileio` also build their "%" fields from.
     """
-    if isinstance(value, bool):
-        return str(value).lower()
     if is_int(value):
         return str(int(value))
     return format(float(value), NUMBER_SPEC)

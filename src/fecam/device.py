@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidPulseError, OutOfRangeError, check_int, check_real
+from .errors import InvalidPulseError, OutOfRangeError, check_int, check_real, real_array
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 MAX_SEED = (1 << 128) - 1   # numpy's SeedSequence pools 128 bits of entropy
@@ -187,9 +187,9 @@ def apply_variation(params: DeviceParams, vth, sigma_vth: float, seed):
     """
     check_real(sigma_vth, "sigma_vth", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0, MAX_SEED))
-    noisy = np.asarray(vth, dtype=float) + rng.normal(0.0, sigma_vth, np.shape(vth))
-    noisy = np.clip(noisy, params.vth_low, params.vth_high)
-    if np.ndim(vth) == 0:
+    vth = real_array(vth, "vth")
+    noisy = np.clip(vth + rng.normal(0.0, sigma_vth, vth.shape), params.vth_low, params.vth_high)
+    if vth.ndim == 0:
         return float(noisy)
     return noisy
 

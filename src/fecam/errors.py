@@ -1,8 +1,8 @@
 """Exception types shared across the package, the one test of what counts
 as an integer, the one check of a bounded integer (`check_int`: every index,
-count and width) and the one check of a bounded real (`check_real`: every
-scalar voltage, time, current and ratio, every field of a parameter class
-among them).
+count and width), of a bounded real (`check_real`: every scalar voltage,
+time, current and ratio, every field of a parameter class among them) and
+of an array of reals (`real_array`: thresholds, queries, source biases).
 
 Every error carries a stable machine-parsable ``category`` string; the CLI
 prints it as the single-line error code.
@@ -102,6 +102,18 @@ def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
     left = "(" if open or lo == -math.inf else "["
     right = ")" if open or hi == math.inf else "]"
     raise error(f"{what} must be in {left}{lo}, {hi}{right}, got {_shown(value)}")
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """values as a float array, or InvalidParameterError naming what; a text
+    or complex dtype first, which numpy would parse or cut to its real part."""
+    try:
+        given = np.asarray(values)
+        if given.dtype.kind in "cSU":
+            raise TypeError(f"a {given.dtype} array holds no real numbers")
+        return given.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # not reals, ragged or too large
+        raise InvalidParameterError(f"{what} must be real numbers: {exc}") from None
 
 
 def _shown(value) -> str:

@@ -66,12 +66,14 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
                 _, field, value = _exact(tokens, "matchline <field> <value>", number)
                 key, ml_overrides[field] = f"matchline {field}", float(value)
             elif kind == "cell":
+                if len(tokens) < 4:  # `_program_cell` counts the tokens of the spec
+                    _exact(tokens, "cell <row> <col> <spec>", number)
                 cell_specs.append((number, int(tokens[1]), int(tokens[2]),
                                    tokens[3].lower(), tokens[4:]))
                 continue  # a repeated cell is found as the grid fills
             else:
                 raise ParseError(f"unknown statement {kind!r}", line=number)
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad statement {line!r}: {exc}", line=number)
         if key in seen:
             raise ParseError(f"{key} repeats line {seen[key]}", line=number)
@@ -104,7 +106,7 @@ def parse_array_file(text: str, config: GlobalConfig) -> FecamArray:
         if first[at]:
             raise ParseError(f"cell {r} {c} repeats line {first[at]}", line=number)
         index[at], first[at] = k, number
-    upper, lower = np.array([(c.upper_fet.vth, c.lower_fet.vth) for c in cells])[index].T
+    upper, lower = FecamArray._gathered([[c] for c in cells])[index].T
     vth = np.hstack((upper.reshape(rows, cols), lower.reshape(rows, cols)))
     return FecamArray.from_vth(vth, ml_params, cfg, params)
 

@@ -212,13 +212,13 @@ class TestMeasureBounds:
     def test_bounds_build_no_search_state(self, mlp, cfg, params):
         """measure_bounds sums its row's distinct cells itself: an array
         that was never searched holds no distinct-row index or terms after
-        it, only its line's top currents, and its first search builds them."""
+        it, nor any other new attribute, and its first search builds them."""
         arr = FecamArray(cells=[[program_level_window(k, k, cfg, params)] * 8
                                 for k in (0, 3, 3, 5)],
                          ml_params=mlp, cfg=cfg, params=params)
         held = set(vars(arr))
         assert measure_bounds(arr, 1) is not None
-        assert set(vars(arr)) - held <= {"_quiet_time", "_top_currents"}
+        assert set(vars(arr)) == held
         batch_search(arr, [[0.5] * 8])
         assert {"_distinct_rows", "_terms"} <= set(vars(arr))
 
@@ -313,12 +313,12 @@ def bounds_arrays(draw):
 class TestBoundsAreTheSweep:
     @settings(max_examples=120)
     @given(arr=bounds_arrays(), data=st.data())
-    def test_bounds_equal_the_per_column_sweep(self, arr, data):
+    def test_bounds_equal_the_per_column_sweep(self, arr, data, overflow_edge):
         """measure_bounds, which sums each distinct cell once, weighted by its
         count, reads the longest run of batch_search over the same common
         voltages, also where a line ends on the sense boundary."""
         t_sense = data.draw(st.none() | st.floats(-12.0, -3.0).map(lambda x: 10.0 ** x)
-                            | st.sampled_from([0.5, 10.0]).map(lambda f: f * arr._quiet_time),
+                            | st.sampled_from([0.5, 10.0]).map(lambda f: f * overflow_edge(arr)),
                             label="t_sense")
         vdd = arr.cfg.vdd
         grid = np.minimum(np.arange(0.0, vdd + 5e-4, 1e-3), vdd)
@@ -396,14 +396,14 @@ def exact_flags(arr, queries, t):
 class TestDistinctRows:
     @settings(max_examples=150)
     @given(arr=tiled_arrays(), data=st.data())
-    def test_every_row_reads_its_own_solve(self, arr, data):
+    def test_every_row_reads_its_own_solve(self, arr, data, overflow_edge):
         """A search sums each distinct row once, in the direct or the table
         form, in an order set by the block's shape; each row must still read
         the exact sum of its own FeFET terms against the top current, and the
         solve of its own current, summed alone, must read as that current
         against the top current."""
         t_sense = data.draw(st.none() | st.floats(-12.0, -3.0).map(lambda x: 10.0 ** x)
-                            | st.sampled_from([0.5, 10.0]).map(lambda f: f * arr._quiet_time),
+                            | st.sampled_from([0.5, 10.0]).map(lambda f: f * overflow_edge(arr)),
                             label="t_sense")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="qseed"))
         # level centres, which some rows match; level bounds, which are
@@ -647,6 +647,10 @@ class TestWrite:
         with pytest.raises(InvalidParameterError):
             WritePlan(target_row=0, sl_pulses=(WritePulse(4.0),),
                       isl_pulses=(WritePulse(4.0),), source_bias=(1.0,))
+        with pytest.raises(InvalidParameterError, match=r"one number per row, got shape \(1, 1\)"):
+            WritePlan(target_row=0, sl_pulses=(), isl_pulses=(), source_bias=[[0.0]])
+        with pytest.raises(DimensionMismatchError, match="1 SL pulses vs 0 inverted-SL"):
+            WritePlan(target_row=0, sl_pulses=(None,), isl_pulses=(), source_bias=(0.0,))
         # the pulse is checked against the array's DeviceParams when applied,
         # before the disturb report (which this plan also fails)
         plan = WritePlan(target_row=0, sl_pulses=(WritePulse(-4.5),),
@@ -942,6 +946,22 @@ class TestConstruction:
         assert written.vth == pytest.approx(arr.vth, abs=1e-3)
         with pytest.warns(RuntimeWarning, match="65 rows"):
             write_row(arr, inhibition_plans(arr, 64, [demo_cell])[0])
+
+    @pytest.mark.parametrize("build", [
+        lambda a, c: FecamArray(cells=[[1, 2]], ml_params=a.ml_params, cfg=c, params=a.params),
+        lambda a, c: FecamArray(cells=5, ml_params=a.ml_params, cfg=c, params=a.params),
+        lambda a, c: FecamArray.filled(1, 1, "x", a.ml_params, c, a.params),
+        lambda a, c: write_cells(a, 0, [1, 2]),
+        lambda a, c: FecamArray(cells=[[FecamCell(0.5, 0.5)]], ml_params=a.ml_params, cfg=c,
+                                params=a.params),
+        lambda a, c: FecamArray(cells=[a.cells[0], a.cells[0][:1]], ml_params=a.ml_params,
+                                cfg=c, params=a.params)],
+        ids=["ints", "not-rows", "filled-text", "write_cells-ints", "floats-as-fets", "ragged"])
+    def test_cells_must_be_a_grid_of_fecam_cells(self, demo_cell, mlp, cfg, params, build):
+        # all but the ragged grid used to end in a bare AttributeError or TypeError
+        arr = filled(1, 2, demo_cell, mlp, cfg, params)
+        with pytest.raises(InvalidParameterError, match="cells must be|ragged cell grid"):
+            build(arr, cfg)
 
     def test_empty_grid_rejected(self, mlp, cfg, params):
         with pytest.raises(InvalidParameterError, match=r"must be an integer in \[1, "):

@@ -299,6 +299,10 @@ class TestCellConfigValidation:
         with pytest.raises(InvalidParameterError, match="need at least 2 level bounds"):
             CellConfig(level_bounds=bounds)
 
+    def test_bounds_must_be_a_sequence(self):
+        with pytest.raises(InvalidParameterError, match="level_bounds must be a sequence"):
+            CellConfig(level_bounds=5)
+
     def test_bounds_inside_supply(self):
         with pytest.raises(InvalidParameterError):
             CellConfig(level_bounds=tuple(0.3 + 0.1 * k for k in range(9)))

@@ -602,6 +602,25 @@ class TestRoute:
         assert err.startswith("error: invalid-parameter:")
         assert "level_count" in err
 
+    def test_ternary_route_reads_no_levels(self, capsys, tmp_path, demo_files):
+        # a ternary table stores one bit per cell; 3 levels used to stop it
+        _, _, _, rules = demo_files
+        ini = tmp_path / "fecam.ini"
+        ini.write_text("[cell]\nlevel_bounds = 0.1 0.2 0.3 0.4\n")
+        argv = ["--config", str(ini), "route", "--rules", str(rules), "--mode"]
+        code, out, err = run(capsys, *argv, "ternary")
+        assert (code, err) == (0, "")
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [
+            "ternary_entries", "ternary_cells"]
+        code, out, err = run(capsys, *argv, "analog")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameter:") and "level_count" in err
+
+    def test_missing_rules_file_is_an_io_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "route", "--rules", str(tmp_path / "absent.txt"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: io-error:") and "absent.txt" in err
+
 
 JUNK_TOKENS = st.one_of(
     st.sampled_from(["", "-1", "0", "1.5", "1e3", "0x1f", "x", "#", "1_0", "\u0663",

@@ -279,6 +279,12 @@ class TestFormatFromFields:
                            match=r"unknown field \[cost\] word_cells_fecam_analog"):
             load_config(path)
 
+    def test_key_before_any_section_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "fecam.ini"
+        path.write_text("vdd = 1.0\n")
+        with pytest.raises(ParseError, match="cannot parse config"):
+            load_config(path)
+
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "fecam.ini"
         path.write_text("[matchlines]\nc_pmos = 1e-16\n")

@@ -382,6 +382,11 @@ class TestRoutingTable:
         assert np.array_equal(lookup_many(ternary, addrs),
                               lookup_many(analog, addrs))
 
+    @pytest.mark.parametrize("mode", ["ternary", None, 1])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(InvalidParameterError, match="unknown table mode"):
+            compile_table([self.rule()], mode)
+
     def test_first_match_priority(self):
         rules = [RangeRule(0, 100, 12, "low"), RangeRule(50, 200, 12, "wide")]
         table = compile_table(rules, TableMode.TERNARY)

@@ -98,6 +98,13 @@ class TestArrayFile:
         with pytest.raises(ParseError):
             parse_array_file("rows 1\ncols 1\nvoodoo 1\n", config)
 
+    @pytest.mark.parametrize("text, message", [
+        ("rows x\ncols 1\n", "line 1: bad statement 'rows x'"),
+        ("rows 1\ncols 1\ncell 0 0 digital 2\n", "line 3: bad cell spec: not a ternary bit: '2'")])
+    def test_bad_value_names_line(self, config, text, message):
+        with pytest.raises(ParseError, match=f"^{message}"):
+            parse_array_file(text, config)
+
     def test_repeated_specs_match_separate_programming(self, config, monkeypatch):
         cfg, params = config.cell, config.device
         calls = []
@@ -133,9 +140,10 @@ class TestArrayFile:
     @pytest.mark.parametrize("statement", [
         "rows 1 5", "cols 1 5", "matchline c_pmos 1e-16 5", "cell 0 0 analog 0.4 0.6 0.9",
         "cell 0 0 level 3 4", "cell 0 0 digital 1 0", "rows", "matchline c_pmos",
-        "cell 0 0 analog 0.4", "cell 0 0 level"])
+        "cell 0 0 analog 0.4", "cell 0 0 level", "cell 0", "cell"])
     def test_wrong_token_count_names_line(self, config, statement):
-        # extra tokens used to be ignored: "analog 0.4 0.6 0.9" read as 0.4-0.6 V
+        # extra tokens used to be ignored: "analog 0.4 0.6 0.9" read as 0.4-0.6 V,
+        # and a short "cell 0" was reported as "list index out of range"
         text = "rows 1\ncols 1\ncell 0 0 level 2\n"
         with pytest.raises(ParseError, match=r"line 4.*expected '"):
             parse_array_file(text + statement + "\n", config)

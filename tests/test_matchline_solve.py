@@ -68,11 +68,12 @@ def powers(lo, hi):
 
 @settings(max_examples=150)
 @given(data=st.data())
-def test_top_current_is_the_last_match(data):
+def test_top_current_is_the_last_match(data, overflow_edge):
     """At a fixed sense time the sensed flag falls monotonically with the
     static current, and the top current is exact: a line drawing it reads a
     match, and one drawing the next float up does not.  Sense times on both
-    sides of `_quiet_time`, below and above the knee."""
+    sides of the overflow edge, below and above the knee; the solve silences
+    its own overflow, as every RuntimeWarning fails a test."""
     vdd = data.draw(st.floats(0.5, 5.0), label="vdd")
     mlp = MatchLineParams(c_pmos=data.draw(powers(-18, -10), label="c_pmos"),
                           c_drain=data.draw(powers(-18, -10), label="c_drain"),
@@ -86,10 +87,11 @@ def test_top_current_is_the_last_match(data):
     cfg = CellConfig(vdd=vdd, level_bounds=(0.0, vdd), digital_margin=vdd / 4)
     cols = data.draw(st.integers(1, 64), label="cols")
     arr = FecamArray.from_vth(np.full((1, 2 * cols), params.vth_high), mlp, cfg, params)
-    # a rate that may overflow sets no quiet time
-    scale = data.draw(st.sampled_from([0.5, 2.0, None]), label="scale of the quiet time")
-    t = scale * arr._quiet_time if scale and arr._quiet_time else data.draw(powers(-15, -3))
-    event("quiet" if t < arr._quiet_time else "past the quiet time")
+    # a rate that may overflow sets no overflow edge
+    edge = overflow_edge(arr)
+    scale = data.draw(st.sampled_from([0.5, 2.0, None]), label="scale of the overflow edge")
+    t = scale * edge if scale and edge else data.draw(powers(-15, -3))
+    event("below the overflow edge" if t < edge else "past the overflow edge")
     top = _top_current(arr, t)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     ulps = top * (1.0 + np.arange(-64, 65) * 2.0**-52)
@@ -97,8 +99,7 @@ def test_top_current_is_the_last_match(data):
     currents = np.unique(np.concatenate(
         ([0.0, top, np.nextafter(top, np.inf), np.finfo(float).max], ulps, spread)))
     currents = currents[np.isfinite(currents)]
-    with np.errstate(over="ignore", invalid="ignore"):  # currents no row draws
-        flags = sense(_solve(arr, currents[None], t)[1][-1, 0], mlp, vdd)
+    flags = sense(_solve(arr, currents[None], t)[1][-1, 0], mlp, vdd)
     assert (flags == (currents <= top)).all()
 
 
@@ -157,9 +158,7 @@ def test_overflowing_rate_falls_by_its_product():
     # a rate I / C past the float range at a sense time short enough that the
     # line falls only I t / C = 0.25 V
     mlp = MatchLineParams(c_pmos=1e-300, c_drain=1e-300, c_parasitic=1e-300)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _ml_voltage(mlp, 1.2, 0.1, 1, np.array([1e10]), np.array([0.0, 0.75e-310]),
-                        quiet=False)
+    v = _ml_voltage(mlp, 1.2, 0.1, 1, np.array([1e10]), np.array([0.0, 0.75e-310]))
     assert v[0, 0] == 1.2
     assert v[1, 0] == pytest.approx(0.95, rel=1e-9)
 
@@ -179,23 +178,22 @@ def varied(arr, sigma, seed):
 REPEATED = [0, 3, 3, 5, 0, 7, 3, 0, 5, 1, 1, 3]
 
 
-@pytest.mark.parametrize("case", ["repeated rows", "all rows distinct", "past quiet time"])
-def test_traced_search_is_the_solve_of_every_row(case):
+@pytest.mark.parametrize("case", ["repeated rows", "all rows distinct", "past overflow edge"])
+def test_traced_search_is_the_solve_of_every_row(case, overflow_edge):
     """search() solves each distinct row current once; its trace must be,
     bit for bit, the solve of every row's own current."""
     arr = level_rows(REPEATED)
     if case == "all rows distinct":
         arr = varied(arr, 0.02, seed=4)
     query = [level_center(3, arr.cfg)] * arr.cols
-    t = 10 * arr._quiet_time if case == "past quiet time" else None
+    t = 10 * overflow_edge(arr) if case == "past overflow edge" else None
     result = search(arr, query, t)
     static = np.hstack([_summed_currents(*_row_terms(row[None], arr.params, arr.cfg.vdd),
                                          arr.cfg, arr.params, np.array([query]))[0]
                         for row in arr.vth])
     assert (len(np.unique(static)) == arr.rows) == (case == "all rows distinct")
-    with np.errstate(over="ignore"):
-        full = _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols,
-                           static, result.times)
+    full = _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols,
+                       static, result.times)
     assert result.ml_voltages.shape == full.shape
     assert result.ml_voltages.tobytes() == full.tobytes()
     assert result.matches == tuple(sense(full[-1], arr.ml_params, arr.cfg.vdd).tolist())

@@ -325,18 +325,33 @@ class TestFormerHoles:
         lambda: FecamArray.from_vth(np.array([[0.5 + 1j, 0.6]]), cfg().matchline, cfg().cell,
                                     cfg().device),
         lambda: program_digital("1", cfg().cell, cfg().device),
-        lambda: digital_query_voltage("1", cfg().cell)],
+        lambda: digital_query_voltage("1", cfg().cell),
+        lambda: search(arr(), ["0.5"]),
+        lambda: FecamArray.from_vth([["0.6", "0.6"]], cfg().matchline, cfg().cell,
+                                    cfg().device),
+        lambda: FecamArray.from_vth(np.array([[b"0.6", b"0.6"]]), cfg().matchline,
+                                    cfg().cell, cfg().device),
+        lambda: WritePlan(0, (None,), (None,), ("0", "2")),
+        lambda: apply_variation(cfg().device, ["0.5"], 0.01, 0),
+        lambda: apply_variation(cfg().device, ["x"], 0.01, 0),
+        lambda: apply_variation(cfg().device, np.array([0.5 + 1j]), 0.01, 0),
+        lambda: search(arr(), [10 ** 400])],
         ids=["DeviceParams", "MatchLineParams", "CellConfig", "vth_from_pulse", "from_vth",
              "i_on-None", "vth_low-None", "v_prog_min-None", "coercive_mu-None",
              "search-string", "batch_search-ragged", "batch_search-complex",
              "batch_search-complex-array", "search-complex-array", "from_vth-complex-array",
-             "program_digital-string", "digital_query_voltage-string"])
+             "program_digital-string", "digital_query_voltage-string", "search-text-number",
+             "from_vth-text-numbers", "from_vth-bytes-numbers", "WritePlan-text-bias",
+             "apply_variation-text-number", "apply_variation-string",
+             "apply_variation-complex-array", "search-int-past-the-float-range"])
     def test_non_number_is_an_invalid_parameter(self, call):
         # each used to raise a bare TypeError or ValueError; None passed the
         # finiteness check as "unset", so coercive_mu=None built a device.
         # program_digital("1") built a don't-care cell, and
         # digital_query_voltage("1") called it "not don't-care"; numpy dropped
-        # the imaginary part of a complex array with only a ComplexWarning
+        # the imaginary part of a complex array with only a ComplexWarning, and
+        # parsed text arrays such as ["0.5"] as numbers, which check_real refuses;
+        # an int past the float range in a query raised a bare OverflowError
         with pytest.raises(InvalidParameterError):
             call()
 
