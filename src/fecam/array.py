@@ -194,8 +194,12 @@ class WritePlan:
     source_bias: tuple        # per row, V; 0 on the target row
 
     def __post_init__(self):
-        object.__setattr__(self, "sl_pulses", tuple(self.sl_pulses))
-        object.__setattr__(self, "isl_pulses", tuple(self.isl_pulses))
+        try:
+            object.__setattr__(self, "sl_pulses", tuple(self.sl_pulses))
+            object.__setattr__(self, "isl_pulses", tuple(self.isl_pulses))
+        except TypeError:
+            raise InvalidParameterError("pulse columns must be sequences of WritePulse or None, "
+                                        f"got {self.sl_pulses!r}, {self.isl_pulses!r}") from None
         bias = real_array(self.source_bias, "source bias")
         if bias.ndim != 1:
             raise InvalidParameterError(f"source bias must be one number per row, "
@@ -247,12 +251,13 @@ class FecamArray:
     """R x C cells as one state, `vth`, plus the electrical context shared by
     every row.  `vth` is read-only, (rows, 2 cols): each row's upper FeFET
     thresholds, then its lower ones, the current kernel's layout.  An array
-    is made with its line's `_top_currents`; its first search adds its
-    distinct rows' `_row_terms`.  `from_vth` is the one constructor that
-    checks this state; `FecamArray(cells=...)` and `filled` take cells
-    through `_gathered`.  A write holds a copy with one row replaced and
-    checks only that row, so a write into an array past SIZE_GUIDELINE warns
-    as building it does.  `.cells` views the thresholds back as cells."""
+    is made with its line's `_top_currents`; its first search adds its one
+    `_search_state`: the row map, the distinct rows and their `_row_terms`.
+    `from_vth` is the one constructor that checks this state;
+    `FecamArray(cells=...)` and `filled` take cells through `_gathered`.  A
+    write holds a copy with one row replaced and checks only that row, so a
+    write into an array past SIZE_GUIDELINE warns as building it does.
+    `.cells` views the thresholds back as cells."""
 
     vth: np.ndarray           # (rows, 2 cols) V, read-only
     ml_params: MatchLineParams
@@ -327,32 +332,23 @@ class FecamArray:
         raise InvalidParameterError("cells must be FecamCells holding FeFetStates")
 
     @cached_property
-    def _distinct_rows(self):
-        """(first, rows): the first row of each distinct row of `vth`, keyed on
-        its bytes, and each row's index into them; None when every row is
-        distinct.  A wrapping sum of each row's threshold bits, each times a
-        fixed odd multiplier, is equal for equal rows and settles that when no
-        two sums collide; else the rows' bytes are sorted.  Computed on the
-        first search, once per array."""
-        bits = self.vth.view(np.uint64)
+    def _search_state(self) -> tuple:
+        """(rows, vth, terms), built by the first search, once per array, so a
+        write, which returns a new array, builds none: each row's index into
+        the distinct rows vth, keyed on their bytes, or slice(None) when every
+        row is distinct, and the `_row_terms` of vth.  Equal rows give equal
+        wrapping sums of their bits, each times a fixed odd multiplier, so the
+        rows are all distinct when no two sums collide; else bytes are sorted."""
+        rows, vth = slice(None), self.vth
+        bits = vth.view(np.uint64)
         odd = np.arange(1, 2 * bits.shape[1], 2, dtype=np.uint64)
         sums = np.sort(bits @ (odd * np.uint64(0x9E3779B97F4A7C15)))
-        if (sums[1:] != sums[:-1]).all():
-            return None
-        keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1])))[:, 0]
-        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
-        return None if len(first) == self.rows else (first, rows)
-
-    @cached_property
-    def _distinct_vth(self) -> np.ndarray:
-        """The thresholds of the distinct rows, (distinct rows, 2 cols)."""
-        return self.vth[self._distinct_rows[0]] if self._distinct_rows else self.vth
-
-    @cached_property
-    def _terms(self):
-        """`_row_terms` of the distinct rows: built on the first search, once
-        per array, so a write, which returns a new array, builds none."""
-        return _row_terms(self._distinct_vth, self.params, self.cfg.vdd)
+        if (sums[1:] == sums[:-1]).any():
+            keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1])))[:, 0]
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            if len(first) < self.rows:
+                rows, vth = inverse, vth[first]
+        return rows, vth, _row_terms(vth, self.params, self.cfg.vdd)
 
     @classmethod
     def filled(cls, rows: int, cols: int, cell: FecamCell,
@@ -494,17 +490,6 @@ def _ml_voltage(p: MatchLineParams, vdd: float, v_dsat: float, n_cols: int,
         return np.maximum(lin, decayed, out=lin)
 
 
-def _checked(arr: FecamArray, queries, t_sense):
-    """Validated (n_queries, cols) voltages and sense time."""
-    q = real_array(queries, "query voltages")
-    if q.ndim != 2 or q.shape[1] != arr.cols:
-        raise DimensionMismatchError(
-            f"queries of shape {q.shape} do not match {arr.cols} columns")
-    if not ((q >= 0.0) & (q <= arr.cfg.vdd)).all():  # NaN fails as well
-        raise OutOfRangeError(f"query voltages must lie in [0, {arr.cfg.vdd}] V")
-    return q, _sense_time(arr, t_sense)
-
-
 def _sense_time(arr: FecamArray, t_sense) -> float:
     """Validated sense time; None selects the column-adapted auto time."""
     if t_sense is None:
@@ -512,19 +497,9 @@ def _sense_time(arr: FecamArray, t_sense) -> float:
     return float(check_real(t_sense, "t_sense", 0, open=True))
 
 
-def _solve(arr: FecamArray, static: np.ndarray, t: float, trace=False):
-    """Solve up to t, by `_ml_voltage`, the match lines, each of a full row of
-    `arr`, that draw the static currents (S, R).  Returns the times,
-    TRACE_POINTS samples from 0 when trace is set, else t alone, and V_ML
-    (T, S, R) at them."""
-    times = np.linspace(0.0, t, TRACE_POINTS) if trace else np.array([t])
-    return times, _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols,
-                              static, times)
-
-
 def _top_current(arr: FecamArray, t: float) -> float:
-    """The largest float current whose line, as `_solve` solves a row's up
-    to t, `sense` reads as a match; cached in `arr._top_currents`.
+    """The largest float current whose line, as `_ml_voltage` solves a row's
+    up to t, `sense` reads as a match; cached in `arr._top_currents`.
 
     The line ends lower the more current its row draws, so this bisects
     over the floats' bit patterns, which order as the nonnegative floats do,
@@ -549,7 +524,8 @@ def _top_current(arr: FecamArray, t: float) -> float:
         step = -(-(hi - lo) // 128)
         bits = tries.pop(0) if tries else np.arange(lo + step, hi, step, dtype=np.int64)
         bits = bits[(bits > lo) & (bits < hi)]
-        matching = sense(_solve(arr, bits.view(float)[None], t)[1][-1, 0], p, vdd)
+        v = _ml_voltage(p, vdd, v_dsat, arr.cols, bits.view(float), np.array([t]))
+        matching = sense(v[0], p, vdd)
         miss = len(bits) if matching.all() else int(np.argmin(matching))
         lo = int(bits[miss - 1]) if miss else lo
         hi = int(bits[miss]) if miss < len(bits) else hi
@@ -558,14 +534,14 @@ def _top_current(arr: FecamArray, t: float) -> float:
 
 
 def _flags(arr: FecamArray, t: float, static: np.ndarray, queries: np.ndarray,
-           vth: np.ndarray, counts=None) -> np.ndarray:
-    """Match flags at t of the rows vth (R, F) that draw the static currents
-    (S, R) under the queries (S, F / 2), each column weighted by its count,
-    all ones by default: static <= `_top_current`.  Where a finite current
-    lies within 2 (2C + 2) 2^-53 of itself of the top current, twice what a
-    sum of the row's terms can round, `math.fsum` compares the row's
-    `_fet_currents`, each repeated by its count, its n_fets i_off floor and
-    the top current exactly, so no flag depends on how the sum was taken."""
+           vth: np.ndarray) -> np.ndarray:
+    """Match flags at t of the full rows vth (R, 2C) that draw the static
+    currents (S, R) under the queries (S, C), or (S, 1) for one voltage on
+    every column: static <= `_top_current`.  Where a finite current lies
+    within 2 (2C + 2) 2^-53 of itself of the top current, twice what a sum of
+    the row's terms can round, `math.fsum` compares the row's 2C
+    `_fet_currents`, its n_fets i_off floor and the top current exactly, so
+    no flag depends on how the sum was taken."""
     top = _top_current(arr, t)
     flags = static <= top
     band = 2 * (2 * arr.cols + 2) * 2.0**-53
@@ -573,41 +549,45 @@ def _flags(arr: FecamArray, t: float, static: np.ndarray, queries: np.ndarray,
     near = (static >= top / (1 + band)) & (static <= min(top / (1 - band), sys.float_info.max))
     if np.count_nonzero(near):  # much faster than near.any() or a 2-D nonzero
         s, r = np.nonzero(near)
-        v = np.concatenate((queries[s], inverter(queries[s], arr.cfg)), axis=1)
+        q = np.broadcast_to(queries[s], (len(s), arr.cols))
+        v = np.concatenate((q, inverter(q, arr.cfg)), axis=1)
         held = vth[r]
         terms = _fet_currents(v, slice(None), held,
                               _threshold_factors(held, arr.params, arr.cfg.vdd), arr.params)
-        if counts is not None:
-            terms = np.repeat(terms, np.concatenate((counts, counts)), axis=1)
         ends = [-top, 2 * arr.cols * arr.params.i_off]
         flags[s, r] = [math.fsum(ends + row) <= 0.0 for row in terms.tolist()]
     return flags
 
 
-def _search_rows(arr: FecamArray, queries, t_sense, trace=False):
+def _search_rows(arr: FecamArray, queries, t_sense):
     """The one search path: validate, then read each distinct row's flag at
-    t_sense from its current, and give every row its distinct row's answer.
-    Returns the flags (S, R), t_sense, and, when trace is set, the times and
-    V_ML (T, S, R) of `_solve`, else None for both."""
-    q, t = _checked(arr, queries, t_sense)
-    rows = arr._distinct_rows[1] if arr._distinct_rows else slice(None)
-    static = _summed_currents(*arr._terms, arr.cfg, arr.params, q)
-    flags = _flags(arr, t, static, q, arr._distinct_vth)[:, rows]
-    if not trace:
-        return flags, t, None, None
-    times, v = _solve(arr, static, t, trace=True)
-    return flags, t, times, v[..., rows]
+    t_sense from its current, and give every row its distinct row's flag.
+    Returns the flags (S, R), t_sense, and the distinct rows' static
+    currents (S, R_d) and row map, which a traced search solves."""
+    q = real_array(queries, "query voltages")
+    if q.ndim != 2 or q.shape[1] != arr.cols:
+        raise DimensionMismatchError(
+            f"queries of shape {q.shape} do not match {arr.cols} columns")
+    if not ((q >= 0.0) & (q <= arr.cfg.vdd)).all():  # NaN fails as well
+        raise OutOfRangeError(f"query voltages must lie in [0, {arr.cfg.vdd}] V")
+    t = _sense_time(arr, t_sense)
+    rows, vth, terms = arr._search_state
+    static = _summed_currents(*terms, arr.cfg, arr.params, q)
+    return _flags(arr, t, static, q, vth)[:, rows], t, static, rows
 
 
 def search(arr: FecamArray, query, t_sense: float | None = None) -> SearchResult:
     """Precharge-and-discharge search of all rows against one query vector.
 
     t_sense None selects the column-adapted auto time.  A row matches when
-    its match line is still above the sense boundary at t_sense.
+    its match line is still above the sense boundary at t_sense.  The trace
+    solves each distinct row's line at TRACE_POINTS times from 0 to t_sense.
     """
-    matches, t, times, v = _search_rows(arr, [query], t_sense, trace=True)
+    matches, t, static, rows = _search_rows(arr, [query], t_sense)
+    times = np.linspace(0.0, t, TRACE_POINTS)
+    v = _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols, static[0], times)
     return SearchResult(matches=tuple(matches[0].tolist()), sense_time=t,
-                        times=times, ml_voltages=v[:, 0])
+                        times=times, ml_voltages=v[:, rows])
 
 
 def batch_search(arr: FecamArray, queries, t_sense: float | None = None):
@@ -634,10 +614,10 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None):
     Sweeps v_sl applied to every column over `sweep_grid` and returns the
     edges of the maximal contiguous matching run, or None when nothing
     matches.  Cells of the row that hold the same thresholds draw the same
-    current at every sweep point, so each distinct cell is summed once,
-    weighted by its count, and read against the full row's top current;
-    a sweep point reads as `batch_search` of the same voltages does (see the
-    module docstring).
+    current at every sweep point, so its sum takes each distinct cell once,
+    weighted by its count; the flags read the whole row against its top
+    current, so a sweep point reads as `batch_search` of the same voltages
+    does (see the module docstring).
     """
     row = check_int(row, "row", 0, arr.rows - 1, OutOfRangeError)
     t = _sense_time(arr, t_sense)
@@ -648,7 +628,7 @@ def measure_bounds(arr: FecamArray, row: int, t_sense: float | None = None):
     queries = np.broadcast_to(grid[:, None], (len(grid), len(first)))
     static = _summed_currents(*_row_terms(cells, arr.params, arr.cfg.vdd, counts),
                               arr.cfg, arr.params, queries)
-    matching = _flags(arr, t, static, queries, cells, counts)[:, 0]
+    matching = _flags(arr, t, static, grid[:, None], arr.vth[row][None])[:, 0]
     if not matching.any():
         return None
     # longest contiguous run of matches

@@ -18,7 +18,7 @@ import numpy as np
 from . import device
 from .device import DeviceParams, FeFetState
 from .errors import (EmptyWindowError, InvalidParameterError, OutOfRangeError,
-                     check_int, check_real)
+                     check_int, check_real, real_array)
 
 
 class TernaryBit(enum.Enum):
@@ -56,11 +56,13 @@ class CellConfig:
 
     def __post_init__(self):
         check_real(self.vdd, "vdd", 0, open=True)
-        try:
+        try:  # text would be walked one character at a time
+            if isinstance(self.level_bounds, (str, bytes)):
+                raise TypeError
             bounds = tuple(self.level_bounds)
         except TypeError:
             raise InvalidParameterError(
-                f"level_bounds must be a sequence of numbers, got {self.level_bounds}") from None
+                f"level_bounds must be a sequence of numbers, got {self.level_bounds!r}") from None
         if len(bounds) < 2:
             raise InvalidParameterError(f"need at least 2 level bounds, got {len(bounds)}")
         bounds = tuple(float(check_real(b, f"level_bounds[{i}]", 0, self.vdd))
@@ -85,10 +87,8 @@ class FecamCell:
 
 def inverter(v_sl, cfg: CellConfig):
     """Inverted search-line voltage: the ideal complement vdd - v_sl."""
-    out = cfg.vdd - np.asarray(v_sl, dtype=float)
-    if np.ndim(v_sl) == 0:
-        return float(out)
-    return out
+    out = cfg.vdd - real_array(v_sl, "search-line voltages")
+    return float(out) if out.ndim == 0 else out
 
 
 def program_analog(lower: float, upper: float, cfg: CellConfig,

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import configparser
 import functools
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .array import MatchLineParams
 from .cell import CellConfig
 from .costmodel import CostParams
 from .device import MAX_SEED, DeviceParams
-from .errors import ParseError, check_int
+from .errors import InvalidParameterError, ParseError, check_int
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,11 @@ class GlobalConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # each section holds its class, its default factory
+            section = getattr(self, f.name)
+            if f.default_factory is not MISSING and not isinstance(section, f.default_factory):
+                raise InvalidParameterError(
+                    f"[{f.name}] must be a {f.default_factory.__name__}, got {section!r}")
         check_int(self.rng_seed, "rng_seed", 0, MAX_SEED)
         self.matchline.check_swing(self.cell.vdd)
 

@@ -15,7 +15,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidPulseError, OutOfRangeError, check_int, check_real, real_array
+from .errors import (InvalidParameterError, InvalidPulseError, OutOfRangeError, check_int,
+                     check_real, real_array)
 
 VTH_SOLVE_TOLERANCE = 1e-3  # V, contract of pulse_for_vth
 MAX_SEED = (1 << 128) - 1   # numpy's SeedSequence pools 128 bits of entropy
@@ -87,6 +88,8 @@ class DeviceParams:
 
 
 def _check_pulse(params: DeviceParams, pulse: WritePulse) -> None:
+    if not isinstance(pulse, WritePulse):
+        raise InvalidParameterError(f"not a WritePulse: {pulse!r}")
     a = pulse.amplitude
     try:
         if abs(a - params.v_erase) <= 1e-9:  # NaN goes on to the check
@@ -156,8 +159,8 @@ def saturated_current(params: DeviceParams, v_gs, vth):
     i_threshold, overflows only when that decade past i_on itself passes the
     float range; the inf it gives then reads i_on as well."""
     ceiling = np.log10(params.i_on - params.i_off) - np.log10(params.i_threshold) + 1.0
-    exponent = np.minimum((np.asarray(v_gs, dtype=float) - vth) / params.subthreshold_slope,
-                          ceiling)
+    overdrive = real_array(v_gs, "gate-source voltages") - real_array(vth, "thresholds")
+    exponent = np.minimum(overdrive / params.subthreshold_slope, ceiling)
     with np.errstate(over="ignore"):
         subthreshold = params.i_threshold * 10.0 ** exponent
     return np.minimum(params.i_off + subthreshold, params.i_on)
@@ -165,7 +168,7 @@ def saturated_current(params: DeviceParams, v_gs, vth):
 
 def vds_factor(params: DeviceParams, v_ds):
     """Linear drain-voltage saturation factor, clipped to [0, 1]."""
-    return np.clip(np.asarray(v_ds, dtype=float) / params.v_dsat, 0.0, 1.0)
+    return np.clip(real_array(v_ds, "drain-source voltages") / params.v_dsat, 0.0, 1.0)
 
 
 def drain_current(params: DeviceParams, v_gs, v_ds, vth):
@@ -175,9 +178,7 @@ def drain_current(params: DeviceParams, v_gs, v_ds, vth):
     [~i_off, i_on].  Accepts scalars or numpy arrays.
     """
     out = saturated_current(params, v_gs, vth) * vds_factor(params, v_ds)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def apply_variation(params: DeviceParams, vth, sigma_vth: float, seed):
@@ -189,9 +190,7 @@ def apply_variation(params: DeviceParams, vth, sigma_vth: float, seed):
     rng = np.random.default_rng(check_int(seed, "seed", 0, MAX_SEED))
     vth = real_array(vth, "vth")
     noisy = np.clip(vth + rng.normal(0.0, sigma_vth, vth.shape), params.vth_low, params.vth_high)
-    if vth.ndim == 0:
-        return float(noisy)
-    return noisy
+    return float(noisy) if vth.ndim == 0 else noisy
 
 
 def resolvable_levels(params: DeviceParams, sigma_vth: float,

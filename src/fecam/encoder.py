@@ -237,17 +237,21 @@ def entries_match_many(entries, addrs, width: int) -> np.ndarray:
         if isinstance(e, TernaryEntry):  # addr & mask == value, X bits unmasked
             mask = int(e.bits.replace("0", "1").replace("X", "0"), 2)
             out |= (a & mask) == int(e.bits.replace("X", "0"), 2)
-        else:
+        elif isinstance(e, AnalogEntry):
             hit = np.ones(a.shape, dtype=bool)
             for pos, (d_lo, d_hi) in enumerate(reversed(e.digits)):
                 digit = (a >> (pos * e.bits_per_cell)) & ((1 << e.bits_per_cell) - 1)
                 hit &= (digit >= d_lo) & (digit <= d_hi)
             out |= hit
+        else:
+            raise InvalidParameterError(f"not a TernaryEntry or AnalogEntry: {e!r}")
     return out
 
 
 def entry_to_cells(entry: AnalogEntry, cfg: CellConfig):
     """Per-cell analog windows [b_dlo, b_(dhi+1)] realizing the entry."""
+    if not isinstance(entry, AnalogEntry):
+        raise InvalidParameterError(f"not an AnalogEntry: {entry!r}")
     _check_levels(entry.bits_per_cell, cfg)
     b = cfg.level_bounds
     return [(b[d_lo], b[d_hi + 1]) for d_lo, d_hi in entry.digits]

@@ -2,16 +2,20 @@
 as an integer, the one check of a bounded integer (`check_int`: every index,
 count and width), of a bounded real (`check_real`: every scalar voltage,
 time, current and ratio, every field of a parameter class among them) and
-of an array of reals (`real_array`: thresholds, queries, source biases).
+of every array of reals (`real_array`).
 
 Every error carries a stable machine-parsable ``category`` string; the CLI
 prints it as the single-line error code.
 """
 
 import math
+import numbers
 import sys
+from decimal import Decimal
 
 import numpy as np
+
+REALS = (numbers.Real, Decimal)  # the types of one real number in real_array and messages
 
 
 class FecamError(Exception):
@@ -77,11 +81,7 @@ def check_int(value, what: str, lo: int, hi: int,
         error = InvalidParameterError
     elif lo <= int(value) <= hi:  # a numpy int
         return int(value)
-    try:
-        got = repr(value)
-    except ValueError:  # an int past the digit limit of int-to-str has no repr
-        got = f"an int of {value.bit_length()} bits"
-    raise error(f"{what} must be an integer in [{lo}, {hi}], got {got}")
+    raise error(f"{what} must be an integer in [{lo}, {hi}], got {_shown(value)}")
 
 
 def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
@@ -105,20 +105,28 @@ def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
 
 
 def real_array(values, what: str) -> np.ndarray:
-    """values as a float array, or InvalidParameterError naming what; a text
-    or complex dtype first, which numpy would parse or cut to its real part."""
+    """values as a float array, or InvalidParameterError naming what: a text
+    or complex dtype, which numpy would parse or cut to its real part, or an
+    object element not in REALS, such as None, which it would read as NaN."""
     try:
         given = np.asarray(values)
         if given.dtype.kind in "cSU":
             raise TypeError(f"a {given.dtype} array holds no real numbers")
+        if given.dtype.kind == "O":
+            for value in given.flat:
+                if not isinstance(value, REALS):
+                    raise TypeError(f"{value!r} is not a real number")
         return given.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:  # not reals, ragged or too large
         raise InvalidParameterError(f"{what} must be real numbers: {exc}") from None
 
 
 def _shown(value) -> str:
-    """str(value), but an int past the float range by its bit length, since
-    str of an int past the digit limit raises ValueError."""
+    """value as every check's message shows it: one of REALS by str, but an
+    int past the float range by its bit length, as str of an int past the
+    digit limit raises ValueError; anything else by repr, so text reads '0.1'."""
+    if not isinstance(value, REALS):
+        return repr(value)
     if is_int(value) and not -sys.float_info.max <= value <= sys.float_info.max:
         return f"an int of {value.bit_length()} bits"
     return str(value)

@@ -22,7 +22,7 @@ from .cell import TernaryBit, program_analog, program_digital
 from .config import GlobalConfig, parse_floats
 from .costmodel import NUMBER_SPEC
 from .encoder import RangeRule
-from .errors import FecamError, InconsistentInputError, ParseError
+from .errors import FecamError, InconsistentInputError, ParseError, real_array
 
 NUMBER = "%" + NUMBER_SPEC  # template field of one real number
 
@@ -185,7 +185,7 @@ def bounds_sweep_csv(v_sl_grid, matches) -> str:
     v_sl_volts,match_0,...,match_{R-1}."""
     matches = np.asarray(matches)
     n_points, n_rows = matches.shape
-    grid = np.asarray(v_sl_grid, dtype=float)
+    grid = real_array(v_sl_grid, "sweep voltages")
     if grid.shape != (n_points,):
         raise InconsistentInputError(
             f"{grid.size} sweep voltages for {n_points} rows of match flags")
@@ -197,7 +197,7 @@ def bounds_sweep_csv(v_sl_grid, matches) -> str:
 
 def transfer_csv(rows) -> str:
     """Transfer-curve families: amplitude_volts,v_gs_volts,i_d_amps."""
-    values = np.asarray(rows, dtype=float).ravel().tolist()
+    values = real_array(rows, "transfer rows").ravel().tolist()
     line = f"\n{NUMBER},{NUMBER},{NUMBER}"
     return ("amplitude_volts,v_gs_volts,i_d_amps" + line * (len(values) // 3)
             + "\n") % tuple(values)

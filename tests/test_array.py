@@ -20,8 +20,8 @@ from fecam import (CellConfig, DeviceParams, DimensionMismatchError,
 from fecam import FecamCell, FecamError, FeFetState, device, pulse_for_vth
 from fecam import array as fecam_array
 from fecam.array import (BLOCK_CELLS, DISTURB_LIMIT, EXP_LIMIT, MAX_CELLS,
-                         TABLE_ENTRIES, _fet_currents, _pair_tables, _row_terms, _solve,
-                         _summed_currents, _threshold_factors, _top_current)
+                         TABLE_ENTRIES, _fet_currents, _ml_voltage, _pair_tables,
+                         _row_terms, _summed_currents, _threshold_factors, _top_current)
 from fecam.device import saturated_current, vth_from_pulse
 from fecam.errors import check_int
 
@@ -211,8 +211,8 @@ class TestMeasureBounds:
 
     def test_bounds_build_no_search_state(self, mlp, cfg, params):
         """measure_bounds sums its row's distinct cells itself: an array
-        that was never searched holds no distinct-row index or terms after
-        it, nor any other new attribute, and its first search builds them."""
+        that was never searched holds no search state after it, nor any
+        other new attribute, and its first search builds one."""
         arr = FecamArray(cells=[[program_level_window(k, k, cfg, params)] * 8
                                 for k in (0, 3, 3, 5)],
                          ml_params=mlp, cfg=cfg, params=params)
@@ -220,7 +220,7 @@ class TestMeasureBounds:
         assert measure_bounds(arr, 1) is not None
         assert set(vars(arr)) == held
         batch_search(arr, [[0.5] * 8])
-        assert {"_distinct_rows", "_terms"} <= set(vars(arr))
+        assert "_search_state" in vars(arr)
 
     @pytest.mark.parametrize("slope", [5e-3, 5.8e-3, 6.5e-3, 8e-3])
     def test_bounds_take_the_search_branch(self, mlp, cfg, slope, monkeypatch):
@@ -414,14 +414,16 @@ class TestDistinctRows:
                                   edges[rng.integers(0, 9, (4, arr.cols))],
                                   rng.uniform(0.0, arr.cfg.vdd, (4, arr.cols))))
         keys = [row.tobytes() for row in arr.vth]
-        assert (arr._distinct_rows is None) == (len(set(keys)) == arr.rows)
+        assert isinstance(arr._search_state[0], slice) == (len(set(keys)) == arr.rows)
 
         flags = batch_search(arr, queries, t_sense)
         t = arr.auto_sense_time() if t_sense is None else t_sense
         assert (flags == exact_flags(arr, queries, t)).all()
         static = np.hstack([_summed_currents(*_row_terms(row[None], arr.params, arr.cfg.vdd),
                                              arr.cfg, arr.params, queries) for row in arr.vth])
-        solved = sense(_solve(arr, static, t)[1][-1], arr.ml_params, arr.cfg.vdd)
+        v = _ml_voltage(arr.ml_params, arr.cfg.vdd, arr.params.v_dsat, arr.cols, static,
+                        np.array([t]))
+        solved = sense(v[-1], arr.ml_params, arr.cfg.vdd)
         assert (solved == (static <= _top_current(arr, t))).all()
 
         for i in rng.choice(len(queries), 3, replace=False):
@@ -437,10 +439,10 @@ class TestDistinctRows:
         params = DeviceParams(vth_low=-0.1)
         zero, negative = [0.0, 0.5, 0.3, 0.0], [0.0, 0.5, 0.3, -0.0]
         apart = FecamArray.from_vth([zero, negative], mlp, cfg, params)
-        assert apart._distinct_rows is None
+        assert apart._search_state[0] == slice(None)
         tiled = FecamArray.from_vth([zero, negative, zero, negative], mlp, cfg, params)
-        first, rows = tiled._distinct_rows
-        assert len(first) == 2 and rows.tolist() in ([0, 1, 0, 1], [1, 0, 1, 0])
+        rows, vth, _ = tiled._search_state
+        assert len(vth) == 2 and rows.tolist() in ([0, 1, 0, 1], [1, 0, 1, 0])
         queries = np.array([[0.2, 0.7], [0.5, 0.5]])
         for arr in (apart, tiled):
             flags = batch_search(arr, queries)
@@ -468,9 +470,9 @@ class TestDistinctRows:
             want = np.array([[k == held for held in levels] for k in (2, 5, 6)])
             assert (flags == want).all(), (levels, flags)
             assert matches == [tuple(f) for f in want.tolist()]
-            first, rows = arr._distinct_rows
-            assert len(first) == distinct
-            assert (arr.vth[first][rows] == arr.vth).all()
+            rows, vth, _ = arr._search_state
+            assert len(vth) == distinct
+            assert (vth[rows] == arr.vth).all()
             seen.append((arr, (flags, matches)))
         for old, (flags, matches) in seen:
             again = answers(old)
@@ -518,8 +520,8 @@ class TestCurrentRule:
         with mock.patch.object(fecam_array, "TABLE_ENTRIES", 0):  # no matrix fits
             direct = FecamArray.from_vth(arr.vth, arr.ml_params, arr.cfg, arr.params)
             assert (batch_search(direct, queries, t_sense) == flags).all()
-        assert direct._terms[2] is None
-        event("table form" if arr._terms[2] is not None else "direct form")
+        assert direct._search_state[2][2] is None
+        event("table form" if arr._search_state[2][2] is not None else "direct form")
         for r, row in enumerate(arr.vth):
             alone = FecamArray.from_vth(row[None], arr.ml_params, arr.cfg, arr.params)
             assert (batch_search(alone, queries, t_sense)[:, 0] == flags[:, r]).all(), r
@@ -552,7 +554,7 @@ class TestCurrentRule:
         assert list(tops) == [arr.auto_sense_time()]
         written, _ = write_cells(arr, 1, [program_level_window(2, 2, cfg, params)] * 4)
         assert written._top_currents is tops
-        with mock.patch.object(fecam_array, "_solve", side_effect=AssertionError):
+        with mock.patch.object(fecam_array, "_ml_voltage", side_effect=AssertionError):
             query = [[level_center(2, cfg)] * 4]
             assert batch_search(written, query).tolist() == [[False, True, False, False]]
 
@@ -562,9 +564,9 @@ class TestWrite:
         # a write used to factor every threshold of the array it returned
         arr = filled(4, 4, demo_cell, mlp, cfg, params)
         written, _ = write_cells(arr, 1, [program_level_window(2, 2, cfg, params)] * 4)
-        assert "_terms" not in vars(written)
+        assert "_search_state" not in vars(written)
         batch_search(written, [[0.5] * 4])
-        assert "_terms" in vars(written)
+        assert "_search_state" in vars(written)
 
     def test_half_voltage_plan_passes_at_limit(self, demo_cell, mlp, cfg, params):
         arr = filled(4, 2, demo_cell, mlp, cfg, params)
@@ -651,6 +653,13 @@ class TestWrite:
             WritePlan(target_row=0, sl_pulses=(), isl_pulses=(), source_bias=[[0.0]])
         with pytest.raises(DimensionMismatchError, match="1 SL pulses vs 0 inverted-SL"):
             WritePlan(target_row=0, sl_pulses=(None,), isl_pulses=(), source_bias=(0.0,))
+        # a bare TypeError from tuple(5), and an AttributeError on 3.0's amplitude
+        with pytest.raises(InvalidParameterError, match="pulse columns must be sequences"):
+            WritePlan(target_row=0, sl_pulses=5, isl_pulses=(None,), source_bias=(0.0, 2.0))
+        plan = WritePlan(target_row=0, sl_pulses=(3.0,), isl_pulses=(None,),
+                         source_bias=(0.0, 2.0))
+        with pytest.raises(InvalidParameterError, match="not a WritePulse"):
+            write_row(filled(2, 1, demo_cell, mlp, cfg, params), plan)
         # the pulse is checked against the array's DeviceParams when applied,
         # before the disturb report (which this plan also fails)
         plan = WritePlan(target_row=0, sl_pulses=(WritePulse(-4.5),),
@@ -1059,10 +1068,8 @@ class TestColumnTables:
         for arr, tabled, distinct in zip(arrays, [True, True, False, False, False],
                                          [64, 64, 4, 1, 64]):
             batch_search(arr, np.full((3, arr.cols), 0.5))
-            first = arr._distinct_rows[0] if arr._distinct_rows else np.arange(arr.rows)
-            assert len(first) == distinct
-            vth = arr.vth[first]
-            held, factors, lines, _, _ = arr._terms
+            _, vth, (held, factors, lines, _, _) = arr._search_state
+            assert len(vth) == distinct
             assert (lines is not None) == tabled
             n_pairs = sum(len(set(column)) for column in vth.T.tolist())
             assert factors.shape == held.shape == ((n_pairs,) if tabled else vth.shape)
@@ -1070,7 +1077,7 @@ class TestColumnTables:
         steep = DeviceParams(subthreshold_slope=5e-3)
         arr = FecamArray.from_vth(level_rows.vth, mlp, cfg, steep)
         batch_search(arr, [[0.5] * 64])
-        assert arr._terms[1] is None
+        assert arr._search_state[2][1] is None
 
     def test_form_follows_the_benchmark_shapes(self, demo_cell, mlp, cfg, params):
         """Banks of a compiled table, in either mode, take the table form;
@@ -1078,8 +1085,8 @@ class TestColumnTables:
         each with many thresholds per column for its distinct rows, do not."""
         for mode, most in ((TableMode.ANALOG3B, 9), (TableMode.TERNARY, 2)):
             bank = table_bank(mode, mlp, cfg, params)
-            assert bank.rows == 64 and bank._distinct_rows is None
-            held, _, lines, matrix, fets = bank._terms
+            row_map, _, (held, _, lines, matrix, fets) = bank._search_state
+            assert bank.rows == 64 and row_map == slice(None)
             assert lines is not None
             assert fets == 2 * bank.cols and len(held) <= most * fets
             assert matrix.shape == (len(held), 64)
@@ -1087,10 +1094,10 @@ class TestColumnTables:
         level_rows = FecamArray(cells=[[program_level_window(k, k, cfg, params)] * 64
                                        for k in levels.tolist()],
                                 ml_params=mlp, cfg=cfg, params=params)
-        assert len(level_rows._distinct_rows[0]) == 8
+        assert len(level_rows._search_state[1]) == 8
         for arr in (level_rows, filled(64, 8, demo_cell, mlp, cfg, params),
                     varied(table_bank(TableMode.ANALOG3B, mlp, cfg, params), 0.01, seed=5)):
-            assert arr._terms[2] is None
+            assert arr._search_state[2][2] is None
 
     def test_a_query_reads_the_same_in_any_batch(self, mlp, cfg):
         """At 10 uV/decade without leakage, a query on the window edges of a
@@ -1113,7 +1120,7 @@ class TestColumnTables:
             queries = np.where(rng.integers(0, 2, (12, cols)), edges[held[..., 0]],
                                edges[held[..., 1] + 1])
             flags = batch_search(arr, queries)
-            forms.add(arr._terms[2] is None)
+            forms.add(arr._search_state[2][2] is None)
             for i, query in enumerate(queries):
                 assert search(arr, query).matches == tuple(flags[i].tolist())
             for part in (slice(0, 5), slice(3, None)):
@@ -1134,8 +1141,8 @@ class TestColumnTables:
         with pytest.warns(RuntimeWarning):
             arr = FecamArray.from_vth(np.concatenate((held[..., 0], held[..., 1]), axis=1),
                                       mlp, cfg, params)
-        assert arr._distinct_rows is None
-        held, _, lines, _, _ = arr._terms
+        row_map, _, (held, _, lines, _, _) = arr._search_state
+        assert row_map == slice(None)
         assert (lines is not None) == tabled == (512 * rows <= TABLE_ENTRIES)
         assert held.shape == ((512,) if tabled else arr.vth.shape)
 
@@ -1252,7 +1259,7 @@ class TestCurrentKernel:
         # of two levels per column also all differ, in the table form
         arr = filled(64, 64, demo_cell, mlp, cfg, params)
         distinct = varied(arr, 0.01, seed=5)
-        assert distinct._distinct_rows is None
+        assert distinct._search_state[0] == slice(None)
         rng = np.random.default_rng(6)
         two = [[program_level_window(k, k, cfg, params) for k in rng.choice(8, 2, replace=False)]
                for _ in range(64)]
@@ -1268,4 +1275,5 @@ class TestCurrentKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 8e6
-        assert tabled._distinct_rows is None and tabled._terms[2] is not None
+        row_map, _, terms = tabled._search_state
+        assert row_map == slice(None) and terms[2] is not None

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fecam import (CamKind, CellConfig, CostParams, DeviceParams,
                    InvalidParameterError, MatchLineParams, ParseError,
                    default_config, load_config)
-from fecam.config import config_text
+from fecam.config import GlobalConfig, config_text
 
 PARAM_SECTIONS = {"device": DeviceParams, "cell": CellConfig,
                   "matchline": MatchLineParams, "cost": CostParams}
@@ -284,6 +284,13 @@ class TestFormatFromFields:
         path.write_text("vdd = 1.0\n")
         with pytest.raises(ParseError, match="cannot parse config"):
             load_config(path)
+
+    @pytest.mark.parametrize("section", ["device", "cell", "matchline", "cost"])
+    def test_section_must_hold_its_class(self, section):
+        # matchline=None raised a bare AttributeError, and device=None built
+        for held in (None, MatchLineParams() if section != "matchline" else DeviceParams()):
+            with pytest.raises(InvalidParameterError, match=rf"^\[{section}\] must be a "):
+                GlobalConfig(**{section: held})
 
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "fecam.ini"

@@ -85,6 +85,13 @@ class TestPolarization:
         assert phis[-1] >= 0.99
         assert all(0.0 <= p <= 1.0 for p in phis)
 
+    @pytest.mark.parametrize("pulse", [3.0, None, "3.0"], ids=["float", "None", "text"])
+    def test_pulse_must_be_a_write_pulse(self, params, pulse):
+        # each used to raise a bare AttributeError on .amplitude
+        for call in (polarization_after_pulse, vth_from_pulse):
+            with pytest.raises(InvalidParameterError, match="not a WritePulse"):
+                call(params, pulse)
+
     def test_rejects_amplitudes_outside_ranges(self, params):
         for amplitude in (1.9, 4.1, -3.0, 0.0, 5.0):
             with pytest.raises(InvalidPulseError):

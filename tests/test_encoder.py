@@ -228,6 +228,12 @@ class TestEntriesMatch:
         with pytest.raises(OutOfRangeError):
             entries_match([TernaryEntry("0X")], 4, 2)
 
+    @pytest.mark.parametrize("entry", [5, None, "01"])
+    def test_entries_of_the_wrong_kind_rejected(self, entry):
+        # each used to raise a bare AttributeError on .digits
+        with pytest.raises(InvalidParameterError, match="not a TernaryEntry or AnalogEntry"):
+            entries_match_many([TernaryEntry("0X"), entry], [1], 2)
+
     def test_width_bounded(self):
         # 1 << 140 used to raise a bare OverflowError from 1 << width
         top = (1 << 1024) - 1
@@ -248,6 +254,11 @@ class TestEntryToCells:
         entry = AnalogEntry(((3, 3),), 3)
         assert entry_to_cells(entry, cfg) == [(cfg.level_bounds[3],
                                                cfg.level_bounds[4])]
+
+    def test_entry_must_be_analog(self, cfg):
+        # a bare AttributeError on .bits_per_cell
+        with pytest.raises(InvalidParameterError, match="not an AnalogEntry"):
+            entry_to_cells(TernaryEntry("01"), cfg)
 
     def test_level_count_must_match(self, cfg):
         entry = AnalogEntry(((0, 1),), 1)

@@ -11,7 +11,7 @@ from fecam import (CellConfig, DeviceParams, FecamArray, InvalidParameterError,
                    discharge_time, level_center, measure_bounds, ml_capacitance,
                    program_analog, program_level_window, search, sense,
                    single_mismatch_sense_time)
-from fecam.array import _ml_voltage, _row_terms, _solve, _summed_currents, _top_current
+from fecam.array import _ml_voltage, _row_terms, _summed_currents, _top_current
 
 RK4_STEPS = 1000
 TOLERANCE = 1e-6  # V
@@ -99,7 +99,8 @@ def test_top_current_is_the_last_match(data, overflow_edge):
     currents = np.unique(np.concatenate(
         ([0.0, top, np.nextafter(top, np.inf), np.finfo(float).max], ulps, spread)))
     currents = currents[np.isfinite(currents)]
-    flags = sense(_solve(arr, currents[None], t)[1][-1, 0], mlp, vdd)
+    v = _ml_voltage(mlp, vdd, params.v_dsat, cols, currents, np.array([t]))
+    flags = sense(v[-1], mlp, vdd)
     assert (flags == (currents <= top)).all()
 
 

@@ -10,6 +10,7 @@ import inspect
 import math
 import pkgutil
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fecam import (CellConfig, CostParams, DeviceParams, EmptyWindowError,
 from fecam.array import MAX_SWEEP_STEPS, sweep_grid
 from fecam.device import saturated_current, vds_factor
 from fecam.errors import check_real
+from fecam.fileio import bounds_sweep_csv, transfer_csv
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -335,7 +337,18 @@ class TestFormerHoles:
         lambda: apply_variation(cfg().device, ["0.5"], 0.01, 0),
         lambda: apply_variation(cfg().device, ["x"], 0.01, 0),
         lambda: apply_variation(cfg().device, np.array([0.5 + 1j]), 0.01, 0),
-        lambda: search(arr(), [10 ** 400])],
+        lambda: search(arr(), [10 ** 400]),
+        lambda: drain_current(cfg().device, "0.5", 1.0, 0.5),
+        lambda: drain_current(cfg().device, 0.5, 1.0, "0.4"),
+        lambda: saturated_current(cfg().device, np.array([0.5 + 1j]), 0.4),
+        lambda: vds_factor(cfg().device, None),
+        lambda: inverter("0.3", cfg().cell),
+        lambda: inverter(None, cfg().cell),
+        lambda: cell_current(demo_cell(), "0.5", "1.0", cfg().cell, cfg().device),
+        lambda: transfer_csv([(3, None, 1)]),
+        lambda: bounds_sweep_csv(["0.5"], [[True]]),
+        lambda: apply_variation(cfg().device, [None, 0.5], 0.01, 0),
+        lambda: search(arr(), np.array(["0.5", 0.5], dtype=object))],
         ids=["DeviceParams", "MatchLineParams", "CellConfig", "vth_from_pulse", "from_vth",
              "i_on-None", "vth_low-None", "v_prog_min-None", "coercive_mu-None",
              "search-string", "batch_search-ragged", "batch_search-complex",
@@ -343,7 +356,11 @@ class TestFormerHoles:
              "program_digital-string", "digital_query_voltage-string", "search-text-number",
              "from_vth-text-numbers", "from_vth-bytes-numbers", "WritePlan-text-bias",
              "apply_variation-text-number", "apply_variation-string",
-             "apply_variation-complex-array", "search-int-past-the-float-range"])
+             "apply_variation-complex-array", "search-int-past-the-float-range",
+             "drain_current-text-v_gs", "drain_current-text-vth", "saturated_current-complex",
+             "vds_factor-None", "inverter-text", "inverter-None", "cell_current-text",
+             "transfer_csv-None", "bounds_sweep_csv-text", "apply_variation-None",
+             "search-object-text"])
     def test_non_number_is_an_invalid_parameter(self, call):
         # each used to raise a bare TypeError or ValueError; None passed the
         # finiteness check as "unset", so coercive_mu=None built a device.
@@ -351,8 +368,28 @@ class TestFormerHoles:
         # digital_query_voltage("1") called it "not don't-care"; numpy dropped
         # the imaginary part of a complex array with only a ComplexWarning, and
         # parsed text arrays such as ["0.5"] as numbers, which check_real refuses;
-        # an int past the float range in a query raised a bare OverflowError
+        # an int past the float range in a query raised a bare OverflowError.
+        # The laws' voltages and the CSV writers' numbers parsed text, read
+        # None as NaN and cut a complex number with a ComplexWarning, and an
+        # object array read None as NaN and parsed its text
         with pytest.raises(InvalidParameterError):
+            call()
+
+    def test_decimal_numbers_are_reals(self):
+        # check_real accepts a Decimal, so an array of them reads as floats
+        assert apply_variation(cfg().device, [Decimal("0.5")], 0.0, 0).tolist() == [0.5]
+        assert search(arr(), [Decimal("0.5")]).matches == (True, True)
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda: DeviceParams(v_dsat="0.1"), "'0.1'"),
+        (lambda: search(arr(), [0.5], "1e-9"), "'1e-9'"),
+        (lambda: program_analog("0.4", 0.6, cfg().cell, cfg().device), "'0.4'"),
+        (lambda: CellConfig(level_bounds="0.1 0.5"), "'0.1 0.5'")],
+        ids=["DeviceParams", "search", "program_analog", "CellConfig-level_bounds"])
+    def test_text_is_shown_by_its_repr(self, call, shown):
+        # text read as the number it spells: "v_dsat must be in (0, inf), got
+        # 0.1", and level_bounds text walked one character, "0", at a time
+        with pytest.raises(InvalidParameterError, match=f"got {re.escape(shown)}$"):
             call()
 
     @pytest.mark.parametrize("call", [
