@@ -3,10 +3,14 @@
 One greedy cover serves both modes: at b bits per cell it gives digit-range
 entries (each cell an interval of quantized levels); at one bit per cell,
 where a digit interval is 0, 1 or X, it is the minimal ternary prefix cover.
-Both are exact.  Every entry is one address interval, so table lookup is a
-search of one interval index (segment starts, each labelled with its first
-rule): `bisect` for one address over Python ints, `searchsorted` for many,
-keyed on Python ints from 63 bits up.  Any width works.
+Both are exact.  The covers check their arguments once and share one core,
+`_cover`, which runs on checked Python ints and builds its entries unchecked;
+`compile_table` checks its rules once (each a `RangeRule`, so its ends and
+width are checked ints) and builds every entry of its table that way.  Every
+entry is one address interval, so table lookup is a search of one interval
+index (segment starts, each labelled with its first rule): `bisect` for one
+address over Python ints, `searchsorted` for many, keyed on Python ints from
+63 bits up.  Any width works.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .errors import InvalidParameterError, OutOfRangeError, check_int, is_int
 
 MAX_RULE_WIDTH = 1024     # widest rule: a ternary cover holds ~2 w entries of w cells
 
+_new, _set = object.__new__, object.__setattr__  # the unchecked constructors' tools
+
 
 @dataclass(frozen=True)
 class TernaryEntry:
@@ -37,6 +43,13 @@ class TernaryEntry:
     def __post_init__(self):
         if not (isinstance(self.bits, str) and self.bits and not self.bits.strip("01X")):
             raise InvalidParameterError(f"bad ternary bits: {self.bits!r}")
+
+    @classmethod
+    def _unchecked(cls, bits: str):
+        """The entry of bits known to be a '0'/'1'/'X' str, made without a check."""
+        entry = _new(cls)
+        _set(entry, "bits", bits)
+        return entry
 
     @property
     def width(self) -> int:
@@ -80,6 +93,15 @@ class AnalogEntry:
         if type(self.bits_per_cell) is not int:  # hold a Python int
             object.__setattr__(self, "bits_per_cell", bits)
 
+    @classmethod
+    def _unchecked(cls, digits: tuple, bits_per_cell: int):
+        """The entry of digits known to be a tuple of in-range Python int
+        pairs and of a checked Python int bits_per_cell, made without a check."""
+        entry = _new(cls)
+        _set(entry, "digits", digits)
+        _set(entry, "bits_per_cell", bits_per_cell)
+        return entry
+
     @property
     def width(self) -> int:
         return len(self.digits) * self.bits_per_cell
@@ -96,7 +118,10 @@ class AnalogEntry:
         return lo, hi
 
     def __str__(self):
-        return "".join(f"[{a}-{b}]" for a, b in self.digits)
+        return "".join(map(_pair_text, self.digits))
+
+
+_pair_text = functools.lru_cache(maxsize=4096)("[%d-%d]".__mod__)  # one digit pair's text
 
 
 @dataclass(frozen=True)
@@ -138,56 +163,64 @@ def _check_levels(bits_per_cell: int, cfg: CellConfig) -> None:
             f"config has {cfg.level_count}")
 
 
-def _blocks(lo: int, hi: int, width: int, bits_per_cell: int) -> list:
-    """The greedy cover of [lo, hi] as (start, k, span): span aligned blocks
-    of 2^(b k) addresses from start, differing only in digit k (b bits).  k is
+def _cover(rules, width: int, bits_per_cell: int, analog: bool) -> list:
+    """The one cover core, on the checked Python ints of RangeRules: per rule,
+    the greedy cover of [lo, hi] as entries made unchecked, AnalogEntrys when
+    analog is set, else TernaryEntrys (one bit per cell).  Each entry is span
+    aligned blocks of 2^(b k) addresses from start, differing only in digit k
+    (b bits).  k is
     as large as start's alignment, the room left and the digit count allow,
-    then span as large as digit k and the room allow."""
-    rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
-    width, bits_per_cell, digits = _geometry(rule.width, bits_per_cell)
-    top_k = digits - 1
-    base = 1 << bits_per_cell
-    blocks, start = [], rule.lo
-    while start <= rule.hi:
-        room = rule.hi - start + 1
-        aligned = (start & -start).bit_length() - 1 if start else width
-        k = min(aligned // bits_per_cell,
-                (room.bit_length() - 1) // bits_per_cell, top_k)
-        shift = k * bits_per_cell
-        span = min(base - (start >> shift & base - 1), room >> shift)
-        blocks.append((start, k, span))
-        start += span << shift
-    return blocks
+    then span as large as digit k and the room allow.  An analog entry fixes
+    the digits above k, bounds digit k and wildcards the digits below, sharing
+    the digit pairs of one cover; a ternary one is the bits of start above
+    w = k + span - 1 (kept with their zeros under a leading 1), then w X's."""
+    b, top_k = bits_per_cell, width // bits_per_cell - 1
+    base = 1 << b
+    top = base - 1
+    if analog:
+        exact, wild = [(d, d) for d in range(base)], ((0, top),) * top_k
+        analog_entry = AnalogEntry._unchecked
+    ternary_entry = TernaryEntry._unchecked
+    covers = []
+    for rule in rules:
+        cover, start, hi = [], rule.lo, rule.hi
+        while start <= hi:
+            room = hi - start + 1
+            aligned = (start & -start).bit_length() - 1 if start else width
+            k = min(aligned // b, (room.bit_length() - 1) // b, top_k)
+            shift = k * b
+            d = start >> shift & top
+            span = min(base - d, room >> shift)
+            if analog:
+                cover.append(analog_entry(
+                    (*[exact[start >> s & top] for s in range(width - b, shift, -b)],
+                     (d, d + span - 1), *wild[:k]), b))
+            else:
+                w = k + span - 1
+                cover.append(ternary_entry(bin(start >> w | 1 << width - w)[3:] + "X" * w))
+            start += span << shift
+        covers.append(cover)
+    return covers
 
 
 def range_to_prefixes(lo: int, hi: int, width: int):
-    """Minimal prefix cover of [lo, hi]: disjoint, ascending, exact; the block
-    cover at one bit per cell.  A run of blocks is the bits of its start above
-    w = k + span - 1 (kept with their zeros under a leading 1), then w X's.
-    """
-    return [TernaryEntry(bin(start >> w | 1 << int(width) - w)[3:] + "X" * w)
-            for start, k, span in _blocks(lo, hi, width, 1)
-            for w in (k + span - 1,)]
+    """Minimal prefix cover of [lo, hi]: disjoint, ascending, exact; the
+    greedy cover at one bit per cell."""
+    rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
+    return _cover([rule], rule.width, 1, False)[0]
 
 
 def range_to_analog_entries(lo: int, hi: int, width: int,
                             bits_per_cell: int = 3):
     """Greedy digit-range cover of [lo, hi] in base 2^bits_per_cell.
 
-    The greedy block cover: each entry fixes the high digits, bounds digit k
-    by an interval, and wildcards the lower digits; entries are disjoint,
-    ascending, and their union is exactly the range.
+    Each entry fixes the high digits, bounds digit k by an interval, and
+    wildcards the lower digits; entries are disjoint, ascending, and their
+    union is exactly the range.
     """
-    blocks = _blocks(lo, hi, width, bits_per_cell)
-    b = int(bits_per_cell)
-    top = (1 << b) - 1
-    exact, wild = [(d, d) for d in range(top + 1)], ((0, top),) * (width // b)
-    entries = []
-    for start, k, span in blocks:
-        fixed = [exact[start >> s & top] for s in range(width - b, k * b, -b)]
-        d = start >> k * b & top
-        entries.append(AnalogEntry((*fixed, (d, d + span - 1), *wild[:k]), b))
-    return entries
+    rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
+    width, bits_per_cell, _ = _geometry(rule.width, bits_per_cell)
+    return _cover([rule], width, bits_per_cell, True)[0]
 
 
 def _addresses(addrs, width: int) -> np.ndarray:
@@ -282,6 +315,14 @@ class TableEntry:
     entry: object             # TernaryEntry or AnalogEntry
     rule_index: int           # the rule it covers, which holds the action
 
+    @classmethod
+    def _unchecked(cls, entry, rule_index: int):
+        """The table entry, made without the dataclass `__init__`."""
+        tagged = _new(cls)
+        _set(tagged, "entry", entry)
+        _set(tagged, "rule_index", rule_index)
+        return tagged
+
 
 @dataclass(frozen=True)
 class RoutingTable:
@@ -323,27 +364,29 @@ class RoutingTable:
 def compile_table(rules, mode: TableMode, bits_per_cell: int = 3) -> RoutingTable:
     """Concatenate per-rule covers into one table, first-match priority.
 
-    All rules must share one search width; overlaps between rules are
-    resolved by rule order at lookup time.  bits_per_cell sets the digit
-    size of analog covers; ternary tables store one bit per cell.
+    Every rule must be a `RangeRule` (so its ends and width are checked
+    Python ints), and all must share one search width; overlaps between
+    rules are resolved by rule order at lookup time.  bits_per_cell sets the
+    digit size of analog covers; ternary tables store one bit per cell.  The
+    rules are checked once, and the entries are built unchecked from them.
     """
     rules = tuple(rules)
+    for rule in rules:
+        if not isinstance(rule, RangeRule):
+            raise InvalidParameterError(f"not a RangeRule: {rule!r}")
     width = rules[0].width if rules else 0
     if any(r.width != width for r in rules):
         raise InvalidParameterError("rules mix different widths")
     if mode is TableMode.TERNARY:
-        cover, bits_per_cell = range_to_prefixes, 1
-    elif mode is TableMode.ANALOG3B:
-        cover = functools.partial(range_to_analog_entries,
-                                  bits_per_cell=bits_per_cell)
-    else:
+        bits_per_cell = 1
+    elif mode is not TableMode.ANALOG3B:
         raise InvalidParameterError(f"unknown table mode {mode!r}")
     _, bits_per_cell, _ = _geometry(width, bits_per_cell)  # checked also without rules
-    entries = []
-    for index, rule in enumerate(rules):
-        entries.extend(TableEntry(e, index)
-                       for e in cover(rule.lo, rule.hi, rule.width))
-    return RoutingTable(mode=mode, width=width, entries=tuple(entries),
+    covers = _cover(rules, width, bits_per_cell, mode is TableMode.ANALOG3B)
+    tagged = TableEntry._unchecked
+    entries = tuple([tagged(e, index) for index, cover in enumerate(covers)
+                     for e in cover])
+    return RoutingTable(mode=mode, width=width, entries=entries,
                         rules=rules, bits_per_cell=bits_per_cell)
 
 

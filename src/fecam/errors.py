@@ -16,6 +16,7 @@ from decimal import Decimal
 import numpy as np
 
 REALS = (numbers.Real, Decimal)  # the types of one real number in real_array and messages
+BOOLS = (bool, np.bool_)  # never a real number, though bool is a numbers.Real
 
 
 class FecamError(Exception):
@@ -89,32 +90,39 @@ def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
     """The one bounded-real check: `value`, returned as given, in [lo, hi], or
     in (lo, hi) when `open` is set.  An infinite end is always open, so NaN
     and +-inf never pass, nor does an int past the float range.  A value
-    outside raises `error`, a value that is not one real number
-    InvalidParameterError, with one message that names `what`; an int past
-    the float range is shown by its bit length."""
-    try:
-        if (lo < value < hi or not open and (value == lo or value == hi)) and math.isfinite(value):
-            return value  # the in-range cases, first
-    except (TypeError, ValueError):  # no order with a number, or an array
+    outside raises `error`, a value that is not one real number, a bool
+    (`BOOLS`) among them, InvalidParameterError, with one message that names
+    `what`; an int past the float range is shown by its bit length."""
+    if type(value) is float:  # the common case, first: a float strictly inside is finite
+        if lo < value < hi or not open and (value == lo or value == hi) and math.isfinite(value):
+            return value
+    elif isinstance(value, BOOLS):  # True is not 1.0 V
         error = InvalidParameterError
-    except OverflowError:  # an int past the float range, at an infinite end
-        pass
+    else:
+        try:
+            if (lo < value < hi or not open and (value == lo or value == hi)) and math.isfinite(value):
+                return value
+        except (TypeError, ValueError):  # no order with a number, or an array
+            error = InvalidParameterError
+        except OverflowError:  # an int past the float range, at an infinite end
+            pass
     left = "(" if open or lo == -math.inf else "["
     right = ")" if open or hi == math.inf else "]"
     raise error(f"{what} must be in {left}{lo}, {hi}{right}, got {_shown(value)}")
 
 
 def real_array(values, what: str) -> np.ndarray:
-    """values as a float array, or InvalidParameterError naming what: a text
-    or complex dtype, which numpy would parse or cut to its real part, or an
-    object element not in REALS, such as None, which it would read as NaN."""
+    """values as a float array, or InvalidParameterError naming what: a text,
+    complex or bool dtype, which numpy would parse, cut to its real part or
+    read as 0.0 and 1.0, or an object element not in REALS or in BOOLS, such
+    as None, which it would read as NaN."""
     try:
         given = np.asarray(values)
-        if given.dtype.kind in "cSU":
+        if given.dtype.kind in "bcSU":
             raise TypeError(f"a {given.dtype} array holds no real numbers")
         if given.dtype.kind == "O":
             for value in given.flat:
-                if not isinstance(value, REALS):
+                if not isinstance(value, REALS) or isinstance(value, BOOLS):
                     raise TypeError(f"{value!r} is not a real number")
         return given.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:  # not reals, ragged or too large

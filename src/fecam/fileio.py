@@ -22,7 +22,8 @@ from .cell import TernaryBit, program_analog, program_digital
 from .config import GlobalConfig, parse_floats
 from .costmodel import NUMBER_SPEC
 from .encoder import RangeRule
-from .errors import FecamError, InconsistentInputError, ParseError, real_array
+from .errors import (DimensionMismatchError, FecamError, InconsistentInputError, ParseError,
+                     real_array)
 
 NUMBER = "%" + NUMBER_SPEC  # template field of one real number
 
@@ -184,6 +185,9 @@ def bounds_sweep_csv(v_sl_grid, matches) -> str:
     """Match flags per row along a search-voltage sweep:
     v_sl_volts,match_0,...,match_{R-1}."""
     matches = np.asarray(matches)
+    if matches.ndim != 2:
+        raise DimensionMismatchError(
+            f"match flags must be one row per sweep voltage, got shape {matches.shape}")
     n_points, n_rows = matches.shape
     grid = real_array(v_sl_grid, "sweep voltages")
     if grid.shape != (n_points,):
@@ -196,8 +200,12 @@ def bounds_sweep_csv(v_sl_grid, matches) -> str:
 
 
 def transfer_csv(rows) -> str:
-    """Transfer-curve families: amplitude_volts,v_gs_volts,i_d_amps."""
-    values = real_array(rows, "transfer rows").ravel().tolist()
+    """Transfer-curve families: amplitude_volts,v_gs_volts,i_d_amps, one line
+    per (amplitude, v_gs, i_d) row; no rows give the header alone."""
+    values = real_array(rows, "transfer rows")
+    if values.shape != (0,) and (values.ndim != 2 or values.shape[1] != 3):
+        raise DimensionMismatchError(
+            f"transfer rows must be (amplitude, v_gs, i_d) triples, got shape {values.shape}")
     line = f"\n{NUMBER},{NUMBER},{NUMBER}"
-    return ("amplitude_volts,v_gs_volts,i_d_amps" + line * (len(values) // 3)
-            + "\n") % tuple(values)
+    return ("amplitude_volts,v_gs_volts,i_d_amps" + line * len(values)
+            + "\n") % tuple(values.ravel().tolist())

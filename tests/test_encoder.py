@@ -1,4 +1,7 @@
 
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from fecam import (AnalogEntry, CellConfig, FecamArray, InvalidParameterError,
                    entries_match, entries_match_many, entry_to_cells, lookup,
                    lookup_many, program_analog, range_to_analog_entries,
                    range_to_prefixes, single_mismatch_sense_time, table_text)
+from fecam.encoder import TableEntry
 
 CASE_LO, CASE_HI, CASE_WIDTH = 98305, 14712838, 24
 
@@ -612,3 +616,74 @@ class TestIntervalIndex:
     def test_hand_built_non_interval_refused(self, entry):
         with pytest.raises(InvalidParameterError):
             entry.interval
+
+
+def check_entries(entries):
+    """Each entry, built unchecked by the cover, equals itself built by its
+    checked constructor, hash included, and holds plain Python ints."""
+    for e in entries:
+        if isinstance(e, TernaryEntry):
+            checked = TernaryEntry(e.bits)
+            assert type(e.bits) is str
+        else:
+            checked = AnalogEntry(e.digits, e.bits_per_cell)
+            assert type(e.bits_per_cell) is int
+            assert all(type(d) is int for pair in e.digits for d in pair)
+        assert checked == e and hash(checked) == hash(e)
+
+
+def check_table(table):
+    check_entries([tagged.entry for tagged in table.entries])
+    for tagged in table.entries:
+        assert type(tagged.rule_index) is int
+        again = TableEntry(tagged.entry, tagged.rule_index)
+        assert again == tagged and hash(again) == hash(tagged)
+
+
+def seeded_rules(seed, count, width):
+    """count rules of the width: every third one of any length, the rest at
+    most 4096 addresses long, each from a random low end."""
+    rng = np.random.default_rng(seed)
+    rules = []
+    for i in range(count):
+        lo = int(rng.integers(0, 1 << width))
+        span = int(rng.integers(0, 1 << width)) if i % 3 == 0 else int(rng.integers(0, 4096))
+        rules.append(RangeRule(lo, min(lo + span, (1 << width) - 1), width, f"hop{i % 17}"))
+    return rules
+
+
+class TestCompiledEntries:
+    @settings(max_examples=150)
+    @given(cover_cases())
+    def test_cover_entries_equal_their_checked_selves(self, case):
+        lo, hi, width, bits_per_cell = case
+        check_entries(range_to_prefixes(lo, hi, width))
+        check_entries(range_to_analog_entries(lo, hi, width, bits_per_cell))
+        rules = [RangeRule(lo, hi, width, "a")]
+        check_table(compile_table(rules, TableMode.TERNARY))
+        check_table(compile_table(rules, TableMode.ANALOG3B, bits_per_cell))
+
+    @settings(max_examples=100)
+    @given(overlapping_tables())
+    def test_table_entries_equal_their_checked_selves(self, drawn):
+        check_table(drawn[2])
+
+    # sha256 of table_text for seeded_rules(300, 300, 24), as the entries'
+    # checked constructors wrote it
+    TEXT_SHA256 = {
+        TableMode.TERNARY: "5ff46c367979b2cf28ea5bfc6384262ffc55840b5d9be9c81b7c6b5104739771",
+        TableMode.ANALOG3B: "4843d5de176582053158789bb3bb80b791b894fc3e6b675d852bbd4dad59a3e5"}
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    def test_table_text_is_pinned(self, mode):
+        text = table_text(compile_table(seeded_rules(300, 300, 24), mode))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.TEXT_SHA256[mode]
+
+    @pytest.mark.parametrize("mode", list(TableMode))
+    @pytest.mark.parametrize("rule", [(1, 5, 6, "a"),
+                                      SimpleNamespace(lo=1, hi=5, width=6, action="a")],
+                             ids=["tuple", "duck-typed"])
+    def test_rules_must_be_range_rules(self, mode, rule):
+        # the rule's ends and width are checked by RangeRule alone
+        with pytest.raises(InvalidParameterError, match="not a RangeRule"):
+            compile_table([RangeRule(0, 3, 6, "b"), rule], mode)

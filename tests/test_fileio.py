@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fecam import (InconsistentInputError, ParseError, SearchResult, TernaryBit, fileio,
-                   match_window, program_digital, search)
+from fecam import (DimensionMismatchError, InconsistentInputError, ParseError, SearchResult,
+                   TernaryBit, fileio, match_window, program_digital, search)
 from fecam.cell import program_analog, program_level_window
 from fecam.costmodel import _fmt
 from fecam.config import parse_floats
@@ -224,6 +224,16 @@ class TestCsvWriters:
 
     def test_transfer_header_only(self):
         assert transfer_csv([]) == "amplitude_volts,v_gs_volts,i_d_amps\n"
+
+    def test_transfer_rows_must_be_triples(self):
+        # rows two wide left values over for the template: a bare TypeError
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(1, 2\)$"):
+            transfer_csv([(1.0, 2.0)])
+
+    def test_bounds_sweep_flags_must_be_rows(self):
+        # 1-D flags have no row count: a bare ValueError
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(1,\)$"):
+            bounds_sweep_csv([0.1], [True])
 
 
 class TestWritersMatchReference:

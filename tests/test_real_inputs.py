@@ -26,7 +26,7 @@ from fecam import (CellConfig, CostParams, DeviceParams, EmptyWindowError,
                    vth_from_pulse)
 from fecam.array import MAX_SWEEP_STEPS, sweep_grid
 from fecam.device import saturated_current, vds_factor
-from fecam.errors import check_real
+from fecam.errors import check_real, real_array
 from fecam.fileio import bounds_sweep_csv, transfer_csv
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -273,6 +273,25 @@ class TestCheckReal:
     def test_one_message_form(self, args, message):
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             check_real(*args)
+
+
+    @pytest.mark.parametrize("call", [
+        lambda: check_real(True, "x", 0, 2, OutOfRangeError),
+        lambda: check_real(np.bool_(True), "x", 0, 2, OutOfRangeError),
+        lambda: real_array(np.array([True, False]), "x"),
+        lambda: real_array(np.array([0.5, True], dtype=object), "x"),
+        lambda: real_array(np.array([0.5, np.bool_(True)], dtype=object), "x"),
+        lambda: DeviceParams(v_dsat=True),
+        lambda: search(arr(), [True]),
+        lambda: FecamArray.from_vth([[True, True]], cfg().matchline, cfg().cell,
+                                    cfg().device)],
+        ids=["True", "numpy-bool", "bool-array", "bool-in-object-array",
+             "numpy-bool-in-object-array", "DeviceParams", "search", "from_vth"])
+    def test_bool_is_not_a_real(self, call):
+        # each read True as 1.0: v_dsat = True built a device, [True] searched
+        # as a 1.0 V query and [[True, True]] held 1.0 V thresholds
+        with pytest.raises(InvalidParameterError):
+            call()
 
 
 class TestFormerHoles:
