@@ -28,7 +28,6 @@ from .device import WritePulse, drain_current, vth_from_pulse
 from .errors import FecamError, InvalidParameterError, ParseError, check_real
 
 CONFIG_ENV_VAR = "FECAM_CONFIG"
-VERIFY_CHUNK = 1 << 16  # route --verify samples drawn and checked at once
 NEGATIVE_VALUES = ("A negative number in exponent form, or -inf, reads as an "
                    "option: join it to its option, as in --sense-time=-1e-9, "
                    "or write it as a plain decimal.")
@@ -174,34 +173,21 @@ def cmd_route(args) -> int:
                                           tables["analog"])
         out_lines.append(report.kv_lines().rstrip("\n"))
     if args.verify:
-        out_lines.append(_verify_tables(config, rules, tables, args.samples))
+        if args.samples < 0:
+            raise InvalidParameterError("--samples must be >= 0")
+        out_lines.append(_verify_tables(rules, tables))
     sys.stdout.write("\n".join(out_lines) + ("\n" if out_lines else ""))
     return 0
 
 
-def _verify_tables(config, rules, tables, samples: int) -> str:
-    """Sampled first-match check of every table against the rules' own index,
-    in chunks of VERIFY_CHUNK samples so memory does not grow with samples."""
-    if samples < 0:
-        raise InvalidParameterError("--samples must be >= 0")
-    rng = np.random.default_rng(config.rng_seed)
+def _verify_tables(rules, tables) -> str:
+    """Exact check of every table at all addresses: its index, built from its
+    entries' own intervals, equals the rules' own."""
     width = rules[0].width if rules else 0
-    starts, first = encoder._interval_index([(r.lo, r.hi) for r in rules], width)
-
-    def agrees(table, n: int) -> bool:
-        if width < 63:
-            addrs = rng.integers(0, 1 << width, size=n)
-        else:  # wider than int64: join 32-bit words into Python ints
-            words = rng.integers(0, 1 << 32, size=((width + 31) // 32, n))
-            addrs = sum(w.astype(object) << 32 * k for k, w in enumerate(words))
-            addrs %= 1 << width
-        expected = first[np.searchsorted(starts, addrs, side="right") - 1]
-        return np.array_equal(encoder.lookup_many(table, addrs), expected)
-
+    want = encoder._interval_index([(r.lo, r.hi) for r in rules], width, range(len(rules)))
     verdicts = []
     for name, table in tables.items():
-        same = all(agrees(table, min(VERIFY_CHUNK, samples - done))
-                   for done in range(0, samples, VERIFY_CHUNK))
+        same = all(map(np.array_equal, table._index, want))
         verdicts.append(f"verify_{name} = {'pass' if same else 'fail'}")
     return "\n".join(verdicts)
 
@@ -285,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="both", choices=["ternary", "analog", "both"])
     p.add_argument("--out", help="table listing path, - for stdout (both modes get suffixes)")
     p.add_argument("--verify", action="store_true",
-                   help="run the sampled membership check")
+                   help="check every table against the rules at every address")
     p.add_argument("--samples", type=int, default=1_000_000,
-                   help="membership samples for --verify")
+                   help="accepted for old command lines; the --verify check is "
+                        "exact and this count no longer changes it (must be >= 0)")
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("bench", help="calibrated energy and area figures")

@@ -8,9 +8,10 @@ Both are exact.  The covers check their arguments once and share one core,
 `compile_table` checks its rules once (each a `RangeRule`, so its ends and
 width are checked ints) and builds every entry of its table that way.  Every
 entry is one address interval, so table lookup is a search of one interval
-index (segment starts, each labelled with its first rule): `bisect` for one
-address over Python ints, `searchsorted` for many, keyed on Python ints from
-63 bits up.  Any width works.
+index: `bisect` for one address over Python ints, `searchsorted` for many,
+keyed on Python ints from 63 bits up.  Any width works.  The index is
+canonical (each segment holds its first rule or -1, no two adjacent alike),
+so `route --verify` checks every address by comparing a table's with its rules'.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ _pair_text = functools.lru_cache(maxsize=4096)("[%d-%d]".__mod__)  # one digit p
 
 @dataclass(frozen=True)
 class RangeRule:
-    """One routing rule: match addresses in [lo, hi] and return the action.
-    The ends and the width are stored as Python ints."""
+    """One routing rule: match addresses in [lo, hi] and return the action,
+    a non-empty str without whitespace, as a rules file holds it.  The ends
+    and the width are stored as Python ints."""
 
     lo: int
     hi: int
@@ -139,6 +141,8 @@ class RangeRule:
         top = (1 << width) - 1
         lo = check_int(self.lo, "range low end", 0, top)
         hi = check_int(self.hi, "range high end", lo, top)
+        if not (isinstance(self.action, str) and self.action.split() == [self.action]):
+            raise InvalidParameterError(f"rule action must be one word, got {self.action!r}")
         if not type(self.lo) is type(self.hi) is type(self.width) is int:  # hold Python ints
             self.__dict__.update(lo=lo, hi=hi, width=width)
 
@@ -206,7 +210,7 @@ def _cover(rules, width: int, bits_per_cell: int, analog: bool) -> list:
 def range_to_prefixes(lo: int, hi: int, width: int):
     """Minimal prefix cover of [lo, hi]: disjoint, ascending, exact; the
     greedy cover at one bit per cell."""
-    rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
+    rule = RangeRule(lo, hi, width, "-")  # reuse the invariant check
     return _cover([rule], rule.width, 1, False)[0]
 
 
@@ -218,7 +222,7 @@ def range_to_analog_entries(lo: int, hi: int, width: int,
     wildcards the lower digits; entries are disjoint, ascending, and their
     union is exactly the range.
     """
-    rule = RangeRule(lo, hi, width, "")  # reuse the invariant check
+    rule = RangeRule(lo, hi, width, "-")  # reuse the invariant check
     width, bits_per_cell, _ = _geometry(rule.width, bits_per_cell)
     return _cover([rule], width, bits_per_cell, True)[0]
 
@@ -241,9 +245,10 @@ def _addresses(addrs, width: int) -> np.ndarray:
     return a.astype(np.int64 if 0 < width < 63 else object, copy=False)
 
 
-def _interval_index(intervals, width: int):
-    """First-match index of ordered (lo, hi) intervals: sorted segment starts
-    (as `_addresses`), and per segment its first interval's position or -1."""
+def _interval_index(intervals, width: int, labels):
+    """Canonical first-match index of ordered (lo, hi) intervals: sorted
+    segment starts (as `_addresses`), and per segment its first interval's
+    label or -1, no two adjacent alike; one first-match map, one index."""
     points = sorted({0, *(lo for lo, _ in intervals),
                      *(hi + 1 for _, hi in intervals)} - {1 << width})
     waiting = sorted(range(len(intervals)), key=lambda i: -intervals[i][0])
@@ -253,8 +258,10 @@ def _interval_index(intervals, width: int):
             heapq.heappush(active, waiting.pop())
         while active and intervals[active[0]][1] < point:
             heapq.heappop(active)  # ended intervals never hold a later point
-        first.append(active[0] if active else -1)
-    return _addresses(points, width), np.array(first, dtype=np.int64)
+        first.append(labels[active[0]] if active else -1)
+    first = np.array(first, dtype=np.int64)
+    new = np.diff(first, prepend=-2) != 0  # segments that change the label
+    return _addresses(points, width)[new], first[new]
 
 
 def entries_match(entries, addr: int, width: int) -> bool:
@@ -348,11 +355,9 @@ class RoutingTable:
 
     @functools.cached_property
     def _index(self):
-        """Entry interval index labelled with rule indices; built lazily."""
-        starts, first = _interval_index(
-            [tagged.entry.interval for tagged in self.entries], self.width)
-        rule = np.array([tagged.rule_index for tagged in self.entries] + [-1])
-        return starts, rule[first]
+        """Index of the entries' own intervals by rule index; built lazily."""
+        return _interval_index([tagged.entry.interval for tagged in self.entries],
+                               self.width, [tagged.rule_index for tagged in self.entries])
 
     @functools.cached_property
     def _bisect_index(self):

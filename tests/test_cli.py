@@ -494,9 +494,33 @@ class TestRoute:
         assert "verify_ternary = fail" in out
         assert "verify_analog = fail" in out
 
+    def test_verify_catches_a_dropped_one_address_entry(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # a table without its smallest entry, one address of 2^24, fails in
+        # both modes; 10^6 sampled addresses never drew it
+        compile_table = encoder.compile_table
+        dropped = []
+
+        def drop_smallest_entry(rules, mode, bits_per_cell=3):
+            table = compile_table(rules, mode, bits_per_cell)
+            sizes = [hi - lo for lo, hi in (t.entry.interval for t in table.entries)]
+            smallest = sizes.index(min(sizes))
+            dropped.append(min(sizes) + 1)
+            return replace(table, entries=table.entries[:smallest]
+                           + table.entries[smallest + 1:])
+
+        monkeypatch.setattr(encoder, "compile_table", drop_smallest_entry)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("98305 14712838 24 portA\n5 70000 24 low\n")
+        code, out, _ = run(capsys, "route", "--rules", str(rules), "--mode", "both",
+                           "--verify", "--samples", "1000000")
+        assert code == 0 and dropped == [1, 1]
+        assert "verify_ternary = fail" in out
+        assert "verify_analog = fail" in out
+
     def test_wide_verify_memory_is_bounded(self, capsys, tmp_path):
-        # 200,000 samples of two 129-bit rules go through in chunks of
-        # VERIFY_CHUNK (peak about 15 MB); drawn at once they peaked at 44 MB
+        # two 129-bit rules are checked by their indexes, so --samples costs
+        # no memory; 200,000 samples drawn at once used to peak at 44 MB
         rules = tmp_path / "wide.txt"
         rules.write_text(f"{1 << 100} {(1 << 128) + 12345} 129 far\n"
                          f"5 {1 << 110} 129 near\n")
@@ -510,24 +534,6 @@ class TestRoute:
         assert code == 0
         assert "verify_ternary = pass" in out
         assert peak < 30e6
-
-    def test_verify_chunks_cover_every_sample(self, capsys, tmp_path, monkeypatch):
-        # every sample is checked, in full chunks and one short last chunk
-        seen = []
-        lookup_many = encoder.lookup_many
-
-        def counting(table, addrs):
-            seen.append(len(addrs))
-            return lookup_many(table, addrs)
-
-        monkeypatch.setattr(encoder, "lookup_many", counting)
-        monkeypatch.setattr(cli, "VERIFY_CHUNK", 1000)
-        rules = tmp_path / "rules.txt"
-        rules.write_text("0 2047 12 low\n1024 4095 12 high\n")
-        code, out, _ = run(capsys, "route", "--rules", str(rules), "--mode",
-                           "ternary", "--verify", "--samples", "2500")
-        assert code == 0 and "verify_ternary = pass" in out
-        assert seen == [1000, 1000, 500]
 
     def test_malformed_rule_names_line(self, capsys, tmp_path):
         rules = tmp_path / "bad.txt"

@@ -1,5 +1,6 @@
 
 import hashlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from fecam import (AnalogEntry, CellConfig, FecamArray, InvalidParameterError,
                    entries_match, entries_match_many, entry_to_cells, lookup,
                    lookup_many, program_analog, range_to_analog_entries,
                    range_to_prefixes, single_mismatch_sense_time, table_text)
+from fecam.cli import _verify_tables
 from fecam.encoder import TableEntry
 
 CASE_LO, CASE_HI, CASE_WIDTH = 98305, 14712838, 24
@@ -448,6 +450,12 @@ class TestRoutingTable:
         with pytest.raises(InvalidParameterError, match="range (low|high) end must be an integer"):
             RangeRule(lo, hi, 4, "a")
 
+    @pytest.mark.parametrize("action", [None, "", "a b", "a\nb", 3])
+    def test_action_must_be_one_word(self, action):
+        # None used to compile and read as a miss; a newline split table_text
+        with pytest.raises(InvalidParameterError, match="rule action must be"):
+            RangeRule(0, 3, 4, action)
+
     @pytest.mark.parametrize("mode", list(TableMode))
     def test_numpy_int_ends_compile_like_python_ints(self, mode):
         # np.int64 ends used to pass the check and fail on int.bit_length
@@ -510,8 +518,8 @@ def first_match_scan(table, addr):
 
 
 @st.composite
-def overlapping_tables(draw):
-    width = draw(st.integers(1, 130))
+def overlapping_tables(draw, max_width=130):
+    width = draw(st.integers(1, max_width))
     mode = draw(st.sampled_from([TableMode.TERNARY, TableMode.ANALOG3B]
                                 if width % 3 == 0 else [TableMode.TERNARY]))
     address = st.integers(0, (1 << width) - 1)
@@ -582,6 +590,28 @@ class TestIntervalIndex:
                     lookup(table, bad)
                 with pytest.raises(OutOfRangeError):
                     lookup_many(table, [0, bad])
+
+    @settings(max_examples=100)
+    @given(overlapping_tables())
+    def test_index_is_canonical(self, drawn):
+        # segments ascend from 0, and no two adjacent ones share a label
+        starts, labels = drawn[2]._index
+        assert starts[0] == 0 and all(starts[1:] > starts[:-1])
+        assert all(labels[1:] != labels[:-1])
+
+    @settings(max_examples=150)
+    @given(overlapping_tables(max_width=12), st.data())
+    def test_verify_is_exact(self, drawn, data):
+        # the verdict, for a table as compiled or without one of its entries,
+        # is a comparison with the rules at every address of the width
+        width, rules, table, _ = drawn
+        drop = data.draw(st.integers(-1, table.n_entries - 1))
+        if drop >= 0:
+            table = replace(table, entries=table.entries[:drop] + table.entries[drop + 1:])
+        addrs = list(range(1 << width))
+        same = lookup_many(table, addrs).tolist() == [
+            next((i for i, r in enumerate(rules) if r.lo <= a <= r.hi), -1) for a in addrs]
+        assert _verify_tables(rules, {"t": table}) == f"verify_t = {'pass' if same else 'fail'}"
 
     def test_empty_table_matches_nothing(self):
         table = compile_table([], TableMode.TERNARY)

@@ -1,13 +1,16 @@
 """The README's library example runs, and every value its comments state
 holds: an expression line states its value ahead of any colon, with `~` for
 a value rounded to the digits shown; an assignment line states the entries
-of the table it compiles."""
+of the table it compiles.  Every `fecam` command line it shows parses."""
 
 import ast
 import pathlib
 import re
+import shlex
 
 import numpy as np
+
+from fecam import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,3 +58,14 @@ def test_stated_values_hold():
             stated.append(comment)
     assert stated == ["(True,)", "(~0.401, ~0.599)", "[[0.6, 0.6]]", "(True, False)",
                       "27 entries", "10 entries", "8.1"]
+
+
+def test_command_lines_parse():
+    # a documented flag that the parser no longer knows fails here
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("fecam ")]
+    assert len(lines) == 6
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
