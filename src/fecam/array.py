@@ -338,7 +338,8 @@ class FecamArray:
         the distinct rows vth, keyed on their bytes, or slice(None) when every
         row is distinct, and the `_row_terms` of vth.  Equal rows give equal
         wrapping sums of their bits, each times a fixed odd multiplier, so the
-        rows are all distinct when no two sums collide; else bytes are sorted."""
+        rows are all distinct when no two sums collide; else bytes are sorted.
+        So the resolve after a cam-program bank rewrite sorts no bytes."""
         rows, vth = slice(None), self.vth
         bits = vth.view(np.uint64)
         odd = np.arange(1, 2 * bits.shape[1], 2, dtype=np.uint64)
@@ -380,21 +381,18 @@ def _pair_tables(vth: np.ndarray, weights: np.ndarray, max_pairs: int):
     than max_pairs distinct (FeFET column, threshold) pairs: the pairs'
     thresholds, their search lines, and the (pairs, R) matrix that holds, at
     the pair each row holds in each column, that column's weight."""
-    rows, fets = vth.shape
-    if max_pairs < fets:  # every column holds at least one pair
+    if max_pairs < vth.shape[1]:  # every column holds at least one pair
         return None
-    # each column sorted, as row and flat indices; a new pair where it steps
-    order = np.argsort(vth.T, axis=1)
-    held = vth.ravel()[order * fets + np.arange(fets)[:, None]]
+    # each column sorted, from a contiguous copy; a new pair where it steps
+    cols = vth.T.copy()
+    held = np.sort(cols, axis=1)
     new = np.empty(held.shape, bool)
     new[:, 0] = True
     np.not_equal(held[:, 1:], held[:, :-1], out=new[:, 1:])
-    n_pairs = np.count_nonzero(new)
-    if n_pairs > max_pairs:
+    if np.count_nonzero(new) > max_pairs:
         return None
-    matrix = np.zeros((n_pairs, rows))
-    matrix[np.cumsum(new, dtype=np.intp).reshape(new.shape) - 1, order] = weights[:, None]
-    return held[new], np.nonzero(new)[0], matrix
+    held, lines = held[new], np.nonzero(new)[0]
+    return held, lines, np.where(held[:, None] == cols[lines], weights[lines, None], 0.0)
 
 
 def _row_terms(vth: np.ndarray, params: DeviceParams, vdd: float, counts=None):
@@ -440,7 +438,9 @@ def _summed_currents(vth: np.ndarray, factors, lines, weights: np.ndarray, n_fet
     arguments: in the direct form vth (R, 2C), lines None (all 2C, in order)
     and weights (2C,); in the table form the pairs of `_pair_tables`.
     The queries go through in blocks of about BLOCK_CELLS FeFET currents,
-    at least one query each, one product per block.
+    at least one query each, one product per block.  Overflow warnings are
+    silenced only where a row could overflow: entering `np.errstate` costs
+    a one-address resolve, as in the cam-program benchmark, a few percent.
     """
     block = max(1, BLOCK_CELLS // vth.size)
     buf = np.empty((min(block, len(queries)),) + vth.shape)
@@ -508,7 +508,8 @@ def _top_current(arr: FecamArray, t: float) -> float:
     of the closed-form inverse of the line, the current that falls
     delta_v_ml linearly, or to the knee and then along the decay when the
     boundary lies below it; they hold the top current unless rounding in
-    vdd outweighs delta_v_ml.  The second tries 2^-30 of it either side."""
+    vdd outweighs delta_v_ml, and spare a one-search run, `fecam sweep`,
+    most of the bisection.  The second tries 2^-30 of it either side."""
     tops = arr._top_currents
     if t in tops:
         return tops[t]

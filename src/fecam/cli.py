@@ -175,21 +175,11 @@ def cmd_route(args) -> int:
     if args.verify:
         if args.samples < 0:
             raise InvalidParameterError("--samples must be >= 0")
-        out_lines.append(_verify_tables(rules, tables))
+        verdicts = encoder._verify_tables(rules, tables.values())
+        out_lines += [f"verify_{name} = {'pass' if same else 'fail'}"
+                      for name, same in zip(tables, verdicts)]
     sys.stdout.write("\n".join(out_lines) + ("\n" if out_lines else ""))
     return 0
-
-
-def _verify_tables(rules, tables) -> str:
-    """Exact check of every table at all addresses: its index, built from its
-    entries' own intervals, equals the rules' own."""
-    width = rules[0].width if rules else 0
-    want = encoder._interval_index([(r.lo, r.hi) for r in rules], width, range(len(rules)))
-    verdicts = []
-    for name, table in tables.items():
-        same = all(map(np.array_equal, table._index, want))
-        verdicts.append(f"verify_{name} = {'pass' if same else 'fail'}")
-    return "\n".join(verdicts)
 
 
 def cmd_bench(args) -> int:

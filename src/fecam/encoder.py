@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellConfig
-from .errors import InvalidParameterError, OutOfRangeError, check_int, is_int
+from .errors import (DimensionMismatchError, InvalidParameterError, OutOfRangeError,
+                     check_int, is_int)
 
 MAX_RULE_WIDTH = 1024     # widest rule: a ternary cover holds ~2 w entries of w cells
 
@@ -81,11 +82,9 @@ class AnalogEntry:
     def __post_init__(self):
         _, bits, _ = _geometry(0, self.bits_per_cell)  # any digit count fits the width
         top = (1 << bits) - 1
-        try:  # all-int pairs in range pass as they are; check_int words any error
-            digits = tuple([(a, b) if type(a) is type(b) is int and 0 <= a <= b <= top
-                            else (lo := check_int(a, "digit low end", 0, top),
-                                  check_int(b, "digit high end", lo, top))
-                            for a, b in self.digits])
+        try:  # check_int words any error
+            digits = tuple([(lo := check_int(a, "digit low end", 0, top),
+                             check_int(b, "digit high end", lo, top)) for a, b in self.digits])
         except (TypeError, ValueError):  # not an iterable of pairs
             raise InvalidParameterError("digits must be (lo, hi) pairs") from None
         if not digits:
@@ -167,22 +166,31 @@ def _check_levels(bits_per_cell: int, cfg: CellConfig) -> None:
             f"config has {cfg.level_count}")
 
 
+class _Exact:
+    """The exact pair (d, d) of any digit d, made when it is read."""
+
+    def __getitem__(self, d):
+        return d, d
+
+
 def _cover(rules, width: int, bits_per_cell: int, analog: bool) -> list:
     """The one cover core, on the checked Python ints of RangeRules: per rule,
     the greedy cover of [lo, hi] as entries made unchecked, AnalogEntrys when
     analog is set, else TernaryEntrys (one bit per cell).  Each entry is span
     aligned blocks of 2^(b k) addresses from start, differing only in digit k
-    (b bits).  k is
-    as large as start's alignment, the room left and the digit count allow,
-    then span as large as digit k and the room allow.  An analog entry fixes
-    the digits above k, bounds digit k and wildcards the digits below, sharing
-    the digit pairs of one cover; a ternary one is the bits of start above
-    w = k + span - 1 (kept with their zeros under a leading 1), then w X's."""
+    (b bits).  k is as large as start's alignment, the room left and the
+    digit count allow, then span as large as digit k and the room allow.  An
+    analog entry fixes the digits above k, bounds digit k and wildcards the
+    digits below; its exact digit pairs come from one list per cover up to 8
+    bits per cell and are made on use above, so no cover makes 2^b of them.
+    A ternary one is the bits of start above w = k + span - 1 (kept with
+    their zeros under a leading 1), then w X's."""
     b, top_k = bits_per_cell, width // bits_per_cell - 1
     base = 1 << b
     top = base - 1
     if analog:
-        exact, wild = [(d, d) for d in range(base)], ((0, top),) * top_k
+        exact = [(d, d) for d in range(base)] if b <= 8 else _Exact()
+        wild = ((0, top),) * top_k
         analog_entry = AnalogEntry._unchecked
     ternary_entry = TernaryEntry._unchecked
     covers = []
@@ -264,27 +272,38 @@ def _interval_index(intervals, width: int, labels):
     return _addresses(points, width)[new], first[new]
 
 
+def _verify_tables(rules, tables) -> list:
+    """Per table, whether it answers every address as the rules do: its index,
+    from its entries' own intervals, equals the rules' own, built once."""
+    width = rules[0].width if rules else 0
+    want = _interval_index([(r.lo, r.hi) for r in rules], width, range(len(rules)))
+    return [all(map(np.array_equal, table._index, want)) for table in tables]
+
+
 def entries_match(entries, addr: int, width: int) -> bool:
     """True when any entry matches the address (membership oracle)."""
     return bool(entries_match_many(entries, [addr], width)[0])
 
 
 def entries_match_many(entries, addrs, width: int) -> np.ndarray:
-    """Vectorized entries_match over an integer address array."""
+    """Vectorized entries_match over an integer address array; every entry
+    must be width bits wide."""
     a = _addresses(addrs, width)
     out = np.zeros(a.shape, dtype=bool)
     for e in entries:
+        if not isinstance(e, (TernaryEntry, AnalogEntry)):
+            raise InvalidParameterError(f"not a TernaryEntry or AnalogEntry: {e!r}")
+        if e.width != width:
+            raise DimensionMismatchError(f"entry {e} is {e.width} bits wide, not {width}")
         if isinstance(e, TernaryEntry):  # addr & mask == value, X bits unmasked
             mask = int(e.bits.replace("0", "1").replace("X", "0"), 2)
             out |= (a & mask) == int(e.bits.replace("X", "0"), 2)
-        elif isinstance(e, AnalogEntry):
+        else:
             hit = np.ones(a.shape, dtype=bool)
             for pos, (d_lo, d_hi) in enumerate(reversed(e.digits)):
                 digit = (a >> (pos * e.bits_per_cell)) & ((1 << e.bits_per_cell) - 1)
                 hit &= (digit >= d_lo) & (digit <= d_hi)
             out |= hit
-        else:
-            raise InvalidParameterError(f"not a TernaryEntry or AnalogEntry: {e!r}")
     return out
 
 

@@ -15,7 +15,7 @@ from decimal import Decimal
 
 import numpy as np
 
-REALS = (numbers.Real, Decimal)  # the types of one real number in real_array and messages
+REALS = (numbers.Real, Decimal)  # the types of one real number in real_array
 BOOLS = (bool, np.bool_)  # never a real number, though bool is a numbers.Real
 
 
@@ -91,12 +91,13 @@ def check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf,
     in (lo, hi) when `open` is set.  An infinite end is always open, so NaN
     and +-inf never pass, nor does an int past the float range.  A value
     outside raises `error`, a value that is not one real number, a bool
-    (`BOOLS`) among them, InvalidParameterError, with one message that names
-    `what`; an int past the float range is shown by its bit length."""
+    (`BOOLS`) or a Decimal among them, InvalidParameterError, with one
+    message that names `what`; an int past the float range is shown by its
+    bit length.  Floats are tested first, for the array-search set-up."""
     if type(value) is float:  # the common case, first: a float strictly inside is finite
         if lo < value < hi or not open and (value == lo or value == hi) and math.isfinite(value):
             return value
-    elif isinstance(value, BOOLS):  # True is not 1.0 V
+    elif isinstance(value, (*BOOLS, Decimal)):  # True is not 1.0 V; a Decimal breaks float math
         error = InvalidParameterError
     else:
         try:
@@ -130,10 +131,11 @@ def real_array(values, what: str) -> np.ndarray:
 
 
 def _shown(value) -> str:
-    """value as every check's message shows it: one of REALS by str, but an
-    int past the float range by its bit length, as str of an int past the
-    digit limit raises ValueError; anything else by repr, so text reads '0.1'."""
-    if not isinstance(value, REALS):
+    """value as every check's message shows it: a `numbers.Real` by str, but
+    an int past the float range by its bit length, as str of an int past the
+    digit limit raises ValueError; anything else by repr, so text reads '0.1'
+    and a Decimal Decimal('0.1')."""
+    if not isinstance(value, numbers.Real):
         return repr(value)
     if is_int(value) and not -sys.float_info.max <= value <= sys.float_info.max:
         return f"an int of {value.bit_length()} bits"

@@ -1,5 +1,6 @@
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fecam import (AnalogEntry, CellConfig, FecamArray, InvalidParameterError,
-                   OutOfRangeError, RangeRule, TableMode, TernaryEntry,
-                   address_query_voltages, batch_search, compile_table,
+from fecam import (AnalogEntry, CellConfig, DimensionMismatchError, FecamArray,
+                   InvalidParameterError, OutOfRangeError, RangeRule, TableMode,
+                   TernaryEntry, address_query_voltages, batch_search, compile_table,
                    entries_match, entries_match_many, entry_to_cells, lookup,
                    lookup_many, program_analog, range_to_analog_entries,
                    range_to_prefixes, single_mismatch_sense_time, table_text)
-from fecam.cli import _verify_tables
-from fecam.encoder import TableEntry
+from fecam.encoder import TableEntry, _verify_tables
 
 CASE_LO, CASE_HI, CASE_WIDTH = 98305, 14712838, 24
 
@@ -199,6 +199,21 @@ class TestOneBlockCover:
         assert [e.digits for e in range_to_analog_entries(lo, hi, width, bits_per_cell)] \
             == reference_digit_ranges(lo, hi, width, bits_per_cell)
 
+    def test_wide_digits_cost_only_the_pairs_used(self):
+        # the cover made (d, d) for all 2^b digits before its first entry:
+        # 6 MB for a range of 6 addresses at 16 bits per cell
+        tracemalloc.start()
+        try:
+            range_to_analog_entries(0, 5, 32, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for lo, hi, width, bits_per_cell in [(0, 5, 32, 16), (3, (1 << 36) - 5, 36, 12),
+                                             (513, (1 << 18) - 8, 18, 9)]:
+            assert [e.digits for e in range_to_analog_entries(lo, hi, width, bits_per_cell)] \
+                == reference_digit_ranges(lo, hi, width, bits_per_cell)
+
     def test_one_bit_digit_cover_is_the_prefix_cover(self):
         # at one bit per cell a digit interval (0,0), (1,1) or (0,1) is 0, 1 or X
         symbol = {(0, 0): "0", (1, 1): "1", (0, 1): "X"}
@@ -239,6 +254,18 @@ class TestEntriesMatch:
         # each used to raise a bare AttributeError on .digits
         with pytest.raises(InvalidParameterError, match="not a TernaryEntry or AnalogEntry"):
             entries_match_many([TernaryEntry("0X"), entry], [1], 2)
+
+    @pytest.mark.parametrize("entries, width", [
+        ([AnalogEntry(((0, 7),))], 9), ([AnalogEntry(((0, 7),) * 3)], 6),
+        ([TernaryEntry("01X")], 6), ([TernaryEntry("0X"), TernaryEntry("01X")], 2)],
+        ids=["analog-narrow", "analog-wide", "ternary-narrow", "ternary-wide"])
+    def test_entries_must_have_the_width(self, entries, width):
+        # each read the addresses as if the entries fit: a 3-bit entry matched
+        # the 9-bit 100, and "01X" the 6-bit address 2
+        with pytest.raises(DimensionMismatchError, match=f"bits wide, not {width}$"):
+            entries_match_many(entries, [100 % (1 << width)], width)
+        with pytest.raises(DimensionMismatchError):
+            entries_match(entries, 2, width)
 
     def test_width_bounded(self):
         # 1 << 140 used to raise a bare OverflowError from 1 << width
@@ -611,7 +638,7 @@ class TestIntervalIndex:
         addrs = list(range(1 << width))
         same = lookup_many(table, addrs).tolist() == [
             next((i for i, r in enumerate(rules) if r.lo <= a <= r.hi), -1) for a in addrs]
-        assert _verify_tables(rules, {"t": table}) == f"verify_t = {'pass' if same else 'fail'}"
+        assert _verify_tables(rules, [table]) == [same]
 
     def test_empty_table_matches_nothing(self):
         table = compile_table([], TableMode.TERNARY)

@@ -22,8 +22,8 @@ from fecam import (CellConfig, CostParams, DeviceParams, EmptyWindowError,
                    WritePlan, WritePulse, apply_variation, batch_search, cell_current,
                    default_config, digital_query_voltage, drain_current, inverter,
                    match_window, measure_bounds, ml_energy_estimate, program_analog,
-                   program_digital, pulse_for_vth, resolvable_levels, search, state_for_vth,
-                   vth_from_pulse)
+                   program_digital, pulse_for_vth, resolvable_levels, search,
+                   single_mismatch_sense_time, state_for_vth, vth_from_pulse)
 from fecam.array import MAX_SWEEP_STEPS, sweep_grid
 from fecam.device import saturated_current, vds_factor
 from fecam.errors import check_real, real_array
@@ -293,6 +293,26 @@ class TestCheckReal:
         with pytest.raises(InvalidParameterError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: check_real(Decimal("0.5"), "x", 0, 1, OutOfRangeError),
+        lambda: program_analog(Decimal("0.4"), 0.6, cfg().cell, cfg().device),
+        lambda: pulse_for_vth(cfg().device, Decimal("0.5")),
+        lambda: vth_from_pulse(cfg().device, WritePulse(Decimal("3"))),
+        lambda: resolvable_levels(cfg().device, Decimal("0.01")),
+        lambda: ml_energy_estimate(cfg().matchline, 8, Decimal("1.0")),
+        lambda: single_mismatch_sense_time(
+            cfg().matchline, DeviceParams(subthreshold_slope=Decimal("0.08")), cfg().cell, 8),
+        lambda: DeviceParams(v_dsat=Decimal("NaN"))],
+        ids=["check_real", "program_analog", "pulse_for_vth", "vth_from_pulse",
+             "resolvable_levels", "ml_energy_estimate", "single_mismatch_sense_time",
+             "DeviceParams-NaN"])
+    def test_decimal_is_not_a_real(self, call):
+        # a Decimal passed the check, and each call then raised a bare
+        # TypeError in float arithmetic; a Decimal NaN raised a bare
+        # decimal.InvalidOperation
+        with pytest.raises(InvalidParameterError, match=r"got Decimal\('[\d.NaN]+'\)$"):
+            call()
+
 
 class TestFormerHoles:
     def test_match_window_edges_are_the_laws(self):
@@ -395,7 +415,8 @@ class TestFormerHoles:
             call()
 
     def test_decimal_numbers_are_reals(self):
-        # check_real accepts a Decimal, so an array of them reads as floats
+        # real_array reads an array of Decimals as floats, though check_real
+        # refuses a lone Decimal
         assert apply_variation(cfg().device, [Decimal("0.5")], 0.0, 0).tolist() == [0.5]
         assert search(arr(), [Decimal("0.5")]).matches == (True, True)
 
